@@ -6,8 +6,9 @@ hook-weight products is a factored form: since 1 - q^h is (up to sign) the
 product of the cyclotomic polynomials indexed by the divisors of h, and
 1 + q^h the product over divisors of 2h that miss h, every weight product is
 a signed monomial in cyclotomic polynomials.  Sums of such monomials are
-brought over a common denominator with plain integer-polynomial products and
-reduced by exact trial division, which sidesteps large rational GCDs.  The
+brought over a common denominator, their numerator is summed as one integer
+at a Kronecker point q = 2^B and unpacked once, and the result is reduced by
+exact trial division, which sidesteps large rational GCDs.  The
 factored path is cross-checked against generic rational-function arithmetic
 in the test suite.
 """
@@ -110,13 +111,6 @@ def _cyclotomic(d: int) -> tuple[int, ...]:
 
 
 @cache
-def _cyclo_power(d: int, k: int) -> tuple[int, ...]:
-    if k == 1:
-        return _cyclotomic(d)
-    return tuple(_ip_mul(list(_cyclo_power(d, k - 1)), list(_cyclotomic(d))))
-
-
-@cache
 def _w_factor_items(h: int) -> tuple[tuple[int, int], ...]:
     """Cyclotomic exponents of (1 + q^h)/(1 - q^h) for h >= 1, sign aside:
     +1 for divisors of 2h missing h, -1 for divisors of h."""
@@ -177,32 +171,29 @@ def _weight_product_of_hooks(hook_lengths) -> _WeightProduct:
 def _materialize(terms: list[tuple[int, _WeightProduct]]) -> RationalFunction:
     """Canonical rational function of sum(coeff * product) over the terms.
 
-    The common denominator is read off the factored exponents; numerator
-    contributions are integer-polynomial products of cyclotomic powers, and
-    the final reduction is exact trial division by the denominator factors.
+    The common denominator is read off the factored exponents; the lifted
+    numerator is summed at one Kronecker point (see `_cyclo_sum`), and the
+    final reduction is exact trial division by the denominator factors.
     """
     den_exp: dict[int, int] = {}
     for _, wp in terms:
         for d, e in wp.expo.items():
             if e < 0 and -e > den_exp.get(d, 0):
                 den_exp[d] = -e
-    total: list[int] = []
+    lifted = []
     for coeff, wp in terms:
         if coeff == 0:
             continue
-        factors = []
+        cofactor = {}
         for d in set(wp.expo) | set(den_exp):
             k = wp.expo.get(d, 0) + den_exp.get(d, 0)
             if k > 0:
-                factors.append(_cyclo_power(d, k))
-        factors.sort(key=len)
-        poly = [coeff * wp.sign]
-        for f in factors:
-            poly = _ip_mul(poly, list(f))
-        total = _ip_add(total, poly)
+                cofactor[d] = k
+        lifted.append((coeff * wp.sign, cofactor))
+    total = _cyclo_sum(lifted)
     if not total:
         return RationalFunction.zero()
-    remaining = {d: e for d, e in den_exp.items() if e}
+    remaining = dict(den_exp)
     for d in sorted(remaining):
         phi = list(_cyclotomic(d))
         while remaining[d] > 0:
@@ -211,39 +202,84 @@ def _materialize(terms: list[tuple[int, _WeightProduct]]) -> RationalFunction:
                 break
             total = quot
             remaining[d] -= 1
-    den = [1]
-    for d in sorted(remaining):
-        if remaining[d]:
-            den = _ip_mul(den, list(_cyclo_power(d, remaining[d])))
+    den = _cyclo_sum([(1, remaining)])
     # coprime numerator over a monic denominator: already canonical
     return RationalFunction._from_canonical(Polynomial(total), Polynomial(den))
 
 
-# -- plain integer-coefficient polynomial helpers (lists, low degree first) --
+def _cyclo_sum(terms: list[tuple[int, dict[int, int]]]) -> list[int]:
+    """Integer coefficients of sum(c * prod(Phi_d ** k)) over the terms
+    (c, {d: k}), low degree first with no trailing zeros.
 
-
-def _ip_mul(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
+    The sum is formed as one integer, its value at q = 2**bits, and unpacked
+    once into signed base-2**bits digits.  The digits are the coefficients
+    because every coefficient is below 2**(bits - 1) in absolute value:
+    since ||fg||_inf <= ||fg||_1 <= ||f||_1 ||g||_1, each coefficient is at
+    most the sum over the terms of |c| * prod(||Phi_d||_1 ** k).
+    """
+    bound = 0
+    length = 1
+    for c, cofactor in terms:
+        norm = abs(c)
+        degree = 0
+        for d, k in cofactor.items():
+            norm *= _cyclo_norm(d) ** k
+            degree += k * (len(_cyclotomic(d)) - 1)
+        bound += norm
+        length = max(length, degree + 1)
+    if bound == 0:
         return []
-    if len(a) < len(b):
-        a, b = b, a
-    out = [0] * (len(a) + len(b) - 1)
-    for i, cb in enumerate(b):
-        if cb:
-            seg = out[i : i + len(a)]
-            out[i : i + len(a)] = [x + cb * y for x, y in zip(seg, a)]
-    return out
+    width = (bound.bit_length() + 8) // 8  # bytes per digit, sign bit included
+    bits = 8 * width
+    powers: dict[tuple[int, int], int] = {}
 
+    def at_point(cofactor: dict[int, int]) -> int:
+        value = 1
+        for d, k in cofactor.items():
+            if k:
+                if (d, k) not in powers:
+                    phi = sum(a << (i * bits) for i, a in enumerate(_cyclotomic(d)))
+                    powers[d, k] = phi**k
+                value *= powers[d, k]
+        return value
 
-def _ip_add(a: list[int], b: list[int]) -> list[int]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
+    # Sum in a balanced tree.  A node (v, e) stands for v * prod(Phi_d ** e_d)
+    # at the point; merging two nodes keeps their shared cofactor symbolic,
+    # so the integers multiplied stay small until the root.
+    nodes = list(terms)
+    while len(nodes) > 1:
+        merged = []
+        for (a, ea), (b, eb) in zip(nodes[0::2], nodes[1::2]):
+            shared = {d: min(k, eb[d]) for d, k in ea.items() if d in eb}
+            merged.append((
+                a * at_point({d: k - shared.get(d, 0) for d, k in ea.items()})
+                + b * at_point({d: k - shared.get(d, 0) for d, k in eb.items()}),
+                shared,
+            ))
+        if len(nodes) % 2:
+            merged.append(nodes[-1])
+        nodes = merged
+    total = nodes[0][0] * at_point(nodes[0][1])
+    # offsetting every digit by 2**(bits - 1) makes them all nonnegative
+    half = 1 << (bits - 1)
+    offset = half * (((1 << (length * bits)) - 1) // ((1 << bits) - 1))
+    packed = (total + offset).to_bytes(length * width, "little")
+    out = [
+        int.from_bytes(packed[i : i + width], "little") - half
+        for i in range(0, length * width, width)
+    ]
     while out and out[-1] == 0:
         out.pop()
     return out
+
+
+@cache
+def _cyclo_norm(d: int) -> int:
+    """Sum of the absolute values of the coefficients of Phi_d."""
+    return sum(abs(a) for a in _cyclotomic(d))
+
+
+# -- plain integer-coefficient polynomial division (lists, low degree first) --
 
 
 def _ip_divexact_or_none(a: list[int], b: list[int]) -> list[int] | None:
@@ -286,7 +322,12 @@ def weight_lambda(lam: Partition) -> RationalFunction:
 
 @cache
 def phi_n(n: int) -> RationalFunction:
-    """Tableau-side sum: f-lambda times the shape weight over all shapes.
+    """Tableau-side sum: f-lambda times the shape weight over all shapes."""
+    return _materialize(_phi_terms(n))
+
+
+def _phi_terms(n: int) -> list[tuple[int, _WeightProduct]]:
+    """The terms of phi_n as (count, factored weight).
 
     Shapes sharing a hook multiset (conjugate pairs, in particular) have
     equal weights, so their counts are pooled before materializing.
@@ -297,10 +338,9 @@ def phi_n(n: int) -> RationalFunction:
     for lam in partitions_of(n):
         key = tuple(sorted(hooks(lam)))
         groups[key] = groups.get(key, 0) + f_lambda(lam)
-    terms = [
+    return [
         (coeff, _weight_product_of_hooks(key)) for key, coeff in sorted(groups.items())
     ]
-    return _materialize(terms)
 
 
 @cache
@@ -397,15 +437,7 @@ def verify_lemma1(lam: Partition) -> VerificationReport:
     extension and retraction only disturb hooks in one row and one column.
     """
     started = time.perf_counter()
-    base = _weight_product_of_hooks(hooks(lam))
-    lhs_terms = []
-    for cell in addable_cells(lam):
-        ratio = _weight_product_of_hooks(hooks(add_cell(lam, cell))).divide(base)
-        lhs_terms.append((1, ratio))
-    rhs_terms = [(1, _WeightProduct().mul_w(1))]
-    for cell in removable_cells(lam):
-        ratio = _weight_product_of_hooks(hooks(remove_cell(lam, cell))).divide(base)
-        rhs_terms.append((1, ratio))
+    lhs_terms, rhs_terms = _lemma1_terms(lam)
     lhs = _materialize(lhs_terms)
     rhs = _materialize(rhs_terms)
     return _finish(
@@ -416,6 +448,21 @@ def verify_lemma1(lam: Partition) -> VerificationReport:
         " (both sides divided by the shape weight)",
         started,
     )
+
+
+def _lemma1_terms(lam: Partition):
+    """The two sides of the extend-retract identity at one shape, as term
+    lists of weight ratios to the shape weight."""
+    base = _weight_product_of_hooks(hooks(lam))
+    lhs_terms = []
+    for cell in addable_cells(lam):
+        ratio = _weight_product_of_hooks(hooks(add_cell(lam, cell))).divide(base)
+        lhs_terms.append((1, ratio))
+    rhs_terms = [(1, _WeightProduct().mul_w(1))]
+    for cell in removable_cells(lam):
+        ratio = _weight_product_of_hooks(hooks(remove_cell(lam, cell))).divide(base)
+        rhs_terms.append((1, ratio))
+    return lhs_terms, rhs_terms
 
 
 def verify_corner_hooks(lam: Partition, k: int) -> VerificationReport:

@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import comb, factorial
 
-from .exact import PowerSeries, RationalFunction
+from .exact import Polynomial, PowerSeries, RationalFunction
 
 # Largest n for which psi_n re-derives its value by brute enumeration as an
 # internal consistency assertion; above this only the recursion is used.
@@ -148,24 +148,44 @@ def _psi_by_enumeration(n: int) -> RationalFunction:
     return total
 
 
+def _psi_by_recursion(n: int) -> RationalFunction:
+    """psi_n by the recursion psi_{m+1} = w(1) psi_m + m psi_{m-1}, bottom-up.
+
+    With w(1) = (1 + q)/(1 - q), psi_m = P_m / (1 - q)^m for the integer
+    polynomials P_0 = 1, P_1 = 1 + q and
+    P_{m+1} = (1 + q) P_m + m (1 - q)^2 P_{m-1}.  P_m(1) = 2^m is nonzero, so
+    no factor 1 - q cancels and the fraction is already reduced.
+    """
+    prev, cur = [], [1]  # P_{m-1}, P_m (low degree first)
+    for m in range(n):
+        nxt = cur + [0]
+        for i, c in enumerate(cur):
+            nxt[i + 1] += c
+        for i, c in enumerate(prev):
+            mc = m * c
+            nxt[i] += mc
+            nxt[i + 1] -= 2 * mc
+            nxt[i + 2] += mc
+        prev, cur = cur, nxt
+    if sum(cur) != 1 << n:
+        raise AssertionError(f"psi numerator at n={n} does not take the value 2^n at q=1")
+    # the denominator made monic: (q - 1)^n, with the numerator's sign to match
+    sign = -1 if n % 2 else 1
+    den = Polynomial(comb(n, i) * (-1) ** (n - i) for i in range(n + 1))
+    return RationalFunction._from_canonical(Polynomial(sign * c for c in cur), den)
+
+
 @cache
 def psi_n(n: int) -> RationalFunction:
     """Sum of w(1)^(number of fixed points) over all involutions of S_n.
 
-    Computed by the recursion psi_{n+1} = w(1) psi_n + n psi_{n-1}; for
-    small n the value is re-derived by brute enumeration and the two
-    routes are asserted to agree.
+    Computed bottom-up by the recursion psi_{n+1} = w(1) psi_n + n psi_{n-1},
+    so no call recurses; for small n the value is re-derived by brute
+    enumeration and the two routes are asserted to agree.
     """
-    from .identity import weight_w
-
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        value = RationalFunction.one()
-    elif n == 1:
-        value = weight_w(1)
-    else:
-        value = weight_w(1) * psi_n(n - 1) + (n - 1) * psi_n(n - 2)
+    value = _psi_by_recursion(n)
     if n <= PSI_ENUMERATION_BOUND:
         enumerated = _psi_by_enumeration(n)
         if enumerated != value:

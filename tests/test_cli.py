@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -120,3 +121,30 @@ def test_failing_check_yields_exit_1_and_witness(monkeypatch, capsys):
     records = json.loads(capsys.readouterr().out)
     assert [r["verdict"] for r in records] == ["fail", "fail"]
     assert all("forced failure" in r["witness"] for r in records)
+
+
+def test_sweep_millis_is_wall_clock(monkeypatch):
+    from hookforge import cli, identity
+
+    subs = []
+    inside = []
+
+    def recording(fn):
+        def wrapped(*args):
+            started = time.perf_counter()
+            rep = fn(*args)
+            inside.append(time.perf_counter() - started)
+            subs.append(rep)
+            return rep
+
+        return wrapped
+
+    for name in ("verify_lemma1", "verify_corner_hooks"):
+        monkeypatch.setattr(identity, name, recording(getattr(identity, name)))
+    started = time.perf_counter()
+    report = cli._run_lemma1(9)
+    wall_ms = (time.perf_counter() - started) * 1000
+    assert report.passed and len(subs) > 30
+    assert sum(r.millis for r in subs) <= report.millis <= wall_ms
+    # the sub-reports' truncated milliseconds undercount; the sweep does not
+    assert report.millis >= int(sum(inside) * 1000)

@@ -126,3 +126,24 @@ def test_psi_recursion_agrees_with_enumeration():
                 term = term * weight_w(1)
             total = total + term
         assert total == psi_n(n)
+
+
+def test_psi_cold_large_n_does_not_recurse():
+    from hookforge.identity import weight_w
+
+    psi_n.cache_clear()
+    try:
+        value = psi_n(1500)  # deeper than the default recursion limit
+        assert value.den.degree == 1500 and value.num.degree == 1500
+        # psi_n is g_n at u1 = w(1), u2 = 1, point by point
+        for q in (Fraction(0), Fraction(2), Fraction(-3, 5)):
+            assert value(q) == g_poly(1500, weight_w(1)(q), 1)
+        # and still the value of the generic recursion at small n
+        w1 = weight_w(1)
+        expected = [RationalFunction.one(), w1]
+        for m in range(1, 20):
+            expected.append(w1 * expected[m] + m * expected[m - 1])
+        for n, rf in enumerate(expected):
+            assert psi_n(n) == rf, n
+    finally:
+        psi_n.cache_clear()
