@@ -40,12 +40,6 @@ from .partitions import (
     removable_cells,
 )
 
-# The reduction of the corner-content identity to the symmetric two-term sum
-# is rechecked by explicit q-monomial substitution whenever the corner count
-# is at most this bound (the substituted arithmetic grows quickly with it).
-SUBSTITUTION_CHECK_MAX_CORNERS = 3
-
-
 @dataclass(frozen=True)
 class VerificationReport:
     """Outcome of one identity check.
@@ -562,13 +556,32 @@ def _signed_ratio_sum(values):
     return total
 
 
-def _q_monomial(m: int) -> RationalFunction:
-    """q**m as a rational function, valid for negative m."""
-    if m >= 0:
-        return RationalFunction._from_canonical(
-            Polynomial.monomial(m), Polynomial.one()
-        )
-    return RationalFunction._from_canonical(Polynomial.one(), Polynomial.monomial(-m))
+def _prop2_substitution_witness(xs: list[int], ys: list[int]) -> str | None:
+    """Recheck the reduction of the corner-content identity to the symmetric
+    sum, independently of the factored route; None when it holds.
+
+    The sum f of the ratios over u_i = s_i q^(top - c_i), with c running over
+    xs + ys, s = +1 on xs and -1 on ys and top = max(c), must be 1 (the
+    ratios are invariant under the common scaling q^top).  With the n
+    exponents distinct, V = prod_{i<j} (u_i - u_j) and N = f V are integer
+    polynomials, N a sum of n products of C(n,2) binomials +-q^a +- q^b, so
+    ||N - V||_1 <= (n + 1) 2^C(n,2).  By Cauchy's bound N - V has no root
+    beyond that, and V has none at an integer q >= 2, so f = 1 exactly at
+    q0 = 2 + (n + 1) 2^C(n,2) proves f = 1 identically.
+    """
+    contents = xs + ys
+    n = len(contents)
+    top = max(contents)
+    q0 = 2 + (n + 1) * 2 ** comb(n, 2)
+    values = [Fraction(q0 ** (top - x)) for x in xs]
+    values += [Fraction(-(q0 ** (top - y))) for y in ys]
+    value = _signed_ratio_sum(values)
+    if value == 1:
+        return None
+    return (
+        f"xs={xs}, ys={ys}: substituted symmetric sum at q={q0} is {value}, "
+        "expected 1"
+    )
 
 
 def verify_prop2(xs, ys) -> VerificationReport:
@@ -576,8 +589,9 @@ def verify_prop2(xs, ys) -> VerificationReport:
 
     Takes the outer contents xs (d of them) and inner contents ys (d - 1),
     all distinct integers.  The sum is evaluated exactly in q via factored
-    hook weights; for small d the reduction to the symmetric two-term sum is
-    rechecked by substituting signed q-monomials into that sum directly.
+    hook weights; the reduction to the symmetric two-term sum is rechecked for
+    every d by exact evaluation of that sum at one integer point q0 beyond a
+    proven root bound (see `_prop2_substitution_witness`).
     """
     started = time.perf_counter()
     xs = _as_int_contents(xs)
@@ -614,17 +628,8 @@ def verify_prop2(xs, ys) -> VerificationReport:
             started,
         )
 
-    if d <= SUBSTITUTION_CHECK_MAX_CORNERS:
-        subs = [_q_monomial(-x) for x in xs] + [-_q_monomial(-y) for y in ys]
-        sub_total = _signed_ratio_sum(subs)
-        if sub_total != RationalFunction.one():
-            return _finish(
-                "prop2", params, False,
-                f"xs={xs}, ys={ys}: substituted symmetric sum is "
-                f"{sub_total.format()}, expected 1",
-                started,
-            )
-    return _finish("prop2", params, True, None, started)
+    witness = _prop2_substitution_witness(xs, ys)
+    return _finish("prop2", params, witness is None, witness, started)
 
 
 def verify_prop2_for_shape(lam: Partition) -> VerificationReport:

@@ -13,7 +13,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain
 
-from .partitions import Cell, Partition, removable_cells
+from .partitions import Cell, Partition
+
+Rows = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -21,21 +23,25 @@ class StandardTableau:
     """Rows of entries forming a bijective filling of a partition shape by
     1..n, strictly increasing along rows and down columns."""
 
-    rows: tuple[tuple[int, ...], ...] = ()
+    rows: Rows = ()
 
     def __post_init__(self):
-        n = sum(len(r) for r in self.rows)
-        seen = sorted(chain.from_iterable(self.rows))
-        if seen != list(range(1, n + 1)):
+        rows = self.rows
+        n = sum(map(len, rows))
+        if sorted(chain.from_iterable(rows)) != list(range(1, n + 1)):
             raise ValueError(f"entries must be a bijection onto 1..{n}")
-        for r, row in enumerate(self.rows):
-            for c, v in enumerate(row):
-                if c + 1 < len(row) and row[c + 1] <= v:
-                    raise ValueError("rows must strictly increase")
-                if r + 1 < len(self.rows) and c < len(self.rows[r + 1]):
-                    if self.rows[r + 1][c] <= v:
-                        raise ValueError("columns must strictly increase")
-        Partition(tuple(len(r) for r in self.rows))  # validates the shape
+        if any(a >= b for row in rows for a, b in zip(row, row[1:])):
+            raise ValueError("rows must strictly increase")
+        if any(a >= b for up, down in zip(rows, rows[1:]) for a, b in zip(up, down)):
+            raise ValueError("columns must strictly increase")
+        Partition(tuple(map(len, rows)))  # validates the shape
+
+    @classmethod
+    def _trusted(cls, rows: Rows) -> "StandardTableau":
+        """Wrap rows already known to be standard, skipping validation."""
+        tab = object.__new__(cls)
+        object.__setattr__(tab, "rows", rows)
+        return tab
 
     @property
     def n(self) -> int:
@@ -77,14 +83,14 @@ def enumerate_syt(shape: Partition) -> list[StandardTableau]:
     """
     n = shape.n
     if n == 0:
-        return [StandardTableau(())]
+        return [StandardTableau._trusted(())]
     rows = [[0] * p for p in shape.parts]
     fill = [0] * len(shape.parts)  # filled prefix length per row
     found: list[StandardTableau] = []
 
     def place(v: int):
         if v > n:
-            found.append(StandardTableau(tuple(tuple(r) for r in rows)))
+            found.append(StandardTableau._trusted(tuple(tuple(r) for r in rows)))
             return
         for r, row in enumerate(rows):
             c = fill[r]
@@ -113,21 +119,8 @@ def reverse_row_insert(tab: StandardTableau, cell: Cell) -> tuple[StandardTablea
     Returns the size n-1 tableau (entries above the ejected letter shifted
     down by one) together with the ejected letter i in 1..n.
     """
-    if cell not in removable_cells(tab.shape):
-        raise ValueError(f"cell {tuple(cell)} is not a removable corner")
-    rows = [list(r) for r in tab.rows]
-    moving = rows[cell.row - 1].pop()
-    if not rows[cell.row - 1]:
-        rows.pop()
-    for r in range(cell.row - 2, -1, -1):
-        row = rows[r]
-        pos = bisect_left(row, moving) - 1  # rightmost entry below the mover
-        row[pos], moving = moving, row[pos]
-    ejected = moving
-    out = tuple(
-        tuple(v - 1 if v > ejected else v for v in row) for row in rows
-    )
-    return StandardTableau(out), ejected
+    rows, ejected = reverse_row_insert_rows(tab.rows, cell)
+    return StandardTableau(rows), ejected
 
 
 def forward_row_insert(tab: StandardTableau, value: int) -> tuple[StandardTableau, Cell]:
@@ -136,16 +129,40 @@ def forward_row_insert(tab: StandardTableau, value: int) -> tuple[StandardTablea
     Entries >= value are first shifted up by one so that value is fresh.
     Returns the grown tableau and the newly created cell.
     """
-    n = tab.n + 1
+    rows, cell = forward_row_insert_rows(tab.rows, value)
+    return StandardTableau(rows), cell
+
+
+def reverse_row_insert_rows(rows: Rows, cell: Cell) -> tuple[Rows, int]:
+    """reverse_row_insert on bare rows: the result is not validated."""
+    r, c = cell
+    removable = 1 <= r <= len(rows) and c == len(rows[r - 1])
+    if not removable or (r < len(rows) and len(rows[r]) >= c):
+        raise ValueError(f"cell {tuple(cell)} is not a removable corner")
+    rows = [list(row) for row in rows]
+    moving = rows[r - 1].pop()
+    if not rows[r - 1]:
+        rows.pop()
+    for row in reversed(rows[: r - 1]):
+        pos = bisect_left(row, moving) - 1  # rightmost entry below the mover
+        row[pos], moving = moving, row[pos]
+    ejected = moving
+    out = tuple(tuple([v - 1 if v > ejected else v for v in row]) for row in rows)
+    return out, ejected
+
+
+def forward_row_insert_rows(rows: Rows, value: int) -> tuple[Rows, Cell]:
+    """forward_row_insert on bare rows: the result is not validated."""
+    n = sum(map(len, rows)) + 1
     if not 1 <= value <= n:
         raise ValueError(f"insertion value must lie in 1..{n}")
-    rows = [[v + 1 if v >= value else v for v in row] for row in tab.rows]
+    rows = [[v + 1 if v >= value else v for v in row] for row in rows]
     moving = value
     for r, row in enumerate(rows):
         pos = bisect_right(row, moving)
         if pos == len(row):
             row.append(moving)
-            return StandardTableau(tuple(tuple(x) for x in rows)), Cell(r + 1, len(row))
+            return tuple(map(tuple, rows)), Cell(r + 1, len(row))
         row[pos], moving = moving, row[pos]
     rows.append([moving])
-    return StandardTableau(tuple(tuple(x) for x in rows)), Cell(len(rows), 1)
+    return tuple(map(tuple, rows)), Cell(len(rows), 1)

@@ -148,3 +148,33 @@ def test_sweep_millis_is_wall_clock(monkeypatch):
     assert sum(r.millis for r in subs) <= report.millis <= wall_ms
     # the sub-reports' truncated milliseconds undercount; the sweep does not
     assert report.millis >= int(sum(inside) * 1000)
+
+
+def test_bijection_fails_on_wrong_forward_insertion(monkeypatch):
+    from bisect import bisect_left
+
+    from hookforge import cli, tableaux
+
+    # forward insertion bumping by the reverse rule, the largest entry below
+    # the mover; a plain bisect_left would be equivalent, as entries are distinct
+    monkeypatch.setattr(tableaux, "bisect_right", lambda row, x: bisect_left(row, x) - 1)
+    report = cli._run_bijection(4)
+    assert report.verdict == "fail"
+    assert report.witness == "round trip failed at 1 2 3 4 corner (1, 4)"
+
+
+def test_bijection_validates_each_produced_tableau_once(monkeypatch):
+    from hookforge import cli
+    from hookforge.involutions import involution_count
+    from hookforge.tableaux import StandardTableau
+
+    calls = []
+    validate = StandardTableau.__post_init__
+
+    def counted(self):
+        calls.append(self.rows)
+        validate(self)
+
+    monkeypatch.setattr(StandardTableau, "__post_init__", counted)
+    assert cli._run_bijection(6).passed
+    assert len(calls) == 2 * 6 * involution_count(5) == 312

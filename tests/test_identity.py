@@ -376,3 +376,28 @@ def test_sample_distinct_rationals_properties():
 def test_reports_carry_reproducible_witnesses():
     bad = verify_prop2([3, 0, -2], [2, -1])
     assert bad.witness is None and bad.verdict == "pass" and bad.millis >= 0
+
+
+def test_prop2_substitution_recheck_can_fail():
+    from hookforge.identity import _prop2_substitution_witness
+
+    # d outer and d inner contents: an even number of values, whose
+    # symmetric sum is 0, not 1
+    xs, ys = [3, 0], [1, -2]
+    witness = _prop2_substitution_witness(xs, ys)
+    q0 = 2 + 5 * 2**6
+    assert witness is not None
+    assert f"xs={xs}, ys={ys}" in witness and f"q={q0}" in witness
+    assert "is 0, expected 1" in witness
+    assert _prop2_substitution_witness([3, 0, -2], [2, -1]) is None
+
+
+def test_prop2_substitution_recheck_is_independent(monkeypatch):
+    from hookforge import identity
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the recheck must not use the factored route")
+
+    for name in ("_materialize", "_cyclo_sum", "_WeightProduct", "weight_w"):
+        monkeypatch.setattr(identity, name, forbidden)
+    assert identity._prop2_substitution_witness([4, 1, -1, -4], [2, 0, -3]) is None

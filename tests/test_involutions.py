@@ -147,3 +147,21 @@ def test_psi_cold_large_n_does_not_recurse():
             assert psi_n(n) == rf, n
     finally:
         psi_n.cache_clear()
+
+
+def test_enumerated_involutions_pass_explicit_validation():
+    for n in range(10):
+        invs = enumerate_involutions(n)
+        assert len(invs) == involution_count(n)
+        for inv in invs:
+            assert Involution(inv.images) == inv
+
+
+def test_involution_count_is_iterative():
+    involution_count.cache_clear()
+    assert involution_count(1500) > involution_count(1499)
+    prev, cur = 1, 1
+    for n in range(2, 13):
+        prev, cur = cur, cur + (n - 1) * prev
+        assert involution_count(n) == cur
+    assert [involution_count(n) for n in range(2)] == [1, 1]

@@ -127,3 +127,9 @@ def test_corner_sum_identity():
             len(removable_cells(tab.shape)) for tab in enumerate_syt_of_size(n)
         )
         assert corner_sum == n * len(enumerate_syt_of_size(n - 1))
+
+
+def test_enumerated_tableaux_pass_explicit_validation():
+    for n in range(8):
+        for t in enumerate_syt_of_size(n):
+            assert StandardTableau(t.rows) == t
