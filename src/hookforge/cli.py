@@ -11,22 +11,20 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import identity, involutions
 from .identity import VerificationReport
 from .partitions import corner_profile, partitions_of
 from .tableaux import (
+    StandardTableau,
     enumerate_syt_of_size,
-    forward_row_insert,
     forward_row_insert_rows,
-    reverse_row_insert,
     reverse_row_insert_rows,
+    serialize_rows,
 )
 
 CHECKS = (
@@ -40,9 +38,6 @@ CHECKS = (
     "egf",
     "substitution",
 )
-
-THREADS_ENV = "HOOKFORGE_THREADS"
-
 
 @dataclass
 class RunConfig:
@@ -136,12 +131,20 @@ def _run_prop3(n: int, trials: int, seed: int) -> VerificationReport:
 
 
 def _run_bijection(n: int) -> VerificationReport:
-    """Round-trip and counting checks for the row-insertion bijection at n.
+    """The row-insertion bijection (SYT(n), corner) <-> (SYT(n-1), letter).
 
-    Every tableau an insertion produces from an enumerated one is validated;
-    enumerated tableaux are standard by construction, and a round trip's
-    result is only compared with the enumerated tableau it started from, so
-    both are handled as bare rows.
+    Both codomains are enumerated once, and the enumeration validates every
+    tableau it builds.  Each corner of each P in SYT(n) is deleted once by
+    reverse insertion; the result must be an enumerated tableau T (checked by
+    lookup), the letter must lie in 1..n, no pair (T, letter) may be reached
+    twice, and forward insertion of the pair must give back P and the corner.
+
+    No forward-then-reverse pass over SYT(n-1) x [n] is needed.  The checks
+    above make corner deletion injective into E x [n], E the validated
+    SYT(n-1), and the domain has n|E| elements, so the map is onto.  Every
+    pair in E x [n] is thus the image of some (P, corner), and its round trip
+    already inserted that pair forward and got (P, corner) back, whose
+    reverse insertion is the pair: the second pass would only replay calls.
     """
     from .partitions import removable_cells
 
@@ -154,36 +157,46 @@ def _run_bijection(n: int) -> VerificationReport:
         )
 
     smaller = enumerate_syt_of_size(n - 1)
-    bigger = enumerate_syt_of_size(n)
-    images = set()
+    index = {tab.rows: i for i, tab in enumerate(smaller)}
+    reached = bytearray(n * len(smaller))
     corner_total = 0
-    for tab in bigger:
+    for tab in enumerate_syt_of_size(n):
         for cell in removable_cells(tab.shape):
             corner_total += 1
-            reduced, letter = reverse_row_insert(tab, cell)
+            reduced, letter = reverse_row_insert_rows(tab.rows, cell)
             if not 1 <= letter <= n:
                 return fail(f"ejected letter {letter} out of range for {tab}")
-            images.add((reduced.serialize(), letter))
-            back, back_cell = forward_row_insert_rows(reduced.rows, letter)
+            i = index.get(reduced)
+            if i is None:
+                return fail(_unenumerated_witness(tab, cell, reduced))
+            slot = i * n + letter - 1
+            if reached[slot]:
+                return fail("corner deletions are not injective")
+            reached[slot] = 1
+            back, back_cell = forward_row_insert_rows(reduced, letter)
             if back != tab.rows or back_cell != cell:
                 return fail(f"round trip failed at {tab.serialize()} corner {tuple(cell)}")
-    if len(images) != corner_total:
-        return fail("corner deletions are not injective")
     if corner_total != n * len(smaller):
         return fail(
             f"corner count {corner_total} != n * |SYT(n-1)| = {n * len(smaller)}"
         )
-    for tab in smaller:
-        for letter in range(1, n + 1):
-            grown, cell = forward_row_insert(tab, letter)
-            reduced, back_letter = reverse_row_insert_rows(grown.rows, cell)
-            if reduced != tab.rows or back_letter != letter:
-                return fail(
-                    f"reverse of forward failed at {tab.serialize()} letter {letter}"
-                )
     return VerificationReport(
         "bijection", {"n": n}, "pass", None,
         int((time.perf_counter() - started) * 1000),
+    )
+
+
+def _unenumerated_witness(tab, cell, rows) -> str:
+    """Why a corner deletion's rows are not among the enumerated SYT(n-1)."""
+    try:
+        StandardTableau(rows)
+    except ValueError as exc:
+        reason = f"not standard: {exc}"
+    else:
+        reason = "standard but missing from the enumeration"
+    return (
+        f"deleting corner {tuple(cell)} of {tab.serialize()} "
+        f"gave {serialize_rows(rows)!r}, {reason}"
     )
 
 
@@ -276,31 +289,14 @@ def _report_text(reports: list[VerificationReport]) -> str:
 
 def run(cfg: RunConfig) -> int:
     """Execute the configured checks; returns the process exit status."""
-    units = build_units(cfg)
-    threads = 1
-    raw = os.environ.get(THREADS_ENV)
-    if raw:
-        try:
-            threads = max(1, int(raw))
-        except ValueError:
-            print(f"ignoring non-integer {THREADS_ENV}={raw!r}", file=sys.stderr)
-    if threads > 1 and len(units) > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, len(units))) as pool:
-            reports = list(pool.map(lambda u: u(), units))
-        for rep in reports:
-            print(
-                f"[{rep.check} {_params_key(rep.params)}] {rep.verdict} ({rep.millis} ms)",
-                file=sys.stderr,
-            )
-    else:
-        reports = []
-        for unit in units:
-            rep = unit()
-            print(
-                f"[{rep.check} {_params_key(rep.params)}] {rep.verdict} ({rep.millis} ms)",
-                file=sys.stderr,
-            )
-            reports.append(rep)
+    reports = []
+    for unit in build_units(cfg):
+        rep = unit()
+        print(
+            f"[{rep.check} {_params_key(rep.params)}] {rep.verdict} ({rep.millis} ms)",
+            file=sys.stderr,
+        )
+        reports.append(rep)
     # sorted on actual parameter values, so n=2 precedes n=10
     reports.sort(key=lambda r: (r.check, sorted(r.params.items())))
     output = _report_json(reports) if cfg.fmt == "json" else _report_text(reports)

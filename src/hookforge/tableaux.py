@@ -36,13 +36,6 @@ class StandardTableau:
             raise ValueError("columns must strictly increase")
         Partition(tuple(map(len, rows)))  # validates the shape
 
-    @classmethod
-    def _trusted(cls, rows: Rows) -> "StandardTableau":
-        """Wrap rows already known to be standard, skipping validation."""
-        tab = object.__new__(cls)
-        object.__setattr__(tab, "rows", rows)
-        return tab
-
     @property
     def n(self) -> int:
         return sum(len(r) for r in self.rows)
@@ -59,7 +52,7 @@ class StandardTableau:
         return tuple(chain.from_iterable(self.rows))
 
     def serialize(self) -> str:
-        return "/".join(" ".join(str(v) for v in row) for row in self.rows)
+        return serialize_rows(self.rows)
 
     @classmethod
     def parse(cls, text: str) -> "StandardTableau":
@@ -74,23 +67,29 @@ class StandardTableau:
         return self.serialize()
 
 
+def serialize_rows(rows: Rows) -> str:
+    """Rows written as in StandardTableau.serialize, standard or not."""
+    return "/".join(" ".join(map(str, row)) for row in rows)
+
+
 def enumerate_syt(shape: Partition) -> list[StandardTableau]:
     """All standard tableaux of the given shape, sorted by reading word.
 
     Values 1..n are placed in increasing order; a cell is available once the
     cells above and to its left are filled, which is exactly the standard
-    condition.
+    condition.  Each tableau is built through the validating constructor, so
+    the enumeration is checked, not trusted.
     """
     n = shape.n
     if n == 0:
-        return [StandardTableau._trusted(())]
+        return [StandardTableau(())]
     rows = [[0] * p for p in shape.parts]
     fill = [0] * len(shape.parts)  # filled prefix length per row
     found: list[StandardTableau] = []
 
     def place(v: int):
         if v > n:
-            found.append(StandardTableau._trusted(tuple(tuple(r) for r in rows)))
+            found.append(StandardTableau(tuple(map(tuple, rows))))
             return
         for r, row in enumerate(rows):
             c = fill[r]

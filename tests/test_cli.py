@@ -61,15 +61,11 @@ def test_all_selector_covers_every_check():
     }
 
 
-def test_byte_identical_reports_across_runs_and_threads():
+def test_byte_identical_reports_across_runs():
     first = run_cli("all", "--max-n", "5", "--seed", "7", "--format", "json")
     second = run_cli("all", "--max-n", "5", "--seed", "7", "--format", "json")
-    threaded = run_cli(
-        "all", "--max-n", "5", "--seed", "7", "--format", "json",
-        env_extra={"HOOKFORGE_THREADS": "3"},
-    )
-    assert first.returncode == second.returncode == threaded.returncode == 0
-    assert first.stdout == second.stdout == threaded.stdout
+    assert first.returncode == second.returncode == 0
+    assert first.stdout == second.stdout
 
 
 def test_text_format_summarizes():
@@ -163,11 +159,11 @@ def test_bijection_fails_on_wrong_forward_insertion(monkeypatch):
     assert report.witness == "round trip failed at 1 2 3 4 corner (1, 4)"
 
 
-def test_bijection_validates_each_produced_tableau_once(monkeypatch):
+def test_bijection_validates_each_enumerated_tableau_once(monkeypatch):
     from hookforge import cli
-    from hookforge.involutions import involution_count
-    from hookforge.tableaux import StandardTableau
+    from hookforge.tableaux import StandardTableau, enumerate_syt_of_size
 
+    expected = [t.rows for m in (5, 6) for t in enumerate_syt_of_size(m)]
     calls = []
     validate = StandardTableau.__post_init__
 
@@ -177,4 +173,89 @@ def test_bijection_validates_each_produced_tableau_once(monkeypatch):
 
     monkeypatch.setattr(StandardTableau, "__post_init__", counted)
     assert cli._run_bijection(6).passed
-    assert len(calls) == 2 * 6 * involution_count(5) == 312
+    # the two codomains, each tableau once; insertion results are looked up
+    assert len(calls) == 26 + 76 == 102
+    assert sorted(calls) == sorted(expected)
+
+
+def test_bijection_fails_when_reverse_insertion_skips_relabelling(monkeypatch):
+    from hookforge import cli
+    from hookforge.tableaux import reverse_row_insert_rows
+
+    def unrelabelled(rows, cell):
+        out, ejected = reverse_row_insert_rows(rows, cell)
+        undo = tuple(tuple(v + 1 if v >= ejected else v for v in row) for row in out)
+        return undo, ejected
+
+    monkeypatch.setattr(cli, "reverse_row_insert_rows", unrelabelled)
+    report = cli._run_bijection(4)
+    assert report.verdict == "fail"
+    assert report.witness == (
+        "deleting corner (1, 3) of 1 2 3/4 gave '1 2/4', "
+        "not standard: entries must be a bijection onto 1..3"
+    )
+
+
+def test_bijection_fails_when_a_corner_is_deleted_twice(monkeypatch):
+    from hookforge import cli, partitions
+
+    removable = partitions.removable_cells
+    monkeypatch.setattr(
+        partitions, "removable_cells",
+        lambda lam: [cell for cell in removable(lam) for _ in range(2)],
+    )
+    report = cli._run_bijection(4)
+    assert report.verdict == "fail"
+    assert report.witness == "corner deletions are not injective"
+
+
+def test_bijection_fails_when_the_smaller_enumeration_misses_a_tableau(monkeypatch):
+    from hookforge import cli
+    from hookforge.tableaux import enumerate_syt_of_size
+
+    monkeypatch.setattr(
+        cli, "enumerate_syt_of_size",
+        lambda m: enumerate_syt_of_size(m)[: -1 if m == 3 else None],
+    )
+    report = cli._run_bijection(4)
+    assert report.verdict == "fail"
+    assert report.witness.startswith("deleting corner ")
+    assert report.witness.endswith(", standard but missing from the enumeration")
+
+
+def test_egf_fails_on_wrong_recurrence(monkeypatch):
+    from fractions import Fraction
+
+    from hookforge import cli, involutions
+
+    def without_m(n, u1, u2):
+        # g_{m+1} = u1 g_m + u2 g_{m-1}: the factor m of the 2-cycle term dropped
+        prev, cur = Fraction(1), Fraction(u1)
+        if n == 0:
+            return prev
+        for _ in range(1, n):
+            prev, cur = cur, u1 * cur + u2 * prev
+        return cur
+
+    monkeypatch.setattr(involutions, "g_poly", without_m)
+    report = cli._run_egf(10, 5, 0)
+    assert report.verdict == "fail"
+    trial, rest = report.witness.split(": ")
+    assert trial == "trial 0"
+    u1, u2 = (Fraction(part.split("=")[1]) for part in rest.split(", "))
+    assert not involutions.verify_involution_egf(10, u1, u2)
+    monkeypatch.undo()
+    assert involutions.verify_involution_egf(10, u1, u2)
+
+
+def test_prop3_fails_on_wrong_parity(monkeypatch):
+    from hookforge import cli, identity
+
+    signed_ratio_sum = identity._signed_ratio_sum
+    monkeypatch.setattr(
+        identity, "_signed_ratio_sum", lambda values: signed_ratio_sum(values[:-1])
+    )
+    report = cli._run_prop3(5, 1, 0)
+    assert report.verdict == "fail"
+    assert report.witness.startswith("trial 0: a=[")
+    assert report.witness.endswith("]: sum is 0, expected 1")

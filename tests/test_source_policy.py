@@ -1,0 +1,109 @@
+"""The package source stays exact and dependency-free.
+
+Every check is a proof over exact integers and rationals, so `src/hookforge`
+may contain no floating-point or complex arithmetic and may import only the
+standard library.  Timing through `time.perf_counter` and type annotations
+are allowed: neither feeds a verdict.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "hookforge"
+
+MATH_ALLOWED = {"gcd", "comb", "factorial"}
+# every method of random.Random that returns a float
+RANDOM_FLOATS = {
+    "random", "uniform", "gauss", "triangular", "betavariate", "expovariate",
+    "gammavariate", "lognormvariate", "normalvariate", "paretovariate",
+    "vonmisesvariate", "weibullvariate",
+}
+
+
+def policy_violations(tree: ast.AST) -> list[str]:
+    """Each node of the module that breaks the exact, stdlib-only policy."""
+    math_aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            math_aliases |= {a.asname or a.name for a in node.names if a.name == "math"}
+    found = []
+    for node in ast.walk(tree):
+        where = f"line {getattr(node, 'lineno', '?')}"
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append(f"{where}: {type(node.value).__name__} literal {node.value!r}")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id in ("float", "complex"):
+                found.append(f"{where}: call to {node.func.id}()")
+        elif isinstance(node, ast.Attribute):
+            base = node.value
+            if isinstance(base, ast.Name) and base.id in math_aliases:
+                if node.attr not in MATH_ALLOWED:
+                    found.append(f"{where}: math.{node.attr}")
+            elif node.attr in RANDOM_FLOATS:
+                found.append(f"{where}: float-valued .{node.attr}")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                top = alias.name.split(".")[0]
+                if top not in sys.stdlib_module_names:
+                    found.append(f"{where}: import of non-stdlib {alias.name}")
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            top = node.module.split(".")[0]
+            names = {a.name for a in node.names}
+            if top != "__future__" and top not in sys.stdlib_module_names:
+                found.append(f"{where}: import from non-stdlib {node.module}")
+            elif node.module == "math" and names - MATH_ALLOWED:
+                found.append(f"{where}: from math import {sorted(names - MATH_ALLOWED)}")
+            elif node.module == "random" and names & RANDOM_FLOATS:
+                found.append(f"{where}: from random import {sorted(names & RANDOM_FLOATS)}")
+    return found
+
+
+SOURCES = sorted(SRC.glob("*.py"))
+
+
+def test_package_sources_found():
+    assert {p.name for p in SOURCES} >= {"exact.py", "identity.py", "cli.py"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_source_is_float_free_and_stdlib_only(path):
+    assert policy_violations(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "x = 0.5",
+        "x = 2j",
+        "x = float(3)",
+        "x = complex(1, 2)",
+        "import math\nx = math.sqrt(2)",
+        "import math as m\nx = m.log(2)",
+        "from math import sqrt",
+        "x = rng.random()",
+        "x = rng.uniform(0, 1)",
+        "from random import gauss",
+        "import numpy",
+        "from sympy import Rational",
+    ],
+)
+def test_policy_rejects(code):
+    assert policy_violations(ast.parse(code))
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "from __future__ import annotations",
+        "from math import comb, factorial\nimport math\nx = math.gcd(4, 6)",
+        "import time\nt = time.perf_counter()",
+        "def f(x: float) -> float:\n    return x",
+        "import random\nrng = random.Random('0:1')\nk = rng.randint(1, 9)",
+        "from . import exact",
+    ],
+)
+def test_policy_allows(code):
+    assert policy_violations(ast.parse(code)) == []
