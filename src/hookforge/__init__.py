@@ -8,13 +8,10 @@ relations, and the supporting symmetric rational-function identities.
 """
 
 from .exact import (
-    BigRational,
     Polynomial,
     PowerSeries,
     RationalFunction,
     poly_gcd,
-    ratfunc_eval,
-    ratfunc_normalize,
     series_exp,
 )
 from .identity import (

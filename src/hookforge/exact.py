@@ -14,10 +14,6 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-# Arbitrary-precision reduced rationals.  Fraction already guarantees
-# gcd(|num|, den) == 1 and den >= 1, which is exactly the invariant needed.
-BigRational = Fraction
-
 Scalar = Union[int, Fraction]
 
 
@@ -479,16 +475,6 @@ class RationalFunction:
 
     def __repr__(self):
         return f"RationalFunction({self.format('x')})"
-
-
-def ratfunc_normalize(num: Polynomial, den: Polynomial) -> RationalFunction:
-    """Reduce num/den to the unique canonical form (monic denominator)."""
-    return RationalFunction(num, den)
-
-
-def ratfunc_eval(f: RationalFunction, point: Scalar) -> Fraction:
-    """Exact evaluation; raises ZeroDivisionError at a pole."""
-    return f(point)
 
 
 class PowerSeries:

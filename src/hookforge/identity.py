@@ -603,24 +603,7 @@ def verify_prop2(xs, ys) -> VerificationReport:
         raise ValueError("requires distinct values")
     params = {"xs": ",".join(map(str, xs)), "ys": ",".join(map(str, ys))}
 
-    terms = []
-    for k in range(d):
-        wp = _WeightProduct()
-        for i in range(d):
-            if i != k:
-                wp.mul_w(xs[k] - xs[i])
-        for y in ys:
-            wp.mul_w(xs[k] - y, power=-1)
-        terms.append((1, wp))
-    for k in range(d - 1):
-        wp = _WeightProduct()
-        for i in range(d - 1):
-            if i != k:
-                wp.mul_w(ys[k] - ys[i])
-        for x in xs:
-            wp.mul_w(ys[k] - x, power=-1)
-        terms.append((1, wp))
-    total = _materialize(terms)
+    total = _materialize(_prop2_terms(xs, ys))
     if total != RationalFunction.one():
         return _finish(
             "prop2", params, False,
@@ -630,6 +613,22 @@ def verify_prop2(xs, ys) -> VerificationReport:
 
     witness = _prop2_substitution_witness(xs, ys)
     return _finish("prop2", params, witness is None, witness, started)
+
+
+def _prop2_terms(xs: list[int], ys: list[int]) -> list[tuple[int, _WeightProduct]]:
+    """The weight ratios of the corner-content sum, one factored term per
+    outer content and one per inner content."""
+    terms = []
+    for own, other in ((xs, ys), (ys, xs)):
+        for k, v in enumerate(own):
+            wp = _WeightProduct()
+            for i, u in enumerate(own):
+                if i != k:
+                    wp.mul_w(v - u)
+            for u in other:
+                wp.mul_w(v - u, power=-1)
+            terms.append((1, wp))
+    return terms
 
 
 def verify_prop2_for_shape(lam: Partition) -> VerificationReport:

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial
+from operator import eq
+from typing import Callable
 
 from .exact import Polynomial, PowerSeries, RationalFunction
 
@@ -69,28 +71,58 @@ def cycle_stats(inv: Involution) -> CycleStats:
     return CycleStats(alpha1=fixed, alpha2=(inv.n - fixed) // 2)
 
 
-def enumerate_involutions(n: int) -> list[Involution]:
-    """All involutions of S_n, built by the matching recursion: the largest
-    free point is fixed, or paired with each smaller free point in turn.
-    The recursion only ever forms involutions, so they are not re-validated."""
+def _walk_involutions(n: int, leaf: Callable[[list[int]], None]) -> None:
+    """Call leaf(images) once per involution of S_n, by the matching
+    recursion: the largest free point is fixed, or paired with each smaller
+    free point in turn; the last free point goes straight to the leaf.
+
+    images is one 1-based list (images[0] == 0) rewritten in place between
+    calls, so a leaf that keeps it must copy it.  The recursion only ever forms
+    involutions, so nothing is validated or built per involution.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    out: list[Involution] = []
-    images = [0] * (n + 1)  # 1-based
+    images = [0] * (n + 1)
+    if n == 0:
+        leaf(images)
+        return
 
-    def build(free: tuple[int, ...]):
-        if not free:
-            out.append(Involution._trusted(tuple(images[1:])))
-            return
+    def walk(free: tuple[int, ...]):
         e, rest = free[-1], free[:-1]
         images[e] = e
-        build(rest)
+        if rest:
+            walk(rest)
+        else:
+            leaf(images)
         for k, f in enumerate(rest):
             images[e], images[f] = f, e
-            build(rest[:k] + rest[k + 1 :])
-        images[e] = 0
+            remaining = rest[:k] + rest[k + 1 :]
+            if remaining:
+                walk(remaining)
+            else:
+                leaf(images)
 
-    build(tuple(range(1, n + 1)))
+    walk(tuple(range(1, n + 1)))
+
+
+def _fixed_point_histogram(n: int) -> list[int]:
+    """hist[a] = the number of involutions of S_n with a fixed points, each
+    counted from the walked images rather than from the walk's choices."""
+    hist = [0] * (n + 1)
+    points = range(n + 1)
+
+    def leaf(images: list[int]):
+        # images[0] == 0 matches the point 0, hence the - 1
+        hist[sum(map(eq, images, points)) - 1] += 1
+
+    _walk_involutions(n, leaf)
+    return hist
+
+
+def enumerate_involutions(n: int) -> list[Involution]:
+    """All involutions of S_n, in the order `_walk_involutions` visits them."""
+    out: list[Involution] = []
+    _walk_involutions(n, lambda images: out.append(Involution._trusted(tuple(images[1:]))))
     return out
 
 
@@ -123,9 +155,9 @@ def g_poly_oracle(n: int, u1: Fraction, u2: Fraction) -> Fraction:
     """g_n by direct summation of u1^alpha1 u2^alpha2 over all involutions."""
     u1, u2 = Fraction(u1), Fraction(u2)
     total = Fraction(0)
-    for inv in enumerate_involutions(n):
-        st = cycle_stats(inv)
-        total += u1**st.alpha1 * u2**st.alpha2
+    for a1, count in enumerate(_fixed_point_histogram(n)):
+        if count:
+            total += count * u1**a1 * u2 ** ((n - a1) // 2)
     return total
 
 
@@ -147,14 +179,11 @@ def verify_involution_egf(order: int, u1: Fraction, u2: Fraction) -> bool:
 def _psi_by_enumeration(n: int) -> RationalFunction:
     from .identity import weight_w
 
-    counts: dict[int, int] = {}
-    for inv in enumerate_involutions(n):
-        a1 = cycle_stats(inv).alpha1
-        counts[a1] = counts.get(a1, 0) + 1
     w1 = weight_w(1)
     total = RationalFunction.zero()
-    for a1, count in sorted(counts.items()):
-        total = total + count * (w1**a1 if a1 else RationalFunction.one())
+    for a1, count in enumerate(_fixed_point_histogram(n)):
+        if count:
+            total = total + count * (w1**a1 if a1 else RationalFunction.one())
     return total
 
 

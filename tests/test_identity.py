@@ -401,3 +401,45 @@ def test_prop2_substitution_recheck_is_independent(monkeypatch):
     for name in ("_materialize", "_cyclo_sum", "_WeightProduct", "weight_w"):
         monkeypatch.setattr(identity, name, forbidden)
     assert identity._prop2_substitution_witness([4, 1, -1, -4], [2, 0, -3]) is None
+
+
+def test_theorem1_fails_on_an_off_by_one_interpolating_weight(monkeypatch):
+    from hookforge import identity
+
+    real_rho = identity.rho
+    hook_weight_sum.cache_clear()
+    try:
+        monkeypatch.setattr(identity, "rho", lambda n: real_rho(3 if n == 2 else n))
+        report = verify_theorem1(4)
+    finally:
+        monkeypatch.undo()
+        hook_weight_sum.cache_clear()
+    # both shapes of 2 have hooks {2, 1}, and rho(1) = 1
+    wrong = 2 * real_rho(3)
+    assert report.verdict == "fail"
+    assert report.witness == f"n=2: shape sum is not polynomial: {wrong.format('z')}"
+    assert verify_theorem1(4).passed
+
+
+def test_prop2_fails_on_a_perturbed_factored_term(monkeypatch):
+    from hookforge import identity
+
+    xs, ys = [3, 0, -2], [2, -1]
+    real_terms = identity._prop2_terms
+
+    def perturbed(outer, inner):
+        terms = real_terms(outer, inner)
+        coeff, wp = terms[0]
+        terms[0] = (coeff + 1, wp)  # the first outer ratio counted twice
+        return terms
+
+    def unreachable(*args):
+        raise AssertionError("the substitution recheck ran after a failed sum")
+
+    monkeypatch.setattr(identity, "_prop2_terms", perturbed)
+    monkeypatch.setattr(identity, "_prop2_substitution_witness", unreachable)
+    report = verify_prop2(xs, ys)
+    wrong = identity._materialize(perturbed(xs, ys))
+    assert wrong != RationalFunction.one()
+    assert report.verdict == "fail"
+    assert report.witness == f"xs={xs}, ys={ys}: weight-ratio sum is {wrong.format()}, expected 1"

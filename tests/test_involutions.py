@@ -1,6 +1,7 @@
 """Tests for involution enumeration, cycle statistics, and their weights."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
@@ -8,6 +9,7 @@ import pytest
 
 from hookforge.exact import Polynomial, PowerSeries, RationalFunction, series_exp
 from hookforge.involutions import (
+    PSI_ENUMERATION_BOUND,
     CycleStats,
     Involution,
     cycle_stats,
@@ -165,3 +167,68 @@ def test_involution_count_is_iterative():
         prev, cur = cur, cur + (n - 1) * prev
         assert involution_count(n) == cur
     assert [involution_count(n) for n in range(2)] == [1, 1]
+
+
+def test_fixed_point_histogram_matches_cycle_stats():
+    from hookforge.involutions import _fixed_point_histogram
+
+    u1, u2 = Fraction(-3, 2), Fraction(5, 7)
+    for n in range(PSI_ENUMERATION_BOUND + 1):
+        hist = _fixed_point_histogram(n)
+        counted = Counter(cycle_stats(inv).alpha1 for inv in enumerate_involutions(n))
+        assert hist == [counted[a1] for a1 in range(n + 1)], n
+        assert sum(hist) == involution_count(n)
+        assert g_poly_oracle(n, u1, u2) == g_poly(n, u1, u2)
+
+
+def _dropping_first_leaf(walk):
+    def walker(n, leaf):
+        seen = []
+
+        def skip_once(images):
+            if seen:
+                leaf(images)
+            seen.append(True)
+
+        walk(n, skip_once)
+
+    return walker
+
+
+def _unpairing_first_leaf(walk):
+    """The first involution (the identity) reported with point n sent to 1,
+    as if a pairing of n with 1 had been written halfway: the leaf count is
+    unchanged, only one image is wrong."""
+
+    def walker(n, leaf):
+        seen = []
+
+        def corrupt_once(images):
+            if seen:
+                leaf(images)
+                return
+            seen.append(True)
+            kept = images[n]
+            images[n] = 1
+            leaf(images)
+            images[n] = kept
+
+        walk(n, corrupt_once)
+
+    return walker
+
+
+@pytest.mark.parametrize("fault", [_dropping_first_leaf, _unpairing_first_leaf])
+def test_psi_cross_check_fails_on_a_faulty_walk(monkeypatch, fault):
+    from hookforge import involutions
+
+    n = 6
+    psi_n.cache_clear()
+    try:
+        monkeypatch.setattr(involutions, "_walk_involutions", fault(involutions._walk_involutions))
+        with pytest.raises(AssertionError, match=f"disagree at n={n}:"):
+            psi_n(n)
+    finally:
+        monkeypatch.undo()
+        psi_n.cache_clear()
+    psi_n(n)
