@@ -41,6 +41,18 @@ class Polynomial:
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
+    @classmethod
+    def _over(cls, ints: list[int], den: int = 1) -> "Polynomial":
+        """The polynomial with coefficients ints[k] / den; ints must be
+        nonempty with a nonzero last entry, and den nonzero."""
+        obj = object.__new__(cls)
+        if den == 1:
+            coeffs = tuple(map(Fraction, ints))
+        else:
+            coeffs = tuple(Fraction(v, den) for v in ints)
+        object.__setattr__(obj, "coeffs", coeffs)
+        return obj
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -136,13 +148,9 @@ class Polynomial:
             a, b = self.coeffs, other.coeffs
             if not a or not b:
                 return Polynomial()
-            out = [Fraction(0)] * (len(a) + len(b) - 1)
-            for i, ca in enumerate(a):
-                if ca == 0:
-                    continue
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-            return Polynomial(out)
+            ia, la = _cleared(a)
+            ib, lb = _cleared(b)
+            return Polynomial._over(_int_mul(ia, ib), la * lb)
         if _is_scalar(other):
             if other == 0:
                 return Polynomial()
@@ -247,16 +255,64 @@ class Polynomial:
         return f"Polynomial({self.format('x')})"
 
 
-def _int_primitive(p: Polynomial) -> list[int]:
-    """Scale a nonzero polynomial to primitive integer coefficients."""
-    lcm = 1
-    for c in p.coeffs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in p.coeffs]
+# -- integer coefficient lists (low degree first) behind the Fraction API --
+
+
+def _cleared(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integers ints and the common denominator den with coeffs = ints / den."""
+    den = 1
+    for c in coeffs:
+        d = c.denominator
+        if den % d:
+            den = den // math.gcd(den, d) * d
+    if den == 1:
+        return [c.numerator for c in coeffs], 1
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _primitive(coeffs: Sequence[Fraction]) -> tuple[list[int], Fraction]:
+    """Primitive integer part and rational content of a nonzero polynomial:
+    coeffs = content * part, with gcd(part) = 1 and content positive."""
+    ints, den = _cleared(coeffs)
     g = 0
     for v in ints:
         g = math.gcd(g, v)
-    return [v // g for v in ints]
+        if g == 1:
+            return ints, Fraction(1, den)
+    return [v // g for v in ints], Fraction(g, den)
+
+
+def _int_mul(a: list[int], b: list[int]) -> list[int]:
+    """Product of two nonempty integer coefficient lists."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = [0] * (len(a) + len(b) - 1)
+    width = len(a)
+    for j, y in enumerate(b):
+        if y:
+            out[j : j + width] = [o + x * y for o, x in zip(out[j : j + width], a)]
+    return out
+
+
+def _int_divexact(a: list[int], b: list[int]) -> list[int]:
+    """Quotient of integer polynomials a / b, where b divides a over the
+    integers (as a primitive divisor does, by Gauss's lemma)."""
+    rem = list(a)
+    db = len(b) - 1
+    lead = b[-1]
+    quot = [0] * (len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = rem[i]
+        if c:
+            q, r = divmod(c, lead)
+            if r:
+                raise ArithmeticError("inexact integer polynomial division")
+            quot[i - db] = q
+            start = i - db
+            rem[start : i + 1] = [x - q * y for x, y in zip(rem[start : i + 1], b)]
+    if any(rem[:db]):
+        raise ArithmeticError("inexact integer polynomial division")
+    return quot
 
 
 def _int_pseudo_rem(a: list[int], b: list[int]) -> list[int]:
@@ -290,7 +346,7 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
         return b.monic()
     if b.is_zero:
         return a.monic()
-    pa, pb = _int_primitive(a), _int_primitive(b)
+    pa, pb = _primitive(a.coeffs)[0], _primitive(b.coeffs)[0]
     if len(pa) < len(pb):
         pa, pb = pb, pa
     while pb:
@@ -301,7 +357,7 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
                 g = math.gcd(g, v)
             rem = [v // g for v in rem]
         pa, pb = pb, rem
-    return Polynomial(pa).monic()
+    return Polynomial._over(pa, pa[-1])
 
 
 class RationalFunction:
@@ -327,16 +383,18 @@ class RationalFunction:
             object.__setattr__(self, "num", Polynomial())
             object.__setattr__(self, "den", Polynomial.one())
             return
+        pn, cn = _primitive(num.coeffs)
+        pd, cd = _primitive(den.coeffs)
         g = poly_gcd(num, den)
         if g.degree > 0:
-            num = num // g
-            den = den // g
-        lc = den.leading
-        if lc != 1:
-            num = num / lc
-            den = den / lc
+            pg = _primitive(g.coeffs)[0]
+            pn = _int_divexact(pn, pg)
+            pd = _int_divexact(pd, pg)
+        lead = pd[-1]
+        scale = cn / (cd * lead)
+        num = Polynomial._over([v * scale.numerator for v in pn], scale.denominator)
         object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "den", Polynomial._over(pd, lead))
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")

@@ -537,23 +537,29 @@ def _as_int_contents(values) -> list[int]:
     return out
 
 
-def _signed_ratio_sum(values):
-    """Sum over k of the product over i != k of (v_k + v_i)/(v_k - v_i).
-
-    Duck-typed: works for exact rationals and for rational functions alike.
-    """
-    total = None
-    for k, vk in enumerate(values):
-        term = None
-        for i, vi in enumerate(values):
-            if i == k:
-                continue
-            factor = (vk + vi) / (vk - vi)
-            term = factor if term is None else term * factor
-        if term is None:
-            term = 1
-        total = term if total is None else total + term
+def _signed_ratio_sum(values) -> Fraction:
+    """Sum over k of the product over i != k of (v_k + v_i)/(v_k - v_i), for
+    distinct rationals v.  Each term is one fraction of two integer products
+    (see `_deleted_products`)."""
+    ps = [v.numerator for v in values]
+    qs = [v.denominator for v in values]
+    total = Fraction(0)
+    for k in range(len(ps)):
+        total += Fraction(*_deleted_products(ps, qs, k))
     return total
+
+
+def _deleted_products(ps: list[int], qs: list[int], k: int) -> tuple[int, int]:
+    """With a_i = p_i / q_i: the integers prod_{i != k} (p_k q_i + p_i q_k)
+    and prod_{i != k} (p_k q_i - p_i q_k), whose ratio is
+    prod_{i != k} (a_k + a_i)/(a_k - a_i) (the q_k^(n-1) q_i cancel)."""
+    pk, qk = ps[k], qs[k]
+    num = den = 1
+    for i, (p, q) in enumerate(zip(ps, qs)):
+        if i != k:
+            num *= pk * q + p * qk
+            den *= pk * q - p * qk
+    return num, den
 
 
 def _prop2_substitution_witness(xs: list[int], ys: list[int]) -> str | None:
@@ -666,9 +672,14 @@ def verify_prop3(a) -> VerificationReport:
 def verify_prop3_residues(a) -> VerificationReport:
     """Partial-fraction decomposition of prod (t + a_i)/(t - a_i) in t.
 
-    Asserts the constant part is 1 (degree and leading coefficients), that
-    the residue at each a_k is 2 a_k b_k with b_k the deleted product, and
-    that evaluating at t = 0 reproduces (-1)^n through the decomposition.
+    With a_i = p_i / q_i the fraction is N(t)/D(t), N = prod (q_i t + p_i)
+    and D = prod (q_i t - p_i), expanded as integer polynomials.  Asserts the
+    constant part is 1 (degrees and leading coefficients), that each t - a_k
+    divides D, that the residue N(a_k)/D'(a_k) is 2 a_k b_k with b_k the
+    deleted product, and that evaluating at t = 0 reproduces (-1)^n through
+    the decomposition.  Values at a_k are taken homogeneously in integers,
+    h(c)(p, q) = sum_j c_j p^j q^(m-j) = q^m c(p/q), so each residue is one
+    fraction N_h / (q_k D'_h).
     """
     started = time.perf_counter()
     vals = _validate_distinct_nonzero(a)
@@ -676,30 +687,28 @@ def verify_prop3_residues(a) -> VerificationReport:
         raise ValueError("requires values with no pair summing to zero")
     n = len(vals)
     params = {"n": n}
-    num = Polynomial((1,))
-    den = Polynomial((1,))
-    for v in vals:
-        num = num * Polynomial((v, 1))
-        den = den * Polynomial((-v, 1))
+    ps = [v.numerator for v in vals]
+    qs = [v.denominator for v in vals]
+    num, den = _linear_products(ps, qs)
     failures: list[str] = []
-    if not (num.degree == n and den.degree == n and num.is_monic() and den.is_monic()):
+    if not (len(num) == len(den) == n + 1 and num[-1] == den[-1]):
         failures.append("constant part is not 1")
+    m = max(len(num), len(den)) - 1
+    den_prime = [j * c for j, c in enumerate(den)][1:]
     residues: list[Fraction] = []
     for k, ak in enumerate(vals):
-        quot, rem = divmod(den, Polynomial((-ak, 1)))
-        if not rem.is_zero:
+        pk, qk = ps[k], qs[k]
+        if _homogeneous(den, pk, qk, m):
             failures.append(f"t - a_{k+1} does not divide the denominator")
             continue
-        residue = num(ak) / quot(ak)
+        residue = Fraction(
+            _homogeneous(num, pk, qk, m), qk * _homogeneous(den_prime, pk, qk, m - 1)
+        )
         residues.append(residue)
-        b_k = Fraction(1)
-        for i, ai in enumerate(vals):
-            if i != k:
-                b_k *= (ak + ai) / (ak - ai)
-        if residue != 2 * ak * b_k:
-            failures.append(
-                f"residue at a_{k+1}={ak} is {residue}, expected {2 * ak * b_k}"
-            )
+        b_num, b_den = _deleted_products(ps, qs, k)
+        expected = Fraction(2 * pk * b_num, qk * b_den)
+        if residue != expected:
+            failures.append(f"residue at a_{k+1}={ak} is {residue}, expected {expected}")
     if len(residues) == n:
         at_zero = 1 - sum(r / v for r, v in zip(residues, vals))
         if at_zero != (-1) ** n:
@@ -714,6 +723,28 @@ def verify_prop3_residues(a) -> VerificationReport:
         f"a={[str(v) for v in vals]}: " + "; ".join(failures),
         started,
     )
+
+
+def _linear_products(ps: list[int], qs: list[int]) -> tuple[list[int], list[int]]:
+    """Integer coefficients, low degree first, of N(t) = prod (q_i t + p_i)
+    and D(t) = prod (q_i t - p_i)."""
+    num = [1]
+    den = [1]
+    for p, q in zip(ps, qs):
+        num = [p * c + q * b for c, b in zip(num + [0], [0] + num)]
+        den = [q * b - p * c for c, b in zip(den + [0], [0] + den)]
+    return num, den
+
+
+def _homogeneous(coeffs: list[int], p: int, q: int, m: int) -> int:
+    """sum_j coeffs[j] p^j q^(m - j), which is q^m times the value at p/q;
+    m is at least the degree."""
+    acc = 0
+    q_power = q ** (m + 1 - len(coeffs))
+    for c in reversed(coeffs):
+        acc = acc * p + c * q_power
+        q_power *= q
+    return acc
 
 
 def verify_prop3_alternating(n: int) -> VerificationReport:
@@ -774,8 +805,7 @@ def verify_weight_substitution(n: int) -> VerificationReport:
     started = time.perf_counter()
     if n < 1:
         raise ValueError("n must be positive")
-    even = [comb(n, 2 * k) for k in range(n // 2 + 1)]
-    odd = [comb(n, 2 * k + 1) for k in range((n + 1) // 2)]
+    even, odd = _substitution_binomials(n)
     m_even, m_odd = len(even) - 1, len(odd) - 1
     sq = Polynomial((1, -1)) ** 2  # (1 - q)^2
     co = Polynomial((1, 1)) ** 2  # (1 + q)^2
@@ -797,6 +827,14 @@ def verify_weight_substitution(n: int) -> VerificationReport:
         f"n={n}: substituted weight {lhs.format()} != {rhs.format()}",
         started,
     )
+
+
+def _substitution_binomials(n: int) -> tuple[list[int], list[int]]:
+    """The even-index and odd-index binomial coefficients of n, the
+    coefficients of rho(n)'s numerator and (over n) its denominator."""
+    even = [comb(n, 2 * k) for k in range(n // 2 + 1)]
+    odd = [comb(n, 2 * k + 1) for k in range((n + 1) // 2)]
+    return even, odd
 
 
 def verify_phi_recursion(n: int) -> VerificationReport:

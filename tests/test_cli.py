@@ -259,3 +259,37 @@ def test_prop3_fails_on_wrong_parity(monkeypatch):
     assert report.verdict == "fail"
     assert report.witness.startswith("trial 0: a=[")
     assert report.witness.endswith("]: sum is 0, expected 1")
+
+
+def test_prop3_residues_fail_on_a_dropped_denominator_factor(monkeypatch):
+    from hookforge import cli, identity
+
+    linear_products = identity._linear_products
+
+    def dropped(ps, qs):
+        num, _ = linear_products(ps, qs)
+        _, den = linear_products(ps[:-1], qs[:-1])  # D loses t - a_n
+        return num, den
+
+    monkeypatch.setattr(identity, "_linear_products", dropped)
+    report = cli._run_prop3(5, 1, 0)
+    assert report.verdict == "fail"
+    assert report.witness.startswith("trial 0: a=[")
+    assert "constant part is not 1" in report.witness
+    assert "t - a_5 does not divide the denominator" in report.witness
+
+
+def test_prop3_residues_fail_on_a_doubled_numerator(monkeypatch):
+    from hookforge import cli, identity
+
+    linear_products = identity._linear_products
+
+    def doubled(ps, qs):
+        num, den = linear_products(ps, qs)
+        return [2 * c for c in num], den
+
+    monkeypatch.setattr(identity, "_linear_products", doubled)
+    report = cli._run_prop3(5, 1, 0)
+    assert report.verdict == "fail"
+    assert report.witness.startswith("trial 0: a=[")
+    assert "residue at a_1=" in report.witness

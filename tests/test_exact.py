@@ -243,3 +243,63 @@ def test_series_over_rational_function_coefficients():
     e = series_exp(f)
     assert e.coefficient(2) == w1 * w1 * Fraction(1, 2)
     assert e.coefficient(3) == w1 * w1 * w1 * Fraction(1, 6)
+
+
+# -- properties of the integer-backed kernel (hypothesis) ---------------------
+
+
+def schoolbook_product(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Reference product, one Fraction multiply-add per coefficient pair."""
+    if a.is_zero or b.is_zero:
+        return Polynomial()
+    out = [Fraction(0)] * (a.degree + b.degree + 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] += x * y
+    return Polynomial(out)
+
+
+def _polynomial_strategy(st):
+    fractions = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+    return st.lists(fractions, max_size=6).map(Polynomial)
+
+
+def test_kernel_properties():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    polys = _polynomial_strategy(st)
+    nonzero = polys.filter(lambda p: not p.is_zero)
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(polys, polys)
+    def product(a, b):
+        assert a * b == schoolbook_product(a, b)
+        assert b * a == a * b
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(polys, nonzero)
+    def division(a, b):
+        q, r = divmod(a, b)
+        assert q * b + r == a
+        assert r.degree < b.degree
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(polys, polys)
+    def gcd(a, b):
+        hypothesis.assume(not (a.is_zero and b.is_zero))
+        g = poly_gcd(a, b)
+        assert g.is_monic()
+        assert (a % g).is_zero and (b % g).is_zero
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(polys, nonzero, nonzero)
+    def canonical(n, d, c):
+        r = RationalFunction(n, d)
+        assert r.den.is_monic()
+        assert poly_gcd(r.num, r.den) == Polynomial.one()
+        assert r.num * d == n * r.den  # cross-equal to the unreduced n/d
+        scaled = RationalFunction(n * c, d * c)
+        assert (scaled.num.coeffs, scaled.den.coeffs) == (r.num.coeffs, r.den.coeffs)
+
+    for prop in (product, division, gcd, canonical):
+        prop()

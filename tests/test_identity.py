@@ -403,6 +403,24 @@ def test_prop2_substitution_recheck_is_independent(monkeypatch):
     assert identity._prop2_substitution_witness([4, 1, -1, -4], [2, 0, -3]) is None
 
 
+def test_substitution_fails_on_a_perturbed_binomial(monkeypatch):
+    from hookforge import identity
+
+    binomials = identity._substitution_binomials
+
+    def perturbed(n):
+        even, odd = binomials(n)
+        return even, odd[:-1] + [odd[-1] + 1]
+
+    monkeypatch.setattr(identity, "_substitution_binomials", perturbed)
+    for n in (1, 4, 7):
+        report = verify_weight_substitution(n)
+        assert report.verdict == "fail"
+        assert report.witness.startswith(f"n={n}: substituted weight ")
+    monkeypatch.undo()
+    assert verify_weight_substitution(4).passed
+
+
 def test_theorem1_fails_on_an_off_by_one_interpolating_weight(monkeypatch):
     from hookforge import identity
 
