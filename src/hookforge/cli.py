@@ -15,16 +15,20 @@ import random
 import sys
 import time
 from dataclasses import dataclass
+from math import factorial
 
 from . import identity, involutions
 from .identity import VerificationReport
 from .partitions import corner_profile, partitions_of
 from .tableaux import (
     StandardTableau,
+    enumerate_syt,
     enumerate_syt_of_size,
-    forward_row_insert_rows,
-    reverse_row_insert_rows,
+    forward_row_insert_word,
+    reverse_row_insert_word,
+    rows_of_word,
     serialize_rows,
+    yamanouchi_word,
 )
 
 CHECKS = (
@@ -53,7 +57,9 @@ class RunConfig:
         if self.check not in CHECKS:
             raise ValueError(f"unknown check selector: {self.check}")
         if self.max_n < 0 or self.series_order < 0 or self.trials < 1:
-            raise ValueError("bounds must be positive")
+            raise ValueError(
+                "max-n and order must be nonnegative and trials at least 1"
+            )
 
 
 def _unit_rng(seed: int, *key) -> random.Random:
@@ -134,10 +140,12 @@ def _run_bijection(n: int) -> VerificationReport:
     """The row-insertion bijection (SYT(n), corner) <-> (SYT(n-1), letter).
 
     Both codomains are enumerated once, and the enumeration validates every
-    tableau it builds.  Each corner of each P in SYT(n) is deleted once by
-    reverse insertion; the result must be an enumerated tableau T (checked by
-    lookup), the letter must lie in 1..n, no pair (T, letter) may be reached
-    twice, and forward insertion of the pair must give back P and the corner.
+    tableau it builds; the insertions run on the Yamanouchi words of those
+    validated rows.  Each corner of each P in SYT(n) is deleted once by
+    reverse insertion; the resulting word must be the word of an enumerated
+    tableau T (checked by lookup), the letter must lie in 1..n, no pair
+    (T, letter) may be reached twice, and forward insertion of the pair must
+    give back the word of P and the corner.
 
     No forward-then-reverse pass over SYT(n-1) x [n] is needed.  The checks
     above make corner deletion injective into E x [n], E the validated
@@ -157,25 +165,30 @@ def _run_bijection(n: int) -> VerificationReport:
         )
 
     smaller = enumerate_syt_of_size(n - 1)
-    index = {tab.rows: i for i, tab in enumerate(smaller)}
+    index = {yamanouchi_word(tab.rows): i for i, tab in enumerate(smaller)}
     reached = bytearray(n * len(smaller))
     corner_total = 0
-    for tab in enumerate_syt_of_size(n):
-        for cell in removable_cells(tab.shape):
-            corner_total += 1
-            reduced, letter = reverse_row_insert_rows(tab.rows, cell)
-            if not 1 <= letter <= n:
-                return fail(f"ejected letter {letter} out of range for {tab}")
-            i = index.get(reduced)
-            if i is None:
-                return fail(_unenumerated_witness(tab, cell, reduced))
-            slot = i * n + letter - 1
-            if reached[slot]:
-                return fail("corner deletions are not injective")
-            reached[slot] = 1
-            back, back_cell = forward_row_insert_rows(reduced, letter)
-            if back != tab.rows or back_cell != cell:
-                return fail(f"round trip failed at {tab.serialize()} corner {tuple(cell)}")
+    for lam in partitions_of(n):
+        corners = removable_cells(lam)
+        for tab in enumerate_syt(lam):
+            word = yamanouchi_word(tab.rows)
+            for cell in corners:
+                corner_total += 1
+                reduced, letter = reverse_row_insert_word(word, cell)
+                if not 1 <= letter <= n:
+                    return fail(f"ejected letter {letter} out of range for {tab}")
+                i = index.get(reduced)
+                if i is None:
+                    return fail(_unenumerated_witness(tab, cell, reduced))
+                slot = i * n + letter - 1
+                if reached[slot]:
+                    return fail("corner deletions are not injective")
+                reached[slot] = 1
+                back, back_cell = forward_row_insert_word(reduced, letter)
+                if back != word or back_cell != cell:
+                    return fail(
+                        f"round trip failed at {tab.serialize()} corner {tuple(cell)}"
+                    )
     if corner_total != n * len(smaller):
         return fail(
             f"corner count {corner_total} != n * |SYT(n-1)| = {n * len(smaller)}"
@@ -186,8 +199,9 @@ def _run_bijection(n: int) -> VerificationReport:
     )
 
 
-def _unenumerated_witness(tab, cell, rows) -> str:
-    """Why a corner deletion's rows are not among the enumerated SYT(n-1)."""
+def _unenumerated_witness(tab, cell, word) -> str:
+    """Why a corner deletion's word is not among the enumerated SYT(n-1)."""
+    rows = rows_of_word(word)
     try:
         StandardTableau(rows)
     except ValueError as exc:
@@ -202,24 +216,37 @@ def _unenumerated_witness(tab, cell, rows) -> str:
 
 def _run_egf(order: int, trials: int, seed: int) -> VerificationReport:
     started = time.perf_counter()
+
+    def report(verdict, witness):
+        return VerificationReport(
+            "egf", {"order": order, "trials": trials}, verdict, witness,
+            int((time.perf_counter() - started) * 1000),
+        )
+
     for t in range(trials):
         rng = _unit_rng(seed, "egf", t)
         u1, u2 = identity.sample_distinct_rationals(rng, 2, 100, 50)
         if not involutions.verify_involution_egf(order, u1, u2):
-            return VerificationReport(
-                "egf",
-                {"order": order, "trials": trials},
-                "fail",
-                f"trial {t}: u1={u1}, u2={u2}",
-                int((time.perf_counter() - started) * 1000),
-            )
-    return VerificationReport(
-        "egf",
-        {"order": order, "trials": trials},
-        "pass",
-        None,
-        int((time.perf_counter() - started) * 1000),
-    )
+            return report("fail", f"trial {t}: u1={u1}, u2={u2}")
+    witness = _egf_kronecker_witness(order)
+    return report("fail" if witness else "pass", witness)
+
+
+def _egf_kronecker_witness(order: int) -> str | None:
+    """Prove the egf identity for every n <= order at one integer point.
+
+    D_n = n! [t^n] exp(u1 t + u2 t^2/2) - g_n(u1, u2) is an integer
+    polynomial: both parts have nonnegative integer coefficients summing to
+    the involution number I(n) <= n!, so its coefficients are at most order!
+    in absolute value.  Its u1-degree is at most order, so u1 = x0,
+    u2 = x0^(order+1) sends distinct monomials to distinct powers of x0, and
+    by Cauchy's bound D_n(x0, x0^(order+1)) = 0 at x0 = order! + 2 proves
+    D_n = 0.  Returns None when the identity holds, else a witness.
+    """
+    x0 = factorial(order) + 2
+    if involutions.verify_involution_egf(order, x0, x0 ** (order + 1)):
+        return None
+    return f"Kronecker point u1=x0={x0}, u2=x0^{order + 1}: coefficients differ"
 
 
 def build_units(cfg: RunConfig) -> list:

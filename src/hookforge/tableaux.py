@@ -5,17 +5,22 @@ Reverse row-insertion starts in a removable corner and bumps upward: in each
 row above, the moving entry displaces the largest entry smaller than it, and
 the value pushed out of row 1 is the ejected letter.  Forward row-insertion
 is the exact inverse.
+
+Both insertions run on the tableau's Yamanouchi word, one byte per entry
+holding its row, so that each bump is one bytes search and relabelling the
+entries is one byte inserted or deleted (Knuth, TAOCP vol. 3, 5.1.4).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain
 
 from .partitions import Cell, Partition
 
 Rows = tuple[tuple[int, ...], ...]
+
+MAX_ROWS = 255  # a Yamanouchi word holds each row number in one byte
 
 
 @dataclass(frozen=True)
@@ -112,14 +117,45 @@ def enumerate_syt_of_size(n: int) -> list[StandardTableau]:
     return [t for lam in partitions_of(n) for t in enumerate_syt(lam)]
 
 
+def yamanouchi_word(rows: Rows) -> bytes:
+    """The Yamanouchi word of a standard tableau: byte v-1 holds the row
+    (1-based) of entry v.
+
+    `rows` must be the rows of a standard tableau; a row number takes one
+    byte, so at most MAX_ROWS rows are allowed.
+    """
+    if len(rows) > MAX_ROWS:
+        raise ValueError(
+            f"{len(rows)} rows do not fit a Yamanouchi word: "
+            f"a row number takes one byte, so at most {MAX_ROWS} rows"
+        )
+    word = bytearray(sum(map(len, rows)))
+    for r, row in enumerate(rows, 1):
+        for v in row:
+            word[v - 1] = r
+    return bytes(word)
+
+
+def rows_of_word(word: bytes) -> Rows:
+    """The rows that a word of row numbers 1..MAX_ROWS describes: row r holds
+    the entries v with byte v-1 equal to r, in increasing order.  A word that
+    is not a lattice word gives rows that are not a standard tableau."""
+    if 0 in word:
+        raise ValueError("row numbers in a word start at 1")
+    rows: list[list[int]] = [[] for _ in range(max(word, default=0))]
+    for v, r in enumerate(word, 1):
+        rows[r - 1].append(v)
+    return tuple(map(tuple, rows))
+
+
 def reverse_row_insert(tab: StandardTableau, cell: Cell) -> tuple[StandardTableau, int]:
     """Delete the corner cell by upward bumping and eject a letter.
 
     Returns the size n-1 tableau (entries above the ejected letter shifted
     down by one) together with the ejected letter i in 1..n.
     """
-    rows, ejected = reverse_row_insert_rows(tab.rows, cell)
-    return StandardTableau(rows), ejected
+    word, ejected = reverse_row_insert_word(yamanouchi_word(tab.rows), cell)
+    return StandardTableau(rows_of_word(word)), ejected
 
 
 def forward_row_insert(tab: StandardTableau, value: int) -> tuple[StandardTableau, Cell]:
@@ -128,40 +164,56 @@ def forward_row_insert(tab: StandardTableau, value: int) -> tuple[StandardTablea
     Entries >= value are first shifted up by one so that value is fresh.
     Returns the grown tableau and the newly created cell.
     """
-    rows, cell = forward_row_insert_rows(tab.rows, value)
-    return StandardTableau(rows), cell
+    word, cell = forward_row_insert_word(yamanouchi_word(tab.rows), value)
+    return StandardTableau(rows_of_word(word)), cell
 
 
-def reverse_row_insert_rows(rows: Rows, cell: Cell) -> tuple[Rows, int]:
-    """reverse_row_insert on bare rows: the result is not validated."""
+def reverse_row_insert_word(word: bytes, cell: Cell) -> tuple[bytes, int]:
+    """reverse_row_insert on a Yamanouchi word; the result is not validated.
+
+    In the word, the mover displaces the last entry of the row above that
+    precedes it, and deleting the ejected letter's byte is the relabelling.
+    """
     r, c = cell
-    removable = 1 <= r <= len(rows) and c == len(rows[r - 1])
-    if not removable or (r < len(rows) and len(rows[r]) >= c):
+    if (
+        not 1 <= r <= MAX_ROWS
+        or not 1 <= c == word.count(r)
+        or (r < MAX_ROWS and word.count(r + 1) >= c)
+    ):
         raise ValueError(f"cell {tuple(cell)} is not a removable corner")
-    rows = [list(row) for row in rows]
-    moving = rows[r - 1].pop()
-    if not rows[r - 1]:
-        rows.pop()
-    for row in reversed(rows[: r - 1]):
-        pos = bisect_left(row, moving) - 1  # rightmost entry below the mover
-        row[pos], moving = moving, row[pos]
-    ejected = moving
-    out = tuple(tuple([v - 1 if v > ejected else v for v in row]) for row in rows)
-    return out, ejected
+    out = bytearray(word)
+    moving = out.rfind(r)  # the corner holds the largest entry of its row
+    for row in range(r - 1, 0, -1):
+        x = out.rfind(row, 0, moving)
+        if x < 0:
+            raise ValueError(
+                f"not a lattice word: row {row} has no entry below {moving + 1}"
+            )
+        out[moving] = row
+        moving = x
+    del out[moving]
+    return bytes(out), moving + 1
 
 
-def forward_row_insert_rows(rows: Rows, value: int) -> tuple[Rows, Cell]:
-    """forward_row_insert on bare rows: the result is not validated."""
-    n = sum(map(len, rows)) + 1
+def forward_row_insert_word(word: bytes, value: int) -> tuple[bytes, Cell]:
+    """forward_row_insert on a Yamanouchi word; the result is not validated.
+
+    Inserting a placeholder byte at value-1 shifts the larger entries up by
+    one; in each row the mover displaces the first entry that follows it.
+    """
+    n = len(word) + 1
     if not 1 <= value <= n:
         raise ValueError(f"insertion value must lie in 1..{n}")
-    rows = [[v + 1 if v >= value else v for v in row] for row in rows]
-    moving = value
-    for r, row in enumerate(rows):
-        pos = bisect_right(row, moving)
-        if pos == len(row):
-            row.append(moving)
-            return tuple(map(tuple, rows)), Cell(r + 1, len(row))
-        row[pos], moving = moving, row[pos]
-    rows.append([moving])
-    return tuple(map(tuple, rows)), Cell(len(rows), 1)
+    out = bytearray(word)
+    out.insert(value - 1, 0)
+    moving = value - 1
+    for row in range(1, MAX_ROWS + 1):
+        x = out.find(row, moving + 1)
+        out[moving] = row
+        if x < 0:
+            return bytes(out), Cell(row, out.count(row))
+        moving = x
+    raise ValueError(
+        f"insertion needs row {MAX_ROWS + 1}: a row number takes one byte, "
+        f"so at most {MAX_ROWS} rows"
+    )

@@ -95,6 +95,16 @@ def test_bad_flag_exits_2():
     assert result.returncode == 2
 
 
+def test_out_of_range_bounds_exit_2():
+    for flag, value in (("--max-n", "-1"), ("--trials", "0")):
+        result = run_cli("egf", flag, value)
+        assert result.returncode == 2
+        assert (
+            "max-n and order must be nonnegative and trials at least 1"
+            in result.stderr
+        )
+
+
 def test_progress_goes_to_stderr():
     result = run_cli("theorem1prime", "--max-n", "2", "--format", "json")
     assert result.returncode == 0
@@ -147,16 +157,41 @@ def test_sweep_millis_is_wall_clock(monkeypatch):
 
 
 def test_bijection_fails_on_wrong_forward_insertion(monkeypatch):
-    from bisect import bisect_left
+    from hookforge import cli
+    from hookforge.partitions import Cell
 
-    from hookforge import cli, tableaux
+    def reverse_rule(word, value):
+        # forward insertion bumping by the reverse rule: the mover displaces
+        # the last entry of the row that precedes it
+        out = bytearray(word)
+        out.insert(value - 1, 0)
+        moving, row = value - 1, 1
+        while True:
+            x = out.rfind(row, 0, moving)
+            out[moving] = row
+            if x < 0:
+                return bytes(out), Cell(row, out.count(row))
+            moving, row = x, row + 1
 
-    # forward insertion bumping by the reverse rule, the largest entry below
-    # the mover; a plain bisect_left would be equivalent, as entries are distinct
-    monkeypatch.setattr(tableaux, "bisect_right", lambda row, x: bisect_left(row, x) - 1)
+    monkeypatch.setattr(cli, "forward_row_insert_word", reverse_rule)
     report = cli._run_bijection(4)
     assert report.verdict == "fail"
     assert report.witness == "round trip failed at 1 2 3 4 corner (1, 4)"
+
+
+def test_bijection_fails_when_forward_insertion_misreports_the_cell(monkeypatch):
+    from hookforge import cli
+    from hookforge.partitions import Cell
+    from hookforge.tableaux import forward_row_insert_word
+
+    def shifted(word, value):
+        back, cell = forward_row_insert_word(word, value)
+        return back, Cell(cell.row, cell.col + 1)
+
+    monkeypatch.setattr(cli, "forward_row_insert_word", shifted)
+    report = cli._run_bijection(3)
+    assert report.verdict == "fail"
+    assert report.witness == "round trip failed at 1 2 3 corner (1, 3)"
 
 
 def test_bijection_validates_each_enumerated_tableau_once(monkeypatch):
@@ -180,19 +215,20 @@ def test_bijection_validates_each_enumerated_tableau_once(monkeypatch):
 
 def test_bijection_fails_when_reverse_insertion_skips_relabelling(monkeypatch):
     from hookforge import cli
-    from hookforge.tableaux import reverse_row_insert_rows
+    from hookforge.tableaux import reverse_row_insert_word
 
-    def unrelabelled(rows, cell):
-        out, ejected = reverse_row_insert_rows(rows, cell)
-        undo = tuple(tuple(v + 1 if v >= ejected else v for v in row) for row in out)
-        return undo, ejected
+    def unrelabelled(word, cell):
+        # deleting the ejected letter's byte is the relabelling; the letter
+        # always leaves from row 1, so this puts its byte back in place
+        reduced, ejected = reverse_row_insert_word(word, cell)
+        return reduced[: ejected - 1] + b"\x01" + reduced[ejected - 1 :], ejected
 
-    monkeypatch.setattr(cli, "reverse_row_insert_rows", unrelabelled)
+    monkeypatch.setattr(cli, "reverse_row_insert_word", unrelabelled)
     report = cli._run_bijection(4)
     assert report.verdict == "fail"
     assert report.witness == (
-        "deleting corner (1, 3) of 1 2 3/4 gave '1 2/4', "
-        "not standard: entries must be a bijection onto 1..3"
+        "deleting corner (1, 4) of 1 2 3 4 gave '1 2 3 4', "
+        "standard but missing from the enumeration"
     )
 
 
@@ -246,6 +282,33 @@ def test_egf_fails_on_wrong_recurrence(monkeypatch):
     assert not involutions.verify_involution_egf(10, u1, u2)
     monkeypatch.undo()
     assert involutions.verify_involution_egf(10, u1, u2)
+
+
+def test_egf_kronecker_point_fails_on_its_own(monkeypatch):
+    from fractions import Fraction
+
+    from hookforge import cli, involutions
+
+    assert cli._egf_kronecker_witness(10) is None
+
+    def without_m(n, u1, u2):
+        prev, cur = Fraction(1), Fraction(u1)
+        if n == 0:
+            return prev
+        for _ in range(1, n):
+            prev, cur = cur, u1 * cur + u2 * prev
+        return cur
+
+    monkeypatch.setattr(involutions, "g_poly", without_m)
+    # 10! + 2 = 3628802
+    assert cli._egf_kronecker_witness(10) == (
+        "Kronecker point u1=x0=3628802, u2=x0^11: coefficients differ"
+    )
+    # the unit fails on the seam's witness once the sampled trials pass
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "_egf_kronecker_witness", lambda order: f"x0 at {order}")
+    report = cli._run_egf(10, 2, 0)
+    assert (report.verdict, report.witness) == ("fail", "x0 at 10")
 
 
 def test_prop3_fails_on_wrong_parity(monkeypatch):

@@ -1,15 +1,23 @@
 """Tests for standard tableaux enumeration and the row-insertion bijection."""
 
+from bisect import bisect_left, bisect_right
+
 import pytest
 
 from hookforge.involutions import involution_count
 from hookforge.partitions import Cell, Partition, f_lambda, partitions_of, removable_cells
 from hookforge.tableaux import (
+    MAX_ROWS,
+    Rows,
     StandardTableau,
     enumerate_syt,
     enumerate_syt_of_size,
     forward_row_insert,
+    forward_row_insert_word,
     reverse_row_insert,
+    reverse_row_insert_word,
+    rows_of_word,
+    yamanouchi_word,
 )
 
 
@@ -133,3 +141,94 @@ def test_enumerated_tableaux_pass_explicit_validation():
     for n in range(8):
         for t in enumerate_syt_of_size(n):
             assert StandardTableau(t.rows) == t
+
+
+# The row kernels the word kernels replaced, kept as the reference.
+
+
+def reverse_row_insert_rows(rows: Rows, cell: Cell) -> tuple[Rows, int]:
+    """reverse_row_insert on bare rows: the result is not validated."""
+    r, c = cell
+    removable = 1 <= r <= len(rows) and c == len(rows[r - 1])
+    if not removable or (r < len(rows) and len(rows[r]) >= c):
+        raise ValueError(f"cell {tuple(cell)} is not a removable corner")
+    rows = [list(row) for row in rows]
+    moving = rows[r - 1].pop()
+    if not rows[r - 1]:
+        rows.pop()
+    for row in reversed(rows[: r - 1]):
+        pos = bisect_left(row, moving) - 1  # rightmost entry below the mover
+        row[pos], moving = moving, row[pos]
+    ejected = moving
+    out = tuple(tuple([v - 1 if v > ejected else v for v in row]) for row in rows)
+    return out, ejected
+
+
+def forward_row_insert_rows(rows: Rows, value: int) -> tuple[Rows, Cell]:
+    """forward_row_insert on bare rows: the result is not validated."""
+    n = sum(map(len, rows)) + 1
+    if not 1 <= value <= n:
+        raise ValueError(f"insertion value must lie in 1..{n}")
+    rows = [[v + 1 if v >= value else v for v in row] for row in rows]
+    moving = value
+    for r, row in enumerate(rows):
+        pos = bisect_right(row, moving)
+        if pos == len(row):
+            row.append(moving)
+            return tuple(map(tuple, rows)), Cell(r + 1, len(row))
+        row[pos], moving = moving, row[pos]
+    rows.append([moving])
+    return tuple(map(tuple, rows)), Cell(len(rows), 1)
+
+
+def test_word_kernels_match_the_row_kernels():
+    for n in range(1, 9):
+        for tab in enumerate_syt_of_size(n):
+            word = yamanouchi_word(tab.rows)
+            assert rows_of_word(word) == tab.rows
+            for cell in removable_cells(tab.shape):
+                rows, letter = reverse_row_insert_rows(tab.rows, cell)
+                assert reverse_row_insert_word(word, cell) == (
+                    yamanouchi_word(rows), letter
+                )
+        for tab in enumerate_syt_of_size(n - 1):
+            word = yamanouchi_word(tab.rows)
+            for letter in range(1, n + 1):
+                rows, cell = forward_row_insert_rows(tab.rows, letter)
+                assert forward_row_insert_word(word, letter) == (
+                    yamanouchi_word(rows), cell
+                )
+
+
+def test_word_kernels_reject_bad_input():
+    word = yamanouchi_word(T("1 2/3").rows)
+    assert word == b"\x01\x01\x02"
+    for cell in (Cell(1, 1), Cell(1, 3), Cell(2, 2), Cell(0, 0), Cell(256, 1)):
+        with pytest.raises(ValueError, match="not a removable corner"):
+            reverse_row_insert_word(word, cell)
+    # the end of row 1, but row 2 is as long
+    with pytest.raises(ValueError, match="not a removable corner"):
+        reverse_row_insert_word(yamanouchi_word(T("1 2/3 4").rows), Cell(1, 2))
+    for value in (0, 5):
+        with pytest.raises(ValueError, match=r"must lie in 1\.\.4"):
+            forward_row_insert_word(word, value)
+    # the mover from row 2 is below every entry of row 1, so a -1 from the
+    # search must not index the last byte
+    with pytest.raises(ValueError, match="not a lattice word"):
+        reverse_row_insert_word(b"\x02", Cell(2, 1))
+    with pytest.raises(ValueError, match="not a lattice word"):
+        reverse_row_insert_word(b"\x02\x02\x01", Cell(2, 2))
+
+
+def test_more_rows_than_a_byte_holds_raise():
+    column = tuple((v,) for v in range(1, MAX_ROWS + 1))
+    assert rows_of_word(yamanouchi_word(column)) == column
+    assert reverse_row_insert(StandardTableau(column), Cell(MAX_ROWS, 1)) == (
+        StandardTableau(column[:-1]), 1
+    )
+    with pytest.raises(ValueError, match="one byte, so at most 255 rows"):
+        yamanouchi_word(column + ((MAX_ROWS + 1,),))
+    with pytest.raises(ValueError, match="one byte, so at most 255 rows"):
+        forward_row_insert(StandardTableau(column), 1)
+    with pytest.raises(ValueError, match="start at 1"):
+        rows_of_word(b"\x01\x00")
