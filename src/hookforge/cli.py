@@ -1,7 +1,14 @@
 """Command-line driver: runs verification sweeps and emits human-readable
 text or machine-readable JSON reports.
 
-Exit status is 0 when every check passes, 1 when any identity check fails,
+Each check is one entry of `REGISTRY`: a parameter sweep over the run
+configuration and a runner that yields the witness of each failure it finds.
+A `Unit` is one check at one point of its sweep, and calling it is the only
+place a report is built and timed.  A unit whose runner raises reports the
+verdict `error`, with the exception as its witness, and the other units
+still run.
+
+Exit status is 0 when every check passes, 1 when any check fails or errors,
 and 2 on usage errors.  With equal configuration (including the seed) the
 JSON report is byte-identical across runs; timings therefore appear as null
 in JSON and are only shown in the text format and the stderr progress lines.
@@ -16,8 +23,9 @@ import sys
 import time
 from dataclasses import dataclass
 from math import factorial
+from typing import Callable, Iterator, NamedTuple
 
-from . import identity, involutions
+from . import identity, involutions, partitions
 from .identity import VerificationReport
 from .partitions import corner_profile, partitions_of
 from .tableaux import (
@@ -29,18 +37,6 @@ from .tableaux import (
     rows_of_word,
     serialize_rows,
     yamanouchi_word,
-)
-
-CHECKS = (
-    "all",
-    "theorem1",
-    "theorem1prime",
-    "lemma1",
-    "prop2",
-    "prop3",
-    "bijection",
-    "egf",
-    "substitution",
 )
 
 @dataclass
@@ -67,41 +63,27 @@ def _unit_rng(seed: int, *key) -> random.Random:
     return random.Random(":".join([str(seed), *map(str, key)]))
 
 
-def _sweep_shapes(check: str, n: int, per_shape) -> VerificationReport:
-    """Run a per-shape verifier over every shape of n, reporting the first
-    failure; the aggregate report's duration is the sweep's wall-clock time."""
-    started = time.perf_counter()
+# A runner takes a unit's seed and params and yields the witness of each
+# failure it finds; yielding anything, even None, fails the unit.
+def _failed(rep: VerificationReport) -> Iterator[str | None]:
+    if not rep.passed:
+        yield rep.witness
+
+
+def _lemma1(seed: int, n: int) -> Iterator[str | None]:
     for lam in partitions_of(n):
-        for rep in per_shape(lam):
-            if not rep.passed:
-                return VerificationReport(
-                    check=check,
-                    params={"n": n},
-                    verdict="fail",
-                    witness=rep.witness,
-                    millis=int((time.perf_counter() - started) * 1000),
-                )
-    return VerificationReport(
-        check, {"n": n}, "pass", None, int((time.perf_counter() - started) * 1000)
-    )
-
-
-def _run_lemma1(n: int) -> VerificationReport:
-    def per_shape(lam):
-        yield identity.verify_lemma1(lam)
+        yield from _failed(identity.verify_lemma1(lam))
         d = len(corner_profile(lam).outer_cells)
         for k in range(1, d + 1):
-            yield identity.verify_corner_hooks(lam, k)
-
-    return _sweep_shapes("lemma1", n, per_shape)
+            yield from _failed(identity.verify_corner_hooks(lam, k))
 
 
-def _run_prop2(n: int) -> VerificationReport:
-    return _sweep_shapes("prop2", n, lambda lam: [identity.verify_prop2_for_shape(lam)])
+def _prop2(seed: int, n: int) -> Iterator[str | None]:
+    for lam in partitions_of(n):
+        yield from _failed(identity.verify_prop2_for_shape(lam))
 
 
-def _run_prop3(n: int, trials: int, seed: int) -> VerificationReport:
-    started = time.perf_counter()
+def _prop3(seed: int, n: int, trials: int) -> Iterator[str | None]:
     for t in range(trials):
         rng = _unit_rng(seed, "prop3", n, t)
         vector = identity.sample_distinct_rationals(rng, n)
@@ -110,33 +92,12 @@ def _run_prop3(n: int, trials: int, seed: int) -> VerificationReport:
             identity.verify_prop3_residues(vector),
         ):
             if not rep.passed:
-                return VerificationReport(
-                    "prop3",
-                    {"n": n, "trials": trials},
-                    "fail",
-                    f"trial {t}: {rep.witness}",
-                    int((time.perf_counter() - started) * 1000),
-                )
+                yield f"trial {t}: {rep.witness}"
     if 2 <= n <= 6:
-        rep = identity.verify_prop3_alternating(n)
-        if not rep.passed:
-            return VerificationReport(
-                "prop3",
-                {"n": n, "trials": trials},
-                "fail",
-                rep.witness,
-                int((time.perf_counter() - started) * 1000),
-            )
-    return VerificationReport(
-        "prop3",
-        {"n": n, "trials": trials},
-        "pass",
-        None,
-        int((time.perf_counter() - started) * 1000),
-    )
+        yield from _failed(identity.verify_prop3_alternating(n))
 
 
-def _run_bijection(n: int) -> VerificationReport:
+def _bijection(seed: int, n: int) -> Iterator[str]:
     """The row-insertion bijection (SYT(n), corner) <-> (SYT(n-1), letter).
 
     Both codomains are enumerated once, and the enumeration validates every
@@ -154,49 +115,33 @@ def _run_bijection(n: int) -> VerificationReport:
     already inserted that pair forward and got (P, corner) back, whose
     reverse insertion is the pair: the second pass would only replay calls.
     """
-    from .partitions import removable_cells
-
-    started = time.perf_counter()
-
-    def fail(witness):
-        return VerificationReport(
-            "bijection", {"n": n}, "fail", witness,
-            int((time.perf_counter() - started) * 1000),
-        )
-
     smaller = enumerate_syt_of_size(n - 1)
     index = {yamanouchi_word(tab.rows): i for i, tab in enumerate(smaller)}
     reached = bytearray(n * len(smaller))
     corner_total = 0
     for lam in partitions_of(n):
-        corners = removable_cells(lam)
+        corners = partitions.removable_cells(lam)
         for tab in enumerate_syt(lam):
             word = yamanouchi_word(tab.rows)
             for cell in corners:
                 corner_total += 1
                 reduced, letter = reverse_row_insert_word(word, cell)
                 if not 1 <= letter <= n:
-                    return fail(f"ejected letter {letter} out of range for {tab}")
+                    yield f"ejected letter {letter} out of range for {tab}"
+                    continue
                 i = index.get(reduced)
                 if i is None:
-                    return fail(_unenumerated_witness(tab, cell, reduced))
+                    yield _unenumerated_witness(tab, cell, reduced)
+                    continue
                 slot = i * n + letter - 1
                 if reached[slot]:
-                    return fail("corner deletions are not injective")
+                    yield "corner deletions are not injective"
                 reached[slot] = 1
                 back, back_cell = forward_row_insert_word(reduced, letter)
                 if back != word or back_cell != cell:
-                    return fail(
-                        f"round trip failed at {tab.serialize()} corner {tuple(cell)}"
-                    )
+                    yield f"round trip failed at {tab.serialize()} corner {tuple(cell)}"
     if corner_total != n * len(smaller):
-        return fail(
-            f"corner count {corner_total} != n * |SYT(n-1)| = {n * len(smaller)}"
-        )
-    return VerificationReport(
-        "bijection", {"n": n}, "pass", None,
-        int((time.perf_counter() - started) * 1000),
-    )
+        yield f"corner count {corner_total} != n * |SYT(n-1)| = {n * len(smaller)}"
 
 
 def _unenumerated_witness(tab, cell, word) -> str:
@@ -214,22 +159,15 @@ def _unenumerated_witness(tab, cell, word) -> str:
     )
 
 
-def _run_egf(order: int, trials: int, seed: int) -> VerificationReport:
-    started = time.perf_counter()
-
-    def report(verdict, witness):
-        return VerificationReport(
-            "egf", {"order": order, "trials": trials}, verdict, witness,
-            int((time.perf_counter() - started) * 1000),
-        )
-
+def _egf(seed: int, order: int, trials: int) -> Iterator[str]:
     for t in range(trials):
         rng = _unit_rng(seed, "egf", t)
         u1, u2 = identity.sample_distinct_rationals(rng, 2, 100, 50)
         if not involutions.verify_involution_egf(order, u1, u2):
-            return report("fail", f"trial {t}: u1={u1}, u2={u2}")
+            yield f"trial {t}: u1={u1}, u2={u2}"
     witness = _egf_kronecker_witness(order)
-    return report("fail" if witness else "pass", witness)
+    if witness:
+        yield witness
 
 
 def _egf_kronecker_witness(order: int) -> str | None:
@@ -249,36 +187,81 @@ def _egf_kronecker_witness(order: int) -> str | None:
     return f"Kronecker point u1=x0={x0}, u2=x0^{order + 1}: coefficients differ"
 
 
-def build_units(cfg: RunConfig) -> list:
-    """Closures for every unit of work the selector asks for."""
-    units = []
+class Check(NamedTuple):
+    """A check's parameter sweep over the run configuration, and its runner."""
 
-    def want(name):
-        return cfg.check in ("all", name)
+    sweep: Callable[[RunConfig], list[dict]]
+    run: Callable[..., Iterator[str | None]]
 
-    if want("theorem1prime"):
-        for n in range(cfg.max_n + 1):
-            units.append(lambda n=n: identity.verify_theorem1prime(n))
-    if want("theorem1"):
-        units.append(lambda: identity.verify_theorem1(cfg.series_order))
-    if want("lemma1"):
-        for n in range(cfg.max_n + 1):
-            units.append(lambda n=n: _run_lemma1(n))
-    if want("prop2"):
-        for n in range(cfg.max_n + 1):
-            units.append(lambda n=n: _run_prop2(n))
-    if want("prop3"):
-        for n in range(1, cfg.max_n + 1):
-            units.append(lambda n=n: _run_prop3(n, cfg.trials, cfg.seed))
-    if want("bijection"):
-        for n in range(1, cfg.max_n + 1):
-            units.append(lambda n=n: _run_bijection(n))
-    if want("egf"):
-        units.append(lambda: _run_egf(cfg.series_order, cfg.trials, cfg.seed))
-    if want("substitution"):
-        for n in range(1, cfg.max_n + 1):
-            units.append(lambda n=n: identity.verify_weight_substitution(n))
-    return units
+
+def _each_n(first: int) -> Callable[[RunConfig], list[dict]]:
+    return lambda cfg: [{"n": n} for n in range(first, cfg.max_n + 1)]
+
+
+# Insertion order is the order in which `verify all` runs the checks.
+REGISTRY = {
+    "theorem1prime": Check(
+        _each_n(0), lambda seed, n: _failed(identity.verify_theorem1prime(n))
+    ),
+    "theorem1": Check(
+        lambda cfg: [{"order": cfg.series_order}],
+        lambda seed, order: _failed(identity.verify_theorem1(order)),
+    ),
+    "lemma1": Check(_each_n(0), _lemma1),
+    "prop2": Check(_each_n(0), _prop2),
+    "prop3": Check(
+        lambda cfg: [{"n": n, "trials": cfg.trials} for n in range(1, cfg.max_n + 1)],
+        _prop3,
+    ),
+    "bijection": Check(_each_n(1), _bijection),
+    "egf": Check(
+        lambda cfg: [{"order": cfg.series_order, "trials": cfg.trials}], _egf
+    ),
+    "substitution": Check(
+        _each_n(1), lambda seed, n: _failed(identity.verify_weight_substitution(n))
+    ),
+}
+
+CHECKS = ("all", *REGISTRY)
+
+
+@dataclass(frozen=True)
+class Unit:
+    """One check at one point of its sweep; calling it runs the check."""
+
+    check: str
+    params: dict
+    seed: int = 0
+
+    def __call__(self) -> VerificationReport:
+        """The unit's report, timed by wall clock: the first witness the
+        runner yields fails it, and an exception makes it `error` (its
+        traceback goes to stderr)."""
+        started = time.perf_counter()
+        verdict, witness = "pass", None
+        try:
+            for witness in REGISTRY[self.check].run(self.seed, **self.params):
+                verdict = "fail"
+                break
+        except Exception as exc:
+            import traceback  # only on this path: it costs start-up time and memory
+
+            traceback.print_exc()
+            verdict, witness = "error", f"{type(exc).__name__}: {exc}"
+        return VerificationReport(
+            self.check, self.params, verdict, witness,
+            int((time.perf_counter() - started) * 1000),
+        )
+
+
+def build_units(cfg: RunConfig) -> list[Unit]:
+    """Every unit of work the selector asks for, in run order."""
+    return [
+        Unit(check, params, cfg.seed)
+        for check, entry in REGISTRY.items()
+        if cfg.check in ("all", check)
+        for params in entry.sweep(cfg)
+    ]
 
 
 def _params_key(params: dict) -> str:

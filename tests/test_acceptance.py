@@ -12,7 +12,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
-from hookforge.cli import _run_bijection
+from hookforge.cli import Unit
 from hookforge.identity import (
     hook_weight_sum,
     phi_n,
@@ -106,11 +106,11 @@ def test_criterion_05_corner_content_identity_to_14():
 
 
 def test_criterion_06_row_insertion_bijection():
-    ok = all(_run_bijection(n).passed for n in range(1, 9))
+    ok = all(Unit("bijection", {"n": n})().passed for n in range(1, 9))
     total_at_8 = sum(f_lambda(lam) for lam in partitions_of(8))
     ok = ok and total_at_8 == 764
-    # corner-sum identity is part of _run_bijection; push it to n = 9
-    ok = ok and _run_bijection(9).passed
+    # corner-sum identity is part of the bijection unit; push it to n = 9
+    ok = ok and Unit("bijection", {"n": 9})().passed
     report(6, "row-insertion round trips (size <= 8) and corner sums (n <= 9)", ok)
 
 

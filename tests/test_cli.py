@@ -148,7 +148,7 @@ def test_sweep_millis_is_wall_clock(monkeypatch):
     for name in ("verify_lemma1", "verify_corner_hooks"):
         monkeypatch.setattr(identity, name, recording(getattr(identity, name)))
     started = time.perf_counter()
-    report = cli._run_lemma1(9)
+    report = cli.Unit("lemma1", {"n": 9})()
     wall_ms = (time.perf_counter() - started) * 1000
     assert report.passed and len(subs) > 30
     assert sum(r.millis for r in subs) <= report.millis <= wall_ms
@@ -174,7 +174,7 @@ def test_bijection_fails_on_wrong_forward_insertion(monkeypatch):
             moving, row = x, row + 1
 
     monkeypatch.setattr(cli, "forward_row_insert_word", reverse_rule)
-    report = cli._run_bijection(4)
+    report = cli.Unit("bijection", {"n": 4})()
     assert report.verdict == "fail"
     assert report.witness == "round trip failed at 1 2 3 4 corner (1, 4)"
 
@@ -189,7 +189,7 @@ def test_bijection_fails_when_forward_insertion_misreports_the_cell(monkeypatch)
         return back, Cell(cell.row, cell.col + 1)
 
     monkeypatch.setattr(cli, "forward_row_insert_word", shifted)
-    report = cli._run_bijection(3)
+    report = cli.Unit("bijection", {"n": 3})()
     assert report.verdict == "fail"
     assert report.witness == "round trip failed at 1 2 3 corner (1, 3)"
 
@@ -207,7 +207,7 @@ def test_bijection_validates_each_enumerated_tableau_once(monkeypatch):
         validate(self)
 
     monkeypatch.setattr(StandardTableau, "__post_init__", counted)
-    assert cli._run_bijection(6).passed
+    assert cli.Unit("bijection", {"n": 6})().passed
     # the two codomains, each tableau once; insertion results are looked up
     assert len(calls) == 26 + 76 == 102
     assert sorted(calls) == sorted(expected)
@@ -224,7 +224,7 @@ def test_bijection_fails_when_reverse_insertion_skips_relabelling(monkeypatch):
         return reduced[: ejected - 1] + b"\x01" + reduced[ejected - 1 :], ejected
 
     monkeypatch.setattr(cli, "reverse_row_insert_word", unrelabelled)
-    report = cli._run_bijection(4)
+    report = cli.Unit("bijection", {"n": 4})()
     assert report.verdict == "fail"
     assert report.witness == (
         "deleting corner (1, 4) of 1 2 3 4 gave '1 2 3 4', "
@@ -240,7 +240,7 @@ def test_bijection_fails_when_a_corner_is_deleted_twice(monkeypatch):
         partitions, "removable_cells",
         lambda lam: [cell for cell in removable(lam) for _ in range(2)],
     )
-    report = cli._run_bijection(4)
+    report = cli.Unit("bijection", {"n": 4})()
     assert report.verdict == "fail"
     assert report.witness == "corner deletions are not injective"
 
@@ -253,7 +253,7 @@ def test_bijection_fails_when_the_smaller_enumeration_misses_a_tableau(monkeypat
         cli, "enumerate_syt_of_size",
         lambda m: enumerate_syt_of_size(m)[: -1 if m == 3 else None],
     )
-    report = cli._run_bijection(4)
+    report = cli.Unit("bijection", {"n": 4})()
     assert report.verdict == "fail"
     assert report.witness.startswith("deleting corner ")
     assert report.witness.endswith(", standard but missing from the enumeration")
@@ -274,7 +274,7 @@ def test_egf_fails_on_wrong_recurrence(monkeypatch):
         return cur
 
     monkeypatch.setattr(involutions, "g_poly", without_m)
-    report = cli._run_egf(10, 5, 0)
+    report = cli.Unit("egf", {"order": 10, "trials": 5}, 0)()
     assert report.verdict == "fail"
     trial, rest = report.witness.split(": ")
     assert trial == "trial 0"
@@ -307,7 +307,7 @@ def test_egf_kronecker_point_fails_on_its_own(monkeypatch):
     # the unit fails on the seam's witness once the sampled trials pass
     monkeypatch.undo()
     monkeypatch.setattr(cli, "_egf_kronecker_witness", lambda order: f"x0 at {order}")
-    report = cli._run_egf(10, 2, 0)
+    report = cli.Unit("egf", {"order": 10, "trials": 2}, 0)()
     assert (report.verdict, report.witness) == ("fail", "x0 at 10")
 
 
@@ -318,7 +318,7 @@ def test_prop3_fails_on_wrong_parity(monkeypatch):
     monkeypatch.setattr(
         identity, "_signed_ratio_sum", lambda values: signed_ratio_sum(values[:-1])
     )
-    report = cli._run_prop3(5, 1, 0)
+    report = cli.Unit("prop3", {"n": 5, "trials": 1}, 0)()
     assert report.verdict == "fail"
     assert report.witness.startswith("trial 0: a=[")
     assert report.witness.endswith("]: sum is 0, expected 1")
@@ -335,7 +335,7 @@ def test_prop3_residues_fail_on_a_dropped_denominator_factor(monkeypatch):
         return num, den
 
     monkeypatch.setattr(identity, "_linear_products", dropped)
-    report = cli._run_prop3(5, 1, 0)
+    report = cli.Unit("prop3", {"n": 5, "trials": 1}, 0)()
     assert report.verdict == "fail"
     assert report.witness.startswith("trial 0: a=[")
     assert "constant part is not 1" in report.witness
@@ -352,7 +352,128 @@ def test_prop3_residues_fail_on_a_doubled_numerator(monkeypatch):
         return [2 * c for c in num], den
 
     monkeypatch.setattr(identity, "_linear_products", doubled)
-    report = cli._run_prop3(5, 1, 0)
+    report = cli.Unit("prop3", {"n": 5, "trials": 1}, 0)()
     assert report.verdict == "fail"
     assert report.witness.startswith("trial 0: a=[")
     assert "residue at a_1=" in report.witness
+
+
+def _raising_at(n_bad, original):
+    def verify(n):
+        if n == n_bad:
+            raise ArithmeticError("injected")
+        return original(n)
+
+    return verify
+
+
+def test_crashing_unit_becomes_error_record_and_exit_1(monkeypatch, capsys):
+    from hookforge import cli, identity
+
+    monkeypatch.setattr(
+        identity, "verify_weight_substitution",
+        _raising_at(3, identity.verify_weight_substitution),
+    )
+    status = cli.main(["verify", "all", "--max-n", "4", "--format", "json"])
+    assert status == 1
+    records = json.loads(capsys.readouterr().out)
+    assert len(records) == 29
+    errors = [r for r in records if r["verdict"] == "error"]
+    assert errors == [
+        {
+            "check": "substitution",
+            "params": {"n": 3},
+            "verdict": "error",
+            "witness": "ArithmeticError: injected",
+            "millis": None,
+        }
+    ]
+    assert all(r["verdict"] == "pass" for r in records if r not in errors)
+
+
+def test_failing_psi_cross_check_becomes_error_records(monkeypatch, capsys):
+    from hookforge import cli, involutions
+
+    walk = involutions._walk_involutions
+
+    def dropping_first_leaf(n, leaf):
+        seen = []
+
+        def skip_once(images):
+            if seen:
+                leaf(images)
+            seen.append(True)
+
+        walk(n, skip_once)
+
+    involutions.psi_n.cache_clear()
+    try:
+        monkeypatch.setattr(involutions, "_walk_involutions", dropping_first_leaf)
+        status = cli.main(["verify", "theorem1prime", "--max-n", "6", "--format", "json"])
+    finally:
+        monkeypatch.undo()
+        involutions.psi_n.cache_clear()
+    assert status == 1
+    records = json.loads(capsys.readouterr().out)
+    assert [r["params"]["n"] for r in records] == list(range(7))
+    for r in records:
+        assert r["verdict"] == "error"
+        assert r["witness"].startswith(
+            f"AssertionError: psi recursion and enumeration disagree at n={r['params']['n']}:"
+        )
+
+
+def test_text_format_prints_error_lines_and_does_not_count_them(monkeypatch, capsys):
+    from hookforge import cli, identity
+
+    monkeypatch.setattr(
+        identity, "verify_weight_substitution",
+        _raising_at(2, identity.verify_weight_substitution),
+    )
+    assert cli.run(cli.RunConfig(check="substitution", max_n=3)) == 1
+    out = capsys.readouterr().out
+    assert "ERROR substitution n=2" in out
+    assert "witness: ArithmeticError: injected" in out
+    assert "PASS substitution n=3" in out
+    assert "2/3 checks passed" in out
+
+
+def test_units_are_zero_argument_callables_reporting_their_own_params():
+    from hookforge import cli
+
+    assert cli.CHECKS == ("all", *cli.REGISTRY)
+    assert len(cli.build_units(cli.RunConfig("all", max_n=10))) == 65
+    assert len(cli.build_units(cli.RunConfig("theorem1prime", max_n=24))) == 25
+    units = cli.build_units(cli.RunConfig("all", max_n=4, series_order=4, trials=2))
+    assert len(units) == 29
+    for unit in units:
+        report = unit()
+        assert (report.check, report.params) == (unit.check, unit.params)
+        assert report.passed
+
+
+def test_calling_a_unit_twice_runs_it_twice(monkeypatch):
+    from hookforge import cli, identity
+    from hookforge.partitions import Cell
+    from hookforge.tableaux import forward_row_insert_word
+
+    [passing] = cli.build_units(cli.RunConfig("substitution", max_n=1))
+    calls = []
+    verify = identity.verify_weight_substitution
+    monkeypatch.setattr(
+        identity, "verify_weight_substitution", lambda n: calls.append(n) or verify(n)
+    )
+    first, second = passing(), passing()
+    assert first.passed and second.passed
+    assert calls == [1, 1]
+
+    failing = cli.build_units(cli.RunConfig("bijection", max_n=3))[-1]
+
+    def shifted(word, value):
+        back, cell = forward_row_insert_word(word, value)
+        return back, Cell(cell.row, cell.col + 1)
+
+    monkeypatch.setattr(cli, "forward_row_insert_word", shifted)
+    first, second = failing(), failing()
+    assert (first.verdict, first.witness) == (second.verdict, second.witness)
+    assert first.witness == "round trip failed at 1 2 3 corner (1, 3)"
