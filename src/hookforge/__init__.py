@@ -12,10 +12,8 @@ from .exact import (
     PowerSeries,
     RationalFunction,
     poly_gcd,
-    series_exp,
 )
 from .identity import (
-    VerificationReport,
     hook_weight_sum,
     phi_n,
     rho,

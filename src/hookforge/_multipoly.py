@@ -38,10 +38,6 @@ def mp_neg(a: MPoly) -> MPoly:
     return {mono: -c for mono, c in a.items()}
 
 
-def mp_sub(a: MPoly, b: MPoly) -> MPoly:
-    return mp_add(a, mp_neg(b))
-
-
 def mp_mul(a: MPoly, b: MPoly) -> MPoly:
     out: MPoly = {}
     for ma, ca in a.items():
@@ -53,12 +49,6 @@ def mp_mul(a: MPoly, b: MPoly) -> MPoly:
             else:
                 out.pop(mono, None)
     return out
-
-
-def mp_scale(a: MPoly, k: int) -> MPoly:
-    if k == 0:
-        return {}
-    return {mono: c * k for mono, c in a.items()}
 
 
 def mp_swap_vars(a: MPoly, i: int, j: int) -> MPoly:

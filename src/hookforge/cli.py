@@ -2,11 +2,13 @@
 text or machine-readable JSON reports.
 
 Each check is one entry of `REGISTRY`: a parameter sweep over the run
-configuration and a runner that yields the witness of each failure it finds.
-A `Unit` is one check at one point of its sweep, and calling it is the only
-place a report is built and timed.  A unit whose runner raises reports the
-verdict `error`, with the exception as its witness, and the other units
-still run.
+configuration and a runner that yields what each of its exact checks returns,
+None where the check holds and a witness string where it fails (the
+`identity.verify_*` functions follow the same convention).  A `Unit` is one
+check at one point of its sweep, and calling it is the only place a
+`VerificationReport` is built and timed: the first witness fails the unit.
+A unit whose runner raises reports the verdict `error`, with the exception as
+its witness, and the other units still run.
 
 Exit status is 0 when every check passes, 1 when any check fails or errors,
 and 2 on usage errors.  With equal configuration (including the seed) the
@@ -23,10 +25,9 @@ import sys
 import time
 from dataclasses import dataclass
 from math import factorial
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import identity, involutions, partitions
-from .identity import VerificationReport
 from .partitions import corner_profile, partitions_of
 from .tableaux import (
     StandardTableau,
@@ -63,38 +64,34 @@ def _unit_rng(seed: int, *key) -> random.Random:
     return random.Random(":".join([str(seed), *map(str, key)]))
 
 
-# A runner takes a unit's seed and params and yields the witness of each
-# failure it finds; yielding anything, even None, fails the unit.
-def _failed(rep: VerificationReport) -> Iterator[str | None]:
-    if not rep.passed:
-        yield rep.witness
-
-
+# A runner takes a unit's seed and params and yields what each of its checks
+# returns: None where the check holds, else the failure's witness.  The first
+# witness fails the unit, and the runner is not resumed after it.
 def _lemma1(seed: int, n: int) -> Iterator[str | None]:
     for lam in partitions_of(n):
-        yield from _failed(identity.verify_lemma1(lam))
+        yield identity.verify_lemma1(lam)
         d = len(corner_profile(lam).outer_cells)
         for k in range(1, d + 1):
-            yield from _failed(identity.verify_corner_hooks(lam, k))
+            yield identity.verify_corner_hooks(lam, k)
 
 
 def _prop2(seed: int, n: int) -> Iterator[str | None]:
     for lam in partitions_of(n):
-        yield from _failed(identity.verify_prop2_for_shape(lam))
+        yield identity.verify_prop2_for_shape(lam)
 
 
 def _prop3(seed: int, n: int, trials: int) -> Iterator[str | None]:
     for t in range(trials):
         rng = _unit_rng(seed, "prop3", n, t)
         vector = identity.sample_distinct_rationals(rng, n)
-        for rep in (
+        for witness in (
             identity.verify_prop3(vector),
             identity.verify_prop3_residues(vector),
         ):
-            if not rep.passed:
-                yield f"trial {t}: {rep.witness}"
+            if witness is not None:
+                yield f"trial {t}: {witness}"
     if 2 <= n <= 6:
-        yield from _failed(identity.verify_prop3_alternating(n))
+        yield identity.verify_prop3_alternating(n)
 
 
 def _bijection(seed: int, n: int) -> Iterator[str]:
@@ -159,15 +156,13 @@ def _unenumerated_witness(tab, cell, word) -> str:
     )
 
 
-def _egf(seed: int, order: int, trials: int) -> Iterator[str]:
+def _egf(seed: int, order: int, trials: int) -> Iterator[str | None]:
     for t in range(trials):
         rng = _unit_rng(seed, "egf", t)
         u1, u2 = identity.sample_distinct_rationals(rng, 2, 100, 50)
         if not involutions.verify_involution_egf(order, u1, u2):
             yield f"trial {t}: u1={u1}, u2={u2}"
-    witness = _egf_kronecker_witness(order)
-    if witness:
-        yield witness
+    yield _egf_kronecker_witness(order)
 
 
 def _egf_kronecker_witness(order: int) -> str | None:
@@ -191,7 +186,7 @@ class Check(NamedTuple):
     """A check's parameter sweep over the run configuration, and its runner."""
 
     sweep: Callable[[RunConfig], list[dict]]
-    run: Callable[..., Iterator[str | None]]
+    run: Callable[..., Iterable[str | None]]
 
 
 def _each_n(first: int) -> Callable[[RunConfig], list[dict]]:
@@ -201,11 +196,11 @@ def _each_n(first: int) -> Callable[[RunConfig], list[dict]]:
 # Insertion order is the order in which `verify all` runs the checks.
 REGISTRY = {
     "theorem1prime": Check(
-        _each_n(0), lambda seed, n: _failed(identity.verify_theorem1prime(n))
+        _each_n(0), lambda seed, n: [identity.verify_theorem1prime(n)]
     ),
     "theorem1": Check(
         lambda cfg: [{"order": cfg.series_order}],
-        lambda seed, order: _failed(identity.verify_theorem1(order)),
+        lambda seed, order: [identity.verify_theorem1(order)],
     ),
     "lemma1": Check(_each_n(0), _lemma1),
     "prop2": Check(_each_n(0), _prop2),
@@ -218,11 +213,27 @@ REGISTRY = {
         lambda cfg: [{"order": cfg.series_order, "trials": cfg.trials}], _egf
     ),
     "substitution": Check(
-        _each_n(1), lambda seed, n: _failed(identity.verify_weight_substitution(n))
+        _each_n(1), lambda seed, n: [identity.verify_weight_substitution(n)]
     ),
 }
 
 CHECKS = ("all", *REGISTRY)
+
+
+@dataclass(frozen=True)
+class VerificationReport:
+    """Outcome of one unit: its verdict (`pass`, `fail` or `error`), the
+    witness of a failure or error, and its wall-clock milliseconds."""
+
+    check: str
+    params: dict
+    verdict: str
+    witness: str | None
+    millis: int
+
+    @property
+    def passed(self) -> bool:
+        return self.verdict == "pass"
 
 
 @dataclass(frozen=True)
@@ -234,15 +245,16 @@ class Unit:
     seed: int = 0
 
     def __call__(self) -> VerificationReport:
-        """The unit's report, timed by wall clock: the first witness the
-        runner yields fails it, and an exception makes it `error` (its
-        traceback goes to stderr)."""
+        """The unit's report, timed by wall clock: the first witness (value
+        other than None) the runner yields fails it, and an exception makes
+        it `error` (its traceback goes to stderr)."""
         started = time.perf_counter()
         verdict, witness = "pass", None
         try:
             for witness in REGISTRY[self.check].run(self.seed, **self.params):
-                verdict = "fail"
-                break
+                if witness is not None:
+                    verdict = "fail"
+                    break
         except Exception as exc:
             import traceback  # only on this path: it costs start-up time and memory
 

@@ -85,15 +85,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    @property
-    def leading(self) -> Fraction:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def coefficient(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
-
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 

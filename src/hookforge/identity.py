@@ -16,15 +16,13 @@ in the test suite.
 from __future__ import annotations
 
 import random
-import time
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb
 
 from . import _multipoly as mp
-from .exact import Polynomial, PowerSeries, RationalFunction, series_exp
+from .exact import Polynomial, PowerSeries, RationalFunction
 from .involutions import psi_n
 from .partitions import (
     Cell,
@@ -39,36 +37,6 @@ from .partitions import (
     remove_cell,
     removable_cells,
 )
-
-@dataclass(frozen=True)
-class VerificationReport:
-    """Outcome of one identity check.
-
-    A failing report carries a witness string from which the failure can be
-    reproduced (the shape, index, or sample vector, plus both canonical
-    forms where relevant).
-    """
-
-    check: str
-    params: dict
-    verdict: str
-    witness: str | None
-    millis: int
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "pass"
-
-
-def _finish(check: str, params: dict, ok: bool, witness: str | None, started: float):
-    millis = int((time.perf_counter() - started) * 1000)
-    return VerificationReport(
-        check=check,
-        params=params,
-        verdict="pass" if ok else "fail",
-        witness=None if ok else witness,
-        millis=millis,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -367,61 +335,45 @@ def hook_weight_sum(n: int) -> RationalFunction:
 
 # ---------------------------------------------------------------------------
 # identity checks
+#
+# Each verify_* returns None when its identity holds, and otherwise a witness
+# string from which the failure can be reproduced (the shape, index, or
+# sample vector, plus both canonical forms where relevant).
 # ---------------------------------------------------------------------------
 
 
-def verify_theorem1prime(n: int) -> VerificationReport:
+def verify_theorem1prime(n: int) -> str | None:
     """Fixed-point sum over involutions equals the weighted tableau sum."""
-    started = time.perf_counter()
     lhs = psi_n(n)
     rhs = phi_n(n)
-    return _finish(
-        "theorem1prime",
-        {"n": n},
-        lhs == rhs,
-        f"n={n}: involution side {lhs.format()} != tableau side {rhs.format()}",
-        started,
-    )
+    if lhs != rhs:
+        return f"n={n}: involution side {lhs.format()} != tableau side {rhs.format()}"
 
 
-def verify_theorem1(order: int) -> VerificationReport:
+def verify_theorem1(order: int) -> str | None:
     """Coefficientwise identity between exp(t + z t^2/2) and the hook sums.
 
     For each n up to the truncation order the shape sum of rho-products must
     reduce to a polynomial in z and agree exactly with the t^n coefficient
     of the exponential.
     """
-    started = time.perf_counter()
     if order < 0:
         raise ValueError("order must be nonnegative")
     z_half = Polynomial((0, Fraction(1, 2)))
-    series = series_exp(
-        PowerSeries([Polynomial.zero(), Polynomial.one(), z_half], order=order)
-    )
+    series = PowerSeries(
+        [Polynomial.zero(), Polynomial.one(), z_half], order=order
+    ).exp()
     for n in range(order + 1):
         total = hook_weight_sum(n)
         if not total.is_polynomial:
-            return _finish(
-                "theorem1",
-                {"order": order},
-                False,
-                f"n={n}: shape sum is not polynomial: {total.format('z')}",
-                started,
-            )
+            return f"n={n}: shape sum is not polynomial: {total.format('z')}"
         expected = series.coefficient(n)
         if total.as_polynomial() != expected:
             exp_str = expected.format("z") if isinstance(expected, Polynomial) else str(expected)
-            return _finish(
-                "theorem1",
-                {"order": order},
-                False,
-                f"n={n}: shape sum {total.format('z')} != series coefficient {exp_str}",
-                started,
-            )
-    return _finish("theorem1", {"order": order}, True, None, started)
+            return f"n={n}: shape sum {total.format('z')} != series coefficient {exp_str}"
 
 
-def verify_lemma1(lam: Partition) -> VerificationReport:
+def verify_lemma1(lam: Partition) -> str | None:
     """Extend-retract identity at one shape: the weights of all one-cell
     extensions sum to w(1) times the shape weight plus the weights of all
     one-cell retractions.
@@ -430,18 +382,14 @@ def verify_lemma1(lam: Partition) -> VerificationReport:
     this is an exact field operation and keeps the polynomials small since
     extension and retraction only disturb hooks in one row and one column.
     """
-    started = time.perf_counter()
     lhs_terms, rhs_terms = _lemma1_terms(lam)
     lhs = _materialize(lhs_terms)
     rhs = _materialize(rhs_terms)
-    return _finish(
-        "lemma1",
-        {"shape": lam.serialize()},
-        lhs == rhs,
-        f"shape={lam.serialize()}: extensions {lhs.format()} != {rhs.format()}"
-        " (both sides divided by the shape weight)",
-        started,
-    )
+    if lhs != rhs:
+        return (
+            f"shape={lam.serialize()}: extensions {lhs.format()} != {rhs.format()}"
+            " (both sides divided by the shape weight)"
+        )
 
 
 def _lemma1_terms(lam: Partition):
@@ -459,14 +407,13 @@ def _lemma1_terms(lam: Partition):
     return lhs_terms, rhs_terms
 
 
-def verify_corner_hooks(lam: Partition, k: int) -> VerificationReport:
+def verify_corner_hooks(lam: Partition, k: int) -> str | None:
     """Corner-content hook relations at the k-th corner.
 
     Checks that the hooks in the row and column of the k-th outer corner
     (after extension) and of the k-th inner corner (after retraction, when
     it exists) are exactly the differences of the corner contents.
     """
-    started = time.perf_counter()
     prof = corner_profile(lam)
     d = len(prof.outer_cells)
     if not 1 <= k <= d:
@@ -515,13 +462,8 @@ def verify_corner_hooks(lam: Partition, k: int) -> VerificationReport:
             bi = prof.outer_cells[i - 1].col
             expect(lam, Cell(alpha_k, bi), ys[k - 1] - xs[i - 1], f"base col' {i}")
 
-    return _finish(
-        "corner_hooks",
-        {"shape": lam.serialize(), "k": k},
-        not failures,
-        f"shape={lam.serialize()}, k={k}: " + "; ".join(failures),
-        started,
-    )
+    if failures:
+        return f"shape={lam.serialize()}, k={k}: " + "; ".join(failures)
 
 
 def _as_int_contents(values) -> list[int]:
@@ -590,7 +532,7 @@ def _prop2_substitution_witness(xs: list[int], ys: list[int]) -> str | None:
     )
 
 
-def verify_prop2(xs, ys) -> VerificationReport:
+def verify_prop2(xs, ys) -> str | None:
     """Corner-content identity: the two interlaced weight-ratio sums add to 1.
 
     Takes the outer contents xs (d of them) and inner contents ys (d - 1),
@@ -599,7 +541,6 @@ def verify_prop2(xs, ys) -> VerificationReport:
     every d by exact evaluation of that sum at one integer point q0 beyond a
     proven root bound (see `_prop2_substitution_witness`).
     """
-    started = time.perf_counter()
     xs = _as_int_contents(xs)
     ys = _as_int_contents(ys)
     d = len(xs)
@@ -607,18 +548,11 @@ def verify_prop2(xs, ys) -> VerificationReport:
         raise ValueError("need d outer contents and d-1 inner contents")
     if len(set(xs) | set(ys)) != 2 * d - 1:
         raise ValueError("requires distinct values")
-    params = {"xs": ",".join(map(str, xs)), "ys": ",".join(map(str, ys))}
 
     total = _materialize(_prop2_terms(xs, ys))
     if total != RationalFunction.one():
-        return _finish(
-            "prop2", params, False,
-            f"xs={xs}, ys={ys}: weight-ratio sum is {total.format()}, expected 1",
-            started,
-        )
-
-    witness = _prop2_substitution_witness(xs, ys)
-    return _finish("prop2", params, witness is None, witness, started)
+        return f"xs={xs}, ys={ys}: weight-ratio sum is {total.format()}, expected 1"
+    return _prop2_substitution_witness(xs, ys)
 
 
 def _prop2_terms(xs: list[int], ys: list[int]) -> list[tuple[int, _WeightProduct]]:
@@ -637,7 +571,7 @@ def _prop2_terms(xs: list[int], ys: list[int]) -> list[tuple[int, _WeightProduct
     return terms
 
 
-def verify_prop2_for_shape(lam: Partition) -> VerificationReport:
+def verify_prop2_for_shape(lam: Partition) -> str | None:
     """Corner-content identity instantiated with the corners of a shape."""
     prof = corner_profile(lam)
     return verify_prop2(prof.outer_contents, prof.inner_contents)
@@ -652,24 +586,18 @@ def _validate_distinct_nonzero(values) -> list[Fraction]:
     return vals
 
 
-def verify_prop3(a) -> VerificationReport:
+def verify_prop3(a) -> str | None:
     """Symmetric two-term sum: sum_k prod_{i != k} (a_k + a_i)/(a_k - a_i)
     equals 0 for an even number of values and 1 for an odd number."""
-    started = time.perf_counter()
     vals = _validate_distinct_nonzero(a)
     n = len(vals)
     total = _signed_ratio_sum(vals)
     expected = n % 2
-    return _finish(
-        "prop3",
-        {"n": n},
-        total == expected,
-        f"a={[str(v) for v in vals]}: sum is {total}, expected {expected}",
-        started,
-    )
+    if total != expected:
+        return f"a={[str(v) for v in vals]}: sum is {total}, expected {expected}"
 
 
-def verify_prop3_residues(a) -> VerificationReport:
+def verify_prop3_residues(a) -> str | None:
     """Partial-fraction decomposition of prod (t + a_i)/(t - a_i) in t.
 
     With a_i = p_i / q_i the fraction is N(t)/D(t), N = prod (q_i t + p_i)
@@ -681,12 +609,10 @@ def verify_prop3_residues(a) -> VerificationReport:
     h(c)(p, q) = sum_j c_j p^j q^(m-j) = q^m c(p/q), so each residue is one
     fraction N_h / (q_k D'_h).
     """
-    started = time.perf_counter()
     vals = _validate_distinct_nonzero(a)
     if len({abs(v) for v in vals}) != len(vals):
         raise ValueError("requires values with no pair summing to zero")
     n = len(vals)
-    params = {"n": n}
     ps = [v.numerator for v in vals]
     qs = [v.denominator for v in vals]
     num, den = _linear_products(ps, qs)
@@ -716,13 +642,8 @@ def verify_prop3_residues(a) -> VerificationReport:
                 f"value at t=0 through the decomposition is {at_zero}, "
                 f"expected {(-1) ** n}"
             )
-    return _finish(
-        "prop3_residues",
-        params,
-        not failures,
-        f"a={[str(v) for v in vals]}: " + "; ".join(failures),
-        started,
-    )
+    if failures:
+        return f"a={[str(v) for v in vals]}: " + "; ".join(failures)
 
 
 def _linear_products(ps: list[int], qs: list[int]) -> tuple[list[int], list[int]]:
@@ -747,14 +668,13 @@ def _homogeneous(coeffs: list[int], p: int, q: int, m: int) -> int:
     return acc
 
 
-def verify_prop3_alternating(n: int) -> VerificationReport:
+def verify_prop3_alternating(n: int) -> str | None:
     """Cleared-denominator form of the symmetric sum, checked symbolically.
 
     Expands sum_k (-1)^(k-1) prod_{i != k} (a_k + a_i) prod_{i<j, both != k}
     (a_i - a_j) as an exact integer polynomial and asserts it is alternating,
     divisible by the full difference product, with constant quotient n mod 2.
     """
-    started = time.perf_counter()
     if not 2 <= n <= 6:
         raise ValueError("symbolic check supported for 2 <= n <= 6")
     lhs: mp.MPoly = {}
@@ -787,22 +707,16 @@ def verify_prop3_alternating(n: int) -> VerificationReport:
     else:
         if quotient != mp.mp_const(n, n % 2):
             failures.append(f"quotient is {quotient}, expected the constant {n % 2}")
-    return _finish(
-        "prop3_alternating",
-        {"n": n},
-        not failures,
-        f"n={n}: " + "; ".join(failures),
-        started,
-    )
+    if failures:
+        return f"n={n}: " + "; ".join(failures)
 
 
-def verify_weight_substitution(n: int) -> VerificationReport:
+def verify_weight_substitution(n: int) -> str | None:
     """Change of variable tying the z-form weight to the q-form weight.
 
     With the square root of z taken as (1 - q)/(1 + q), the interpolating
     weight at n must equal w(n) (1 - q) / ((1 + q) n) exactly in q.
     """
-    started = time.perf_counter()
     if n < 1:
         raise ValueError("n must be positive")
     even, odd = _substitution_binomials(n)
@@ -820,13 +734,8 @@ def verify_weight_substitution(n: int) -> VerificationReport:
     rhs = RationalFunction(
         (1 + q_n) * Polynomial((1, -1)), n * (1 - q_n) * Polynomial((1, 1))
     )
-    return _finish(
-        "substitution",
-        {"n": n},
-        lhs == rhs,
-        f"n={n}: substituted weight {lhs.format()} != {rhs.format()}",
-        started,
-    )
+    if lhs != rhs:
+        return f"n={n}: substituted weight {lhs.format()} != {rhs.format()}"
 
 
 def _substitution_binomials(n: int) -> tuple[list[int], list[int]]:
@@ -837,22 +746,16 @@ def _substitution_binomials(n: int) -> tuple[list[int], list[int]]:
     return even, odd
 
 
-def verify_phi_recursion(n: int) -> VerificationReport:
+def verify_phi_recursion(n: int) -> str | None:
     """Tableau-side recursion phi_{n+1} = w(1) phi_n + n phi_{n-1}."""
-    started = time.perf_counter()
     if n < 0:
         raise ValueError("n must be nonnegative")
     lhs = phi_n(n + 1)
     rhs = weight_w(1) * phi_n(n)
     if n >= 1:
         rhs = rhs + n * phi_n(n - 1)
-    return _finish(
-        "phi_recursion",
-        {"n": n},
-        lhs == rhs,
-        f"n={n}: {lhs.format()} != {rhs.format()}",
-        started,
-    )
+    if lhs != rhs:
+        return f"n={n}: {lhs.format()} != {rhs.format()}"
 
 
 # ---------------------------------------------------------------------------

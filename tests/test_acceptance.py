@@ -46,7 +46,7 @@ def test_criterion_01_involution_tableau_identity_to_20():
 
 
 def test_criterion_02_series_identity_to_12_with_specializations():
-    ok = verify_theorem1(12).passed
+    ok = verify_theorem1(12) is None
     for n in range(13):
         poly = hook_weight_sum(n).as_polynomial()
         ok = ok and poly.degree == n // 2 and all(c > 0 for c in poly.coeffs)
@@ -73,7 +73,7 @@ def test_criterion_03_extend_retract_identity_to_16():
     for n in range(17):
         for lam in partitions_of(n):
             shapes += 1
-            if not verify_lemma1(lam).passed:
+            if verify_lemma1(lam) is not None:
                 ok = False
     ok = ok and shapes == 915
     report(3, f"extend-retract identity over {shapes} shapes", ok)
@@ -85,14 +85,14 @@ def test_criterion_04_symmetric_sum_to_60_with_residues_and_symbolic():
         for trial in range(10):
             rng = random.Random(f"acceptance:prop3:{n}:{trial}")
             vector = sample_distinct_rationals(rng, n)
-            if not verify_prop3(vector).passed:
+            if verify_prop3(vector) is not None:
                 ok = False
-            if not verify_prop3_residues(vector).passed:
+            if verify_prop3_residues(vector) is not None:
                 ok = False
         if not ok:
             break
     for n in range(2, 7):
-        ok = ok and verify_prop3_alternating(n).passed
+        ok = ok and verify_prop3_alternating(n) is None
     report(4, "symmetric sum, residues, and alternating form", ok)
 
 
@@ -100,7 +100,7 @@ def test_criterion_05_corner_content_identity_to_14():
     ok = True
     for n in range(15):
         for lam in partitions_of(n):
-            if not verify_prop2_for_shape(lam).passed:
+            if verify_prop2_for_shape(lam) is not None:
                 ok = False
     report(5, "corner-content identity for all shapes up to 14", ok)
 
@@ -132,7 +132,7 @@ def test_criterion_07_counting_identities():
 
 
 def test_criterion_08_weight_substitution_to_40():
-    ok = all(verify_weight_substitution(n).passed for n in range(1, 41))
+    ok = all(verify_weight_substitution(n) is None for n in range(1, 41))
     report(8, "z-form to q-form weight substitution, n <= 40", ok)
 
 
@@ -142,7 +142,7 @@ def test_criterion_09_corner_hook_relations_to_12():
         for lam in partitions_of(n):
             d = len(corner_profile(lam).outer_cells)
             for k in range(1, d + 1):
-                if not verify_corner_hooks(lam, k).passed:
+                if verify_corner_hooks(lam, k) is not None:
                     ok = False
     report(9, "corner-content hook relations for all shapes up to 12", ok)
 

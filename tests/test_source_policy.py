@@ -2,8 +2,12 @@
 
 Every check is a proof over exact integers and rationals, so `src/hookforge`
 may contain no floating-point or complex arithmetic and may import only the
-standard library.  Timing through `time.perf_counter` and type annotations
-are allowed: neither feeds a verdict.
+standard library.  Timing through `time.perf_counter` (in `cli.py` only, see
+below) and type annotations are allowed: neither feeds a verdict.
+
+A report is built and timed in one place, `cli.Unit.__call__`: every other
+module's checks return None or a witness string, and neither constructs a
+`VerificationReport` nor reads a clock.
 """
 
 import ast
@@ -107,3 +111,49 @@ def test_policy_rejects(code):
 )
 def test_policy_allows(code):
     assert policy_violations(ast.parse(code)) == []
+
+
+def report_violations(tree: ast.AST) -> list[str]:
+    """Each node that builds a `VerificationReport` or refers to `perf_counter`."""
+    found = []
+    for node in ast.walk(tree):
+        where = f"line {getattr(node, 'lineno', '?')}"
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "VerificationReport":
+                found.append(f"{where}: VerificationReport(...)")
+        elif isinstance(node, ast.Name) and node.id == "perf_counter":
+            found.append(f"{where}: perf_counter")
+        elif isinstance(node, ast.Attribute) and node.attr == "perf_counter":
+            found.append(f"{where}: .perf_counter")
+        elif isinstance(node, ast.ImportFrom):
+            if any(a.name == "perf_counter" for a in node.names):
+                found.append(f"{where}: import of perf_counter")
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "cli.py"], ids=lambda p: p.name
+)
+def test_only_the_cli_builds_or_times_a_report(path):
+    assert report_violations(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "r = VerificationReport('c', {}, 'pass', None, 0)",
+        "r = cli.VerificationReport('c', {}, 'pass', None, 0)",
+        "import time\nt = time.perf_counter()",
+        "from time import perf_counter",
+    ],
+)
+def test_report_policy_rejects(code):
+    assert report_violations(ast.parse(code))
+
+
+def test_the_cli_is_where_reports_are_built_and_timed():
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    built = [v for v in report_violations(tree) if "VerificationReport" in v]
+    assert len(built) == 1
