@@ -24,6 +24,7 @@ import random
 import sys
 import time
 from dataclasses import dataclass
+from itertools import chain
 from math import factorial
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -31,13 +32,12 @@ from . import identity, involutions, partitions
 from .partitions import corner_profile, partitions_of
 from .tableaux import (
     StandardTableau,
-    enumerate_syt,
-    enumerate_syt_of_size,
     forward_row_insert_word,
+    lattice_words,
     reverse_row_insert_word,
     rows_of_word,
     serialize_rows,
-    yamanouchi_word,
+    validate_word,
 )
 
 @dataclass
@@ -97,13 +97,13 @@ def _prop3(seed: int, n: int, trials: int) -> Iterator[str | None]:
 def _bijection(seed: int, n: int) -> Iterator[str]:
     """The row-insertion bijection (SYT(n), corner) <-> (SYT(n-1), letter).
 
-    Both codomains are enumerated once, and the enumeration validates every
-    tableau it builds; the insertions run on the Yamanouchi words of those
-    validated rows.  Each corner of each P in SYT(n) is deleted once by
-    reverse insertion; the resulting word must be the word of an enumerated
-    tableau T (checked by lookup), the letter must lie in 1..n, no pair
-    (T, letter) may be reached twice, and forward insertion of the pair must
-    give back the word of P and the corner.
+    Both codomains are enumerated once, as Yamanouchi words grouped by shape,
+    and every word is validated once, before any insertion runs, by a check
+    that shares no code with the enumerator.  Each corner of each P in
+    SYT(n) is deleted once by reverse insertion; the resulting word must be
+    the word of an enumerated tableau T (checked by lookup), the letter must
+    lie in 1..n, no pair (T, letter) may be reached twice, and forward
+    insertion of the pair must give back the word of P and the corner.
 
     No forward-then-reverse pass over SYT(n-1) x [n] is needed.  The checks
     above make corner deletion injective into E x [n], E the validated
@@ -112,23 +112,32 @@ def _bijection(seed: int, n: int) -> Iterator[str]:
     already inserted that pair forward and got (P, corner) back, whose
     reverse insertion is the pair: the second pass would only replay calls.
     """
-    smaller = enumerate_syt_of_size(n - 1)
-    index = {yamanouchi_word(tab.rows): i for i, tab in enumerate(smaller)}
-    reached = bytearray(n * len(smaller))
+    smaller, larger = lattice_words(n)
+    for groups in (smaller, larger):
+        for lam, words in groups.items():
+            for word in words:
+                try:
+                    validate_word(word, lam)
+                except ValueError as exc:
+                    yield _invalid_word_witness(word, lam, exc)
+                    return
+    flat = list(chain.from_iterable(smaller.values()))
+    index = {word: i for i, word in enumerate(flat)}
+    size = len(flat)
+    reached = bytearray(n * size)
     corner_total = 0
-    for lam in partitions_of(n):
+    for lam, words in larger.items():
         corners = partitions.removable_cells(lam)
-        for tab in enumerate_syt(lam):
-            word = yamanouchi_word(tab.rows)
+        for word in words:
             for cell in corners:
                 corner_total += 1
                 reduced, letter = reverse_row_insert_word(word, cell)
                 if not 1 <= letter <= n:
-                    yield f"ejected letter {letter} out of range for {tab}"
+                    yield f"ejected letter {letter} out of range for {_rows_text(word)}"
                     continue
                 i = index.get(reduced)
                 if i is None:
-                    yield _unenumerated_witness(tab, cell, reduced)
+                    yield _unenumerated_witness(word, cell, reduced)
                     continue
                 slot = i * n + letter - 1
                 if reached[slot]:
@@ -136,14 +145,28 @@ def _bijection(seed: int, n: int) -> Iterator[str]:
                 reached[slot] = 1
                 back, back_cell = forward_row_insert_word(reduced, letter)
                 if back != word or back_cell != cell:
-                    yield f"round trip failed at {tab.serialize()} corner {tuple(cell)}"
-    if corner_total != n * len(smaller):
-        yield f"corner count {corner_total} != n * |SYT(n-1)| = {n * len(smaller)}"
+                    yield f"round trip failed at {_rows_text(word)} corner {tuple(cell)}"
+    if corner_total != n * size:
+        yield f"corner count {corner_total} != n * |SYT(n-1)| = {n * size}"
 
 
-def _unenumerated_witness(tab, cell, word) -> str:
+def _rows_text(word: bytes) -> str:
+    """The rows a word describes, written as `StandardTableau.serialize` does."""
+    return serialize_rows(rows_of_word(word))
+
+
+def _invalid_word_witness(word, lam, exc) -> str:
+    """Why an enumerated word is not the word of a standard tableau of lam."""
+    try:
+        shown = repr(_rows_text(word))
+    except ValueError:  # a 0 byte names no row
+        shown = f"bytes {list(word)}"
+    return f"enumerated rows {shown} are not a standard tableau of shape {lam}: {exc}"
+
+
+def _unenumerated_witness(word, cell, reduced) -> str:
     """Why a corner deletion's word is not among the enumerated SYT(n-1)."""
-    rows = rows_of_word(word)
+    rows = rows_of_word(reduced)
     try:
         StandardTableau(rows)
     except ValueError as exc:
@@ -151,7 +174,7 @@ def _unenumerated_witness(tab, cell, word) -> str:
     else:
         reason = "standard but missing from the enumeration"
     return (
-        f"deleting corner {tuple(cell)} of {tab.serialize()} "
+        f"deleting corner {tuple(cell)} of {_rows_text(word)} "
         f"gave {serialize_rows(rows)!r}, {reason}"
     )
 

@@ -9,6 +9,12 @@ is the exact inverse.
 Both insertions run on the tableau's Yamanouchi word, one byte per entry
 holding its row, so that each bump is one bytes search and relabelling the
 entries is one byte inserted or deleted (Knuth, TAOCP vol. 3, 5.1.4).
+
+Tableaux come in two forms.  `enumerate_syt` builds `StandardTableau` rows,
+each checked by the validating constructor.  `lattice_words` builds the
+Yamanouchi words of two consecutive sizes directly, letter by letter, and
+`validate_word` checks a word against its shape with no code shared with
+that enumerator; the bijection check runs on this second form.
 """
 
 from __future__ import annotations
@@ -16,9 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .partitions import Cell, Partition
+from .partitions import Cell, Partition, partitions_of
 
 Rows = tuple[tuple[int, ...], ...]
+WordsByShape = dict[Partition, list[bytes]]
 
 MAX_ROWS = 255  # a Yamanouchi word holds each row number in one byte
 
@@ -112,9 +119,65 @@ def enumerate_syt(shape: Partition) -> list[StandardTableau]:
 
 def enumerate_syt_of_size(n: int) -> list[StandardTableau]:
     """All standard tableaux with n cells, over every shape of n."""
-    from .partitions import partitions_of
-
     return [t for lam in partitions_of(n) for t in enumerate_syt(lam)]
+
+
+def lattice_words(n: int) -> tuple[WordsByShape, WordsByShape]:
+    """The Yamanouchi words of sizes n-1 and n (n >= 1), each grouped by
+    shape in `partitions_of` order and sorted within each shape.
+
+    The words are built level by level from the empty word; a word of shape
+    lam takes the letter r where row r of lam may grow by one cell.  The
+    words of size n are the words of size n-1 extended once more, so each
+    size is built once.  The words are not validated here: see
+    `validate_word`.
+    """
+    if n < 1:
+        raise ValueError("lattice_words needs n >= 1: it also builds size n-1")
+    level: dict[tuple[int, ...], list[bytes]] = {(): [b""]}
+    for _ in range(n - 1):
+        level = _extend(level)
+    larger = _extend(level)
+    return (
+        {lam: sorted(level[lam.parts]) for lam in partitions_of(n - 1)},
+        {lam: sorted(larger[lam.parts]) for lam in partitions_of(n)},
+    )
+
+
+def _extend(
+    level: dict[tuple[int, ...], list[bytes]]
+) -> dict[tuple[int, ...], list[bytes]]:
+    """Every word of the level with one letter appended, keyed by new shape."""
+    out: dict[tuple[int, ...], list[bytes]] = {}
+    for parts, words in level.items():
+        for i, p in enumerate(parts + (0,)):
+            if i == 0 or p < parts[i - 1]:  # row i+1 may grow
+                letter = bytes((i + 1,))
+                grown = parts[:i] + (p + 1,) + parts[i + 1 :]
+                out.setdefault(grown, []).extend([w + letter for w in words])
+    return out
+
+
+def validate_word(word: bytes, shape: Partition) -> None:
+    """Raise ValueError unless `word` is the Yamanouchi word of a standard
+    tableau of `shape`: no 0 byte, every prefix a lattice word (no row
+    longer than the row above it) and row r holding shape.parts[r-1]
+    entries."""
+    parts = shape.parts
+    counts = [0] * len(parts)
+    for v, r in enumerate(word, 1):
+        if r == 0:
+            raise ValueError("row numbers in a word start at 1")
+        if r > len(parts):
+            raise ValueError(f"entry {v} is in row {r}, beyond the shape {shape}")
+        if r > 1 and counts[r - 1] == counts[r - 2]:
+            raise ValueError(
+                f"not a lattice word: entry {v} would make row {r} "
+                f"longer than row {r - 1}"
+            )
+        counts[r - 1] += 1
+    if tuple(counts) != parts:
+        raise ValueError(f"row lengths {tuple(counts)} do not match the shape {shape}")
 
 
 def yamanouchi_word(rows: Rows) -> bytes:

@@ -193,19 +193,18 @@ def test_bijection_fails_when_forward_insertion_misreports_the_cell(monkeypatch)
 
 def test_bijection_validates_each_enumerated_tableau_once(monkeypatch):
     from hookforge import cli
-    from hookforge.tableaux import StandardTableau, enumerate_syt_of_size
+    from hookforge.tableaux import enumerate_syt_of_size, validate_word, yamanouchi_word
 
-    expected = [t.rows for m in (5, 6) for t in enumerate_syt_of_size(m)]
+    expected = [yamanouchi_word(t.rows) for m in (5, 6) for t in enumerate_syt_of_size(m)]
     calls = []
-    validate = StandardTableau.__post_init__
 
-    def counted(self):
-        calls.append(self.rows)
-        validate(self)
+    def counted(word, shape):
+        calls.append(word)
+        validate_word(word, shape)
 
-    monkeypatch.setattr(StandardTableau, "__post_init__", counted)
+    monkeypatch.setattr(cli, "validate_word", counted)
     assert cli.Unit("bijection", {"n": 6})().passed
-    # the two codomains, each tableau once; insertion results are looked up
+    # the two codomains, each word once; insertion results are looked up
     assert len(calls) == 26 + 76 == 102
     assert sorted(calls) == sorted(expected)
 
@@ -244,16 +243,101 @@ def test_bijection_fails_when_a_corner_is_deleted_twice(monkeypatch):
 
 def test_bijection_fails_when_the_smaller_enumeration_misses_a_tableau(monkeypatch):
     from hookforge import cli
-    from hookforge.tableaux import enumerate_syt_of_size
+    from hookforge.tableaux import lattice_words
 
-    monkeypatch.setattr(
-        cli, "enumerate_syt_of_size",
-        lambda m: enumerate_syt_of_size(m)[: -1 if m == 3 else None],
-    )
+    def dropping(n):
+        smaller, larger = lattice_words(n)
+        if n - 1 == 3:
+            lam = next(reversed(smaller))
+            smaller[lam] = smaller[lam][:-1]
+        return smaller, larger
+
+    monkeypatch.setattr(cli, "lattice_words", dropping)
     report = cli.Unit("bijection", {"n": 4})()
     assert report.verdict == "fail"
     assert report.witness.startswith("deleting corner ")
     assert report.witness.endswith(", standard but missing from the enumeration")
+
+
+def test_bijection_fails_on_an_enumerated_non_lattice_word(monkeypatch):
+    from hookforge import cli
+    from hookforge.partitions import Partition
+    from hookforge.tableaux import lattice_words, reverse_row_insert_word
+
+    def bad_word(n):
+        smaller, larger = lattice_words(n)
+        lam = Partition((2, 1))
+        larger[lam] = [b"\x02\x01\x01", *larger[lam][1:]]
+        return smaller, larger
+
+    inserted = []
+    monkeypatch.setattr(cli, "lattice_words", bad_word)
+    monkeypatch.setattr(
+        cli, "reverse_row_insert_word",
+        lambda word, cell: inserted.append(word) or reverse_row_insert_word(word, cell),
+    )
+
+    report = cli.Unit("bijection", {"n": 3})()
+    assert report.verdict == "fail"
+    assert report.witness == (
+        "enumerated rows '2 3/1' are not a standard tableau of shape 2,1: "
+        "not a lattice word: entry 1 would make row 2 longer than row 1"
+    )
+    # every word is validated before the first insertion, and the runner
+    # stops at the invalid word even when it is resumed
+    assert [w for w in cli._bijection(0, 3) if w is not None] == [report.witness]
+    assert inserted == []
+
+
+def test_bijection_fails_on_an_enumerated_zero_byte(monkeypatch):
+    from hookforge import cli
+    from hookforge.tableaux import lattice_words
+
+    def zero_byte(n):
+        smaller, larger = lattice_words(n)
+        lam = next(iter(smaller))
+        smaller[lam] = [b"\x01\x00", *smaller[lam][1:]]
+        return smaller, larger
+
+    monkeypatch.setattr(cli, "lattice_words", zero_byte)
+    report = cli.Unit("bijection", {"n": 3})()
+    assert report.verdict == "fail"
+    assert report.witness == (
+        "enumerated rows bytes [1, 0] are not a standard tableau of shape 2: "
+        "row numbers in a word start at 1"
+    )
+
+
+def test_bijection_fails_when_the_smaller_enumeration_repeats_a_word(monkeypatch):
+    from hookforge import cli
+    from hookforge.tableaux import lattice_words
+
+    def repeating(n):
+        smaller, larger = lattice_words(n)
+        lam = next(reversed(smaller))
+        smaller[lam] = [*smaller[lam], smaller[lam][0]]
+        return smaller, larger
+
+    monkeypatch.setattr(cli, "lattice_words", repeating)
+    report = cli.Unit("bijection", {"n": 4})()
+    assert report.verdict == "fail"
+    assert report.witness == "corner count 16 != n * |SYT(n-1)| = 20"
+
+
+def test_bijection_fails_when_the_larger_enumeration_drops_a_word(monkeypatch):
+    from hookforge import cli
+    from hookforge.tableaux import lattice_words
+
+    def dropping(n):
+        smaller, larger = lattice_words(n)
+        lam = next(reversed(larger))
+        larger[lam] = larger[lam][1:]
+        return smaller, larger
+
+    monkeypatch.setattr(cli, "lattice_words", dropping)
+    report = cli.Unit("bijection", {"n": 4})()
+    assert report.verdict == "fail"
+    assert report.witness == "corner count 15 != n * |SYT(n-1)| = 16"
 
 
 def test_egf_fails_on_wrong_recurrence(monkeypatch):

@@ -1,6 +1,7 @@
 """Tests for standard tableaux enumeration and the row-insertion bijection."""
 
 from bisect import bisect_left, bisect_right
+from itertools import product
 
 import pytest
 
@@ -14,9 +15,11 @@ from hookforge.tableaux import (
     enumerate_syt_of_size,
     forward_row_insert,
     forward_row_insert_word,
+    lattice_words,
     reverse_row_insert,
     reverse_row_insert_word,
     rows_of_word,
+    validate_word,
     yamanouchi_word,
 )
 
@@ -232,3 +235,44 @@ def test_more_rows_than_a_byte_holds_raise():
         forward_row_insert(StandardTableau(column), 1)
     with pytest.raises(ValueError, match="start at 1"):
         rows_of_word(b"\x01\x00")
+
+
+def test_lattice_words_are_the_words_of_the_enumerated_tableaux():
+    for n in range(1, 10):
+        smaller, larger = lattice_words(n)
+        for m, groups in ((n - 1, smaller), (n, larger)):
+            assert list(groups) == partitions_of(m)
+            for lam, words in groups.items():
+                assert words == sorted(
+                    yamanouchi_word(t.rows) for t in enumerate_syt(lam)
+                )
+                assert len(words) == f_lambda(lam)
+    with pytest.raises(ValueError, match="n >= 1"):
+        lattice_words(0)
+
+
+def test_validate_word_accepts_exactly_the_words_of_standard_tableaux():
+    for m in range(5):
+        for lam in partitions_of(m):
+            standard = {yamanouchi_word(t.rows) for t in enumerate_syt(lam)}
+            for letters in product(range(4), repeat=m):
+                word = bytes(letters)
+                if word in standard:
+                    validate_word(word, lam)
+                else:
+                    with pytest.raises(ValueError):
+                        validate_word(word, lam)
+
+
+def test_validate_word_names_what_is_wrong():
+    with pytest.raises(ValueError, match="not a lattice word: entry 3 would make row 2"):
+        validate_word(b"\x01\x02\x02", Partition((2, 1)))
+    with pytest.raises(ValueError, match="not a lattice word: entry 1"):
+        validate_word(b"\x02\x01", Partition((1, 1)))
+    with pytest.raises(ValueError, match=r"row lengths \(2, 1, 0\) do not match the shape 1,1,1"):
+        validate_word(b"\x01\x01\x02", Partition((1, 1, 1)))
+    with pytest.raises(ValueError, match="beyond the shape 2"):
+        validate_word(b"\x01\x02", Partition((2,)))
+    with pytest.raises(ValueError, match="start at 1"):
+        validate_word(b"\x01\x00", Partition((2,)))
+    validate_word(b"", Partition(()))
