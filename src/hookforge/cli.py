@@ -23,6 +23,7 @@ import json
 import random
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import chain
 from math import factorial
@@ -333,23 +334,28 @@ def _report_text(reports: list[VerificationReport]) -> str:
 
 
 def run(cfg: RunConfig) -> int:
-    """Execute the configured checks; returns the process exit status."""
-    reports = []
-    for unit in build_units(cfg):
-        rep = unit()
-        print(
-            f"[{rep.check} {_params_key(rep.params)}] {rep.verdict} ({rep.millis} ms)",
-            file=sys.stderr,
-        )
-        reports.append(rep)
-    # sorted on actual parameter values, so n=2 precedes n=10
-    reports.sort(key=lambda r: (r.check, sorted(r.params.items())))
-    output = _report_json(reports) if cfg.fmt == "json" else _report_text(reports)
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(output)
-    else:
-        sys.stdout.write(output)
+    """Execute the configured checks; returns the process exit status.
+
+    The report file is opened before any unit runs, so a path that cannot be
+    written is a usage error (status 2), not a sweep that ends without a
+    report."""
+    try:
+        sink = open(cfg.out, "w", encoding="utf-8") if cfg.out else nullcontext(sys.stdout)
+    except OSError as exc:
+        print(f"error: cannot write report to {cfg.out}: {exc.strerror}", file=sys.stderr)
+        return 2
+    with sink as fh:
+        reports = []
+        for unit in build_units(cfg):
+            rep = unit()
+            print(
+                f"[{rep.check} {_params_key(rep.params)}] {rep.verdict} ({rep.millis} ms)",
+                file=sys.stderr,
+            )
+            reports.append(rep)
+        # sorted on actual parameter values, so n=2 precedes n=10
+        reports.sort(key=lambda r: (r.check, sorted(r.params.items())))
+        fh.write(_report_json(reports) if cfg.fmt == "json" else _report_text(reports))
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -359,29 +365,26 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact verification of hook expansion identities.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    verify = sub.add_parser("verify", help="run verification sweeps")
+    # an option left out stays out of the namespace, so RunConfig's field
+    # defaults are the only ones
+    verify = sub.add_parser(
+        "verify", help="run verification sweeps", argument_default=argparse.SUPPRESS
+    )
     verify.add_argument("check", choices=CHECKS, help="which identity to check")
-    verify.add_argument("--max-n", type=int, default=10, dest="max_n")
-    verify.add_argument("--order", type=int, default=10, dest="series_order")
-    verify.add_argument("--trials", type=int, default=5)
-    verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--format", choices=("text", "json"), default="text", dest="fmt")
-    verify.add_argument("--out", default=None, help="write the report to PATH")
+    verify.add_argument("--max-n", type=int, dest="max_n")
+    verify.add_argument("--order", type=int, dest="series_order")
+    verify.add_argument("--trials", type=int)
+    verify.add_argument("--seed", type=int)
+    verify.add_argument("--format", choices=("text", "json"), dest="fmt")
+    verify.add_argument("--out", help="write the report to PATH")
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = vars(_build_parser().parse_args(argv))
+    del args["command"]
     try:
-        cfg = RunConfig(
-            check=args.check,
-            max_n=args.max_n,
-            series_order=args.series_order,
-            trials=args.trials,
-            seed=args.seed,
-            fmt=args.fmt,
-            out=args.out,
-        )
+        cfg = RunConfig(**args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -215,6 +215,9 @@ class Polynomial:
         return self.coeffs == o.coeffs
 
     def __hash__(self):
+        # a constant equals its scalar, so it must hash as one
+        if len(self.coeffs) <= 1:
+            return hash(self.coeffs[0] if self.coeffs else 0)
         return hash(("Polynomial", self.coeffs))
 
     def __bool__(self):
@@ -286,8 +289,9 @@ def _int_mul(a: list[int], b: list[int]) -> list[int]:
 
 
 def _int_divexact(a: list[int], b: list[int]) -> list[int]:
-    """Quotient of integer polynomials a / b, where b divides a over the
-    integers (as a primitive divisor does, by Gauss's lemma)."""
+    """Quotient of integer polynomials a / b, b nonzero with a nonzero last
+    entry; raises ArithmeticError unless b divides a over the integers (as a
+    primitive divisor does, by Gauss's lemma)."""
     rem = list(a)
     db = len(b) - 1
     lead = b[-1]
@@ -507,6 +511,9 @@ class RationalFunction:
         return self.num * o.den == o.num * self.den
 
     def __hash__(self):
+        # with denominator 1 it equals its numerator, so it hashes as one
+        if self.is_polynomial:
+            return hash(self.num)
         return hash(("RationalFunction", self.num.coeffs, self.den.coeffs))
 
     # -- evaluation ---------------------------------------------------------

@@ -22,7 +22,7 @@ from functools import cache
 from math import comb
 
 from . import _multipoly as mp
-from .exact import Polynomial, PowerSeries, RationalFunction
+from .exact import Polynomial, PowerSeries, RationalFunction, _int_divexact
 from .involutions import psi_n
 from .partitions import (
     Cell,
@@ -30,10 +30,10 @@ from .partitions import (
     add_cell,
     addable_cells,
     corner_profile,
-    f_lambda,
+    hook_census,
     hook_length,
+    hook_quotient,
     hooks,
-    partitions_of,
     remove_cell,
     removable_cells,
 )
@@ -68,7 +68,7 @@ def _cyclotomic(d: int) -> tuple[int, ...]:
     poly = [-1] + [0] * (d - 1) + [1]  # q^d - 1
     for e in _divisors(d):
         if e < d:
-            poly = _ip_divexact(poly, list(_cyclotomic(e)))
+            poly = _int_divexact(poly, list(_cyclotomic(e)))
     return tuple(poly)
 
 
@@ -159,10 +159,10 @@ def _materialize(terms: list[tuple[int, _WeightProduct]]) -> RationalFunction:
     for d in sorted(remaining):
         phi = list(_cyclotomic(d))
         while remaining[d] > 0:
-            quot = _ip_divexact_or_none(total, phi)
-            if quot is None:
+            try:
+                total = _int_divexact(total, phi)
+            except ArithmeticError:
                 break
-            total = quot
             remaining[d] -= 1
     den = _cyclo_sum([(1, remaining)])
     # coprime numerator over a monic denominator: already canonical
@@ -241,36 +241,6 @@ def _cyclo_norm(d: int) -> int:
     return sum(abs(a) for a in _cyclotomic(d))
 
 
-# -- plain integer-coefficient polynomial division (lists, low degree first) --
-
-
-def _ip_divexact_or_none(a: list[int], b: list[int]) -> list[int] | None:
-    """Quotient of a by a monic b when the division is exact, else None."""
-    if not a:
-        return []
-    db = len(b) - 1
-    if len(a) - 1 < db:
-        return None
-    rem = list(a)
-    quot = [0] * (len(a) - db)
-    for i in range(len(rem) - 1, db - 1, -1):
-        c = rem[i]
-        if c:
-            quot[i - db] = c
-            start = i - db
-            rem[start : i + 1] = [x - c * y for x, y in zip(rem[start : i + 1], b)]
-    if any(rem):
-        return None
-    return quot
-
-
-def _ip_divexact(a: list[int], b: list[int]) -> list[int]:
-    quot = _ip_divexact_or_none(a, b)
-    if quot is None:
-        raise ArithmeticError("inexact integer polynomial division")
-    return quot
-
-
 # ---------------------------------------------------------------------------
 # weights of shapes and the two sides of the expansion identity
 # ---------------------------------------------------------------------------
@@ -289,20 +259,23 @@ def phi_n(n: int) -> RationalFunction:
 
 
 def _phi_terms(n: int) -> list[tuple[int, _WeightProduct]]:
-    """The terms of phi_n as (count, factored weight).
-
-    Shapes sharing a hook multiset (conjugate pairs, in particular) have
-    equal weights, so their counts are pooled before materializing.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    groups: dict[tuple[int, ...], int] = {}
-    for lam in partitions_of(n):
-        key = tuple(sorted(hooks(lam)))
-        groups[key] = groups.get(key, 0) + f_lambda(lam)
+    """The terms of phi_n as (count, factored weight), one per hook multiset:
+    f-lambda and the weight depend only on the hooks, so the shapes sharing
+    a multiset (conjugate pairs, in particular) are pooled."""
     return [
-        (coeff, _weight_product_of_hooks(key)) for key, coeff in sorted(groups.items())
+        (count * hook_quotient(n, key), _weight_product_of_hooks(key))
+        for key, count in hook_census(n).items()
     ]
+
+
+def _substitution_binomials(n: int) -> tuple[list[int], list[int]]:
+    """The even-index and odd-index binomial coefficients of n, the
+    coefficients of rho(n)'s numerator and (over n) its denominator.  Both
+    `rho` and `verify_weight_substitution` read them, so the substitution
+    check covers the formula `rho` uses."""
+    even = [comb(n, 2 * k) for k in range(n // 2 + 1)]
+    odd = [comb(n, 2 * k + 1) for k in range((n + 1) // 2)]
+    return even, odd
 
 
 @cache
@@ -311,25 +284,20 @@ def rho(n: int) -> RationalFunction:
     over n times the odd-index binomial polynomial."""
     if n < 1:
         raise ValueError("n must be positive")
-    num = Polynomial(comb(n, 2 * k) for k in range(n // 2 + 1))
-    den = Polynomial(n * comb(n, 2 * k + 1) for k in range((n + 1) // 2))
-    return RationalFunction(num, den)
+    even, odd = _substitution_binomials(n)
+    return RationalFunction(Polynomial(even), Polynomial(n * c for c in odd))
 
 
 @cache
 def hook_weight_sum(n: int) -> RationalFunction:
     """Sum over all shapes of n of the product of rho over their hooks (a
     rational function of z that in fact reduces to a polynomial)."""
-    groups: dict[tuple[int, ...], int] = {}
-    for lam in partitions_of(n):
-        key = tuple(sorted(hooks(lam)))
-        groups[key] = groups.get(key, 0) + 1
     total = RationalFunction.zero()
-    for key, mult in sorted(groups.items()):
+    for key, count in hook_census(n).items():
         prod = RationalFunction.one()
         for h in key:
             prod = prod * rho(h)
-        total = total + mult * prod
+        total = total + count * prod
     return total
 
 
@@ -736,14 +704,6 @@ def verify_weight_substitution(n: int) -> str | None:
     )
     if lhs != rhs:
         return f"n={n}: substituted weight {lhs.format()} != {rhs.format()}"
-
-
-def _substitution_binomials(n: int) -> tuple[list[int], list[int]]:
-    """The even-index and odd-index binomial coefficients of n, the
-    coefficients of rho(n)'s numerator and (over n) its denominator."""
-    even = [comb(n, 2 * k) for k in range(n // 2 + 1)]
-    odd = [comb(n, 2 * k + 1) for k in range((n + 1) // 2)]
-    return even, odd
 
 
 def verify_phi_recursion(n: int) -> str | None:

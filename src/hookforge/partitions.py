@@ -11,6 +11,7 @@ corners by content).  Note that some of the literature swaps these two terms.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from typing import Iterator, NamedTuple
@@ -129,18 +130,32 @@ def hooks(lam: Partition) -> list[int]:
     ]
 
 
-def f_lambda(lam: Partition) -> int:
-    """Number of standard fillings: n! divided by the product of all hooks.
+def hook_census(n: int) -> dict[tuple[int, ...], int]:
+    """Each sorted hook multiset of the shapes of n, mapped to its number of
+    shapes, in sorted key order.
 
-    The quotient is asserted to be an exact integer.
+    A shape and its conjugate share one key.  Any summand that depends only
+    on the hooks, such as f-lambda or a hook-weight product, is computed
+    once per key instead of once per shape.
     """
+    census = Counter(tuple(sorted(hooks(lam))) for lam in partitions_of(n))
+    return dict(sorted(census.items()))
+
+
+def hook_quotient(n: int, hook_lengths) -> int:
+    """n! divided by the product of the hook lengths, asserted exact."""
     prod = 1
-    for h in hooks(lam):
+    for h in hook_lengths:
         prod *= h
-    quot, rem = divmod(math.factorial(lam.n), prod)
+    quot, rem = divmod(math.factorial(n), prod)
     if rem:
-        raise ArithmeticError(f"hook product does not divide n! for {lam}")
+        raise ArithmeticError(f"hook product does not divide {n}!")
     return quot
+
+
+def f_lambda(lam: Partition) -> int:
+    """Number of standard fillings: n! divided by the product of all hooks."""
+    return hook_quotient(lam.n, hooks(lam))
 
 
 @dataclass(frozen=True)

@@ -84,6 +84,29 @@ def test_out_flag_writes_file(tmp_path):
     assert len(records) == 4
 
 
+def test_unwritable_out_is_a_usage_error_before_any_unit_runs(tmp_path):
+    path = tmp_path / "missing" / "r.json"
+    result = run_cli("egf", "--order", "3", "--out", str(path))
+    assert result.returncode == 2
+    assert f"error: cannot write report to {path}" in result.stderr
+    assert "[egf" not in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not path.exists()
+
+
+def test_main_takes_every_default_from_run_config(monkeypatch):
+    from hookforge import cli
+
+    seen = []
+    monkeypatch.setattr(cli, "run", lambda cfg: seen.append(cfg) or 0)
+    assert cli.main(["verify", "all"]) == 0
+    assert seen == [cli.RunConfig("all")]
+    argv = ["verify", "prop3", "--max-n", "3", "--order", "4", "--trials", "2",
+            "--seed", "7", "--format", "json", "--out", "r.json"]
+    assert cli.main(argv) == 0
+    assert seen[-1] == cli.RunConfig("prop3", 3, 4, 2, 7, "json", "r.json")
+
+
 def test_unknown_selector_exits_2():
     result = run_cli("nonsense", "--max-n", "3")
     assert result.returncode == 2

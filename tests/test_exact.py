@@ -10,6 +10,8 @@ from hookforge.exact import (
     PowerSeries,
     RationalFunction,
     poly_gcd,
+    _int_divexact,
+    _int_mul,
     series_exp,
 )
 
@@ -245,6 +247,24 @@ def test_series_over_rational_function_coefficients():
     assert e.coefficient(3) == w1 * w1 * w1 * Fraction(1, 6)
 
 
+def test_equal_values_hash_equal():
+    assert len({1, Polynomial.one(), RationalFunction.one()}) == 1
+    assert hash(P(Fraction(1, 2))) == hash(Fraction(1, 2))
+    assert hash(Polynomial.zero()) == hash(0) == hash(RationalFunction.zero())
+    p = P(1, 2)
+    assert RationalFunction(p) == p
+    assert len({p, RationalFunction(p)}) == 1
+    assert len({p, RationalFunction(p, 2), RationalFunction(P(1), p)}) == 3
+
+
+def test_int_divexact_on_a_non_monic_divisor():
+    assert _int_divexact([3, 5, -2], [1, 2]) == [3, -1]  # (3 - q)(1 + 2q)
+    with pytest.raises(ArithmeticError):
+        _int_divexact([3, 5, -1], [1, 2])  # top coefficient not a multiple of 2
+    with pytest.raises(ArithmeticError):
+        _int_divexact([4, 5, -2], [1, 2])  # remainder 1 in the constant term
+
+
 # -- properties of the integer-backed kernel (hypothesis) ---------------------
 
 
@@ -301,5 +321,21 @@ def test_kernel_properties():
         scaled = RationalFunction(n * c, d * c)
         assert (scaled.num.coeffs, scaled.den.coeffs) == (r.num.coeffs, r.den.coeffs)
 
-    for prop in (product, division, gcd, canonical):
+    int_polys = st.lists(st.integers(-20, 20), min_size=1, max_size=6).filter(
+        lambda v: v[-1] != 0
+    )
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(int_polys, int_polys, int_polys)
+    def int_divexact(a, b, r):
+        assert _int_divexact(_int_mul(a, b), b) == a
+        # a nonzero r of lower degree than b is a remainder: inexact
+        r = r[: len(b) - 1]
+        hypothesis.assume(any(r))
+        inexact = _int_mul(a, b)
+        inexact[: len(r)] = [x + y for x, y in zip(inexact, r)]
+        with pytest.raises(ArithmeticError):
+            _int_divexact(inexact, b)
+
+    for prop in (product, division, gcd, canonical, int_divexact):
         prop()

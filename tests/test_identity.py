@@ -420,6 +420,29 @@ def test_substitution_fails_on_a_perturbed_binomial(monkeypatch):
     assert verify_weight_substitution(4) is None
 
 
+def test_rho_is_built_from_the_binomials_the_substitution_checks(monkeypatch):
+    from hookforge import identity
+
+    binomials = identity._substitution_binomials
+    real = rho(4)
+
+    def perturbed(n):
+        even, odd = binomials(n)
+        return even, odd[:-1] + [odd[-1] + 1]
+
+    rho.cache_clear()
+    try:
+        monkeypatch.setattr(identity, "_substitution_binomials", perturbed)
+        assert rho(4) != real
+        assert rho(4) == RationalFunction(P(1, 6, 1), P(16, 20))
+        witness = verify_weight_substitution(4)
+    finally:
+        monkeypatch.undo()
+        rho.cache_clear()
+    assert witness is not None and witness.startswith("n=4: substituted weight ")
+    assert rho(4) == real
+
+
 def test_theorem1_fails_on_an_off_by_one_interpolating_weight(monkeypatch):
     from hookforge import identity
 

@@ -13,12 +13,15 @@ from hookforge.partitions import (
     content,
     corner_profile,
     f_lambda,
+    hook_census,
     hook_length,
+    hook_quotient,
     hooks,
     partitions_of,
     removable_cells,
     remove_cell,
 )
+from hookforge.involutions import involution_count
 from hookforge.tableaux import enumerate_syt
 
 
@@ -127,6 +130,33 @@ def test_f_lambda_matches_exhaustive_enumeration():
 def test_f_lambda_squares_sum_to_factorial():
     for n in range(13):
         assert sum(f_lambda(lam) ** 2 for lam in partitions_of(n)) == math.factorial(n)
+
+
+def test_hook_census_counts_every_shape_under_its_sorted_key():
+    for n in range(15):
+        shapes = partitions_of(n)
+        census = hook_census(n)
+        assert sum(census.values()) == len(shapes)
+        assert list(census) == sorted(census)
+        for lam in shapes:
+            key = tuple(sorted(hooks(lam)))
+            assert key in census
+            assert tuple(sorted(hooks(lam.conjugate()))) == key
+
+
+def test_hook_quotients_count_involutions_and_permutations():
+    # sum f-lambda = I(n) and sum f-lambda^2 = n!, summed once per key
+    for n in range(15):
+        census = hook_census(n)
+        assert sum(c * hook_quotient(n, k) for k, c in census.items()) == involution_count(n)
+        assert sum(c * hook_quotient(n, k) ** 2 for k, c in census.items()) == math.factorial(n)
+
+
+def test_hook_quotient_is_exact_or_raises():
+    assert hook_quotient(3, (3, 1, 1)) == 2
+    assert hook_quotient(0, ()) == 1
+    with pytest.raises(ArithmeticError):
+        hook_quotient(3, (2, 2, 2))
 
 
 def test_corner_profile_examples():
