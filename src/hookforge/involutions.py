@@ -73,12 +73,17 @@ def cycle_stats(inv: Involution) -> CycleStats:
 
 def _walk_involutions(n: int, leaf: Callable[[list[int]], None]) -> None:
     """Call leaf(images) once per involution of S_n, by the matching
-    recursion: the largest free point is fixed, or paired with each smaller
-    free point in turn; the last free point goes straight to the leaf.
+    recursion: the largest free point is fixed first, then paired with each
+    smaller free point in increasing order.
 
     images is one 1-based list (images[0] == 0) rewritten in place between
-    calls, so a leaf that keeps it must copy it.  The recursion only ever forms
-    involutions, so nothing is validated or built per involution.
+    calls, so a leaf that keeps it must copy it.  The free points are one
+    ascending list edited in place: a step pops its largest point, pops and
+    reinserts each partner in turn, and appends the point back on return.
+    When a single free point remains beside the largest, its two leaves
+    (both fixed, then the two paired) are emitted without a further call.
+    The recursion only ever forms involutions, so nothing is validated or
+    built per involution.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -86,23 +91,29 @@ def _walk_involutions(n: int, leaf: Callable[[list[int]], None]) -> None:
     if n == 0:
         leaf(images)
         return
+    free = list(range(1, n + 1))
 
-    def walk(free: tuple[int, ...]):
-        e, rest = free[-1], free[:-1]
+    def walk():
+        e = free.pop()
         images[e] = e
-        if rest:
-            walk(rest)
+        if len(free) > 1:
+            walk()
+            for k in range(len(free)):
+                f = free.pop(k)
+                images[e], images[f] = f, e
+                walk()
+                free.insert(k, f)
+        elif free:
+            f = free[0]
+            images[f] = f
+            leaf(images)
+            images[e], images[f] = f, e
+            leaf(images)
         else:
             leaf(images)
-        for k, f in enumerate(rest):
-            images[e], images[f] = f, e
-            remaining = rest[:k] + rest[k + 1 :]
-            if remaining:
-                walk(remaining)
-            else:
-                leaf(images)
+        free.append(e)
 
-    walk(tuple(range(1, n + 1)))
+    walk()
 
 
 def _fixed_point_histogram(n: int) -> list[int]:

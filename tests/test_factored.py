@@ -15,12 +15,14 @@ from hookforge.identity import (
     _materialize,
     _phi_terms,
     _weight_product_of_hooks,
+    phi_n,
     verify_lemma1,
     verify_theorem1prime,
+    weight_lambda,
     weight_w,
 )
 from hookforge.involutions import psi_n
-from hookforge.partitions import Partition
+from hookforge.partitions import Partition, f_lambda, hooks, partitions_of
 
 
 @cache
@@ -162,6 +164,50 @@ def test_materialize_matches_generic_sums_property():
         assert_same(_materialize(terms), expected)
 
     check()
+
+
+# -- the order in which the terms are summed ------------------------------------
+
+
+def test_cyclo_sum_ignores_term_order_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    cofactors = st.dictionaries(st.integers(1, 12), st.integers(1, 3), max_size=4)
+    terms = st.lists(st.tuples(st.integers(-60, 60), cofactors), max_size=8)
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(terms, st.data())
+    def check(raw, data):
+        # equal cofactors (a repeated term, and one with its sign flipped)
+        # and an empty cofactor are always among the terms
+        terms = raw + raw[:1] + [(-c, dict(e)) for c, e in raw[1:2]] + [(3, {})]
+        expected = list(generic_cyclo_sum(terms).coeffs)
+        assert _cyclo_sum(terms) == expected
+        shuffled = data.draw(st.permutations(terms))
+        assert _cyclo_sum(shuffled) == expected
+
+    check()
+
+
+def test_factored_sums_match_independent_routes():
+    # phi_n and each shape's weight against plain products of hook weights
+    # summed over the shapes, while that stays cheap (its cost grows about
+    # fourfold per two boxes) ...
+    for n in range(11):
+        total = RationalFunction.zero()
+        for lam in partitions_of(n):
+            weight = RationalFunction.one()
+            for h in hooks(lam):
+                weight = weight * weight_w(h)
+            if n <= 8:
+                assert_same(weight_lambda(lam), weight)
+            total = total + f_lambda(lam) * weight
+        assert_same(phi_n(n), total)
+    # ... and phi_n against psi_n's integer recursion (Theorem 1'), which
+    # sums no cyclotomic terms, up to n = 28
+    for n in range(29):
+        assert_same(phi_n(n), psi_n(n))
 
 
 # -- the factored comparisons can fail ------------------------------------------

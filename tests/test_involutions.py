@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 from math import factorial
 
 import pytest
@@ -179,6 +180,43 @@ def test_fixed_point_histogram_matches_cycle_stats():
         assert hist == [counted[a1] for a1 in range(n + 1)], n
         assert sum(hist) == involution_count(n)
         assert g_poly_oracle(n, u1, u2) == g_poly(n, u1, u2)
+
+
+def _walked(n: int) -> list[tuple[int, ...]]:
+    from hookforge.involutions import _walk_involutions
+
+    seen = []
+    _walk_involutions(n, lambda images: seen.append(tuple(images[1:])))
+    return seen
+
+
+def test_walk_visits_each_involution_once():
+    for n in range(8):
+        brute = {
+            p for p in permutations(range(1, n + 1))
+            if all(p[img - 1] == i for i, img in enumerate(p, start=1))
+        }
+        seen = _walked(n)
+        assert len(seen) == len(set(seen)), n
+        assert set(seen) == brute, n
+
+
+def _reference_walk(free: tuple[int, ...], images: dict[int, int]):
+    """The documented recursion, rebuilt from fresh tuples and dicts: the
+    largest free point is fixed first, then paired with each smaller free
+    point in increasing order."""
+    if not free:
+        yield tuple(images[i] for i in sorted(images))
+        return
+    e, rest = free[-1], free[:-1]
+    yield from _reference_walk(rest, {**images, e: e})
+    for k, f in enumerate(rest):
+        yield from _reference_walk(rest[:k] + rest[k + 1 :], {**images, e: f, f: e})
+
+
+def test_walk_visits_in_the_documented_order():
+    for n in range(7):
+        assert _walked(n) == list(_reference_walk(tuple(range(1, n + 1)), {})), n
 
 
 def _dropping_first_leaf(walk):
