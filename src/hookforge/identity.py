@@ -1,14 +1,15 @@
 """The verification engine: hook weights, the interpolating weight function,
 and exact machine checks of the expansion identities over desk-scale ranges.
 
-All checks run in exact arithmetic.  The workhorse representation for sums of
-hook-weight products is a factored form: since 1 - q^h is (up to sign) the
-product of the cyclotomic polynomials indexed by the divisors of h, and
-1 + q^h the product over divisors of 2h that miss h, every weight product is
-a signed monomial in cyclotomic polynomials.  Sums of such monomials are
-brought over a common denominator, their numerator is summed as one integer
-at a Kronecker point q = 2^B and unpacked once, and the result is reduced by
-exact trial division, which sidesteps large rational GCDs.  The
+All checks run in exact arithmetic.  Sums of hook-weight products are
+written as terms (coeff, {h: p}), a map from hook length to power, and are
+evaluated by `_materialize` in a factored form: since 1 - q^h is (up to sign)
+the product of the cyclotomic polynomials indexed by the divisors of h, and
+1 + q^h the product over divisors of 2h that miss h, every term is a signed
+monomial in cyclotomic polynomials.  `_materialize` factors each term once,
+brings the monomials over a common denominator, sums their numerator as one
+integer at a Kronecker point q = 2^B and unpacks it once, and reduces the
+result by exact trial division, which sidesteps large rational GCDs.  The
 factored path is cross-checked against generic rational-function arithmetic
 in the test suite.
 """
@@ -82,76 +83,44 @@ def _w_factor_items(h: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(items.items()))
 
 
-class _WeightProduct:
-    """A product of hook weights in factored form: a sign together with a
-    map from cyclotomic index to (possibly negative) exponent."""
+def _materialize(terms: list[tuple[int, dict[int, int]]]) -> RationalFunction:
+    """Canonical rational function of sum(coeff * prod(w(h) ** p)) over the
+    terms (coeff, {h: p}): each a map from nonzero hook length to a power of
+    any sign, zero powers contributing nothing.
 
-    __slots__ = ("sign", "expo")
-
-    def __init__(self, sign: int = 1, expo: dict[int, int] | None = None):
-        self.sign = sign
-        self.expo = {} if expo is None else expo
-
-    def copy(self) -> "_WeightProduct":
-        return _WeightProduct(self.sign, dict(self.expo))
-
-    def mul_w(self, h: int, power: int = 1) -> "_WeightProduct":
-        """Multiply by w(h)**power; h is any nonzero integer."""
-        if h == 0:
-            raise ValueError("weight undefined at 0 (pole)")
-        if h > 0 and power % 2:
-            self.sign = -self.sign
-        expo = self.expo
-        for d, e in _w_factor_items(abs(h)):
-            ne = expo.get(d, 0) + e * power
-            if ne:
-                expo[d] = ne
-            else:
-                expo.pop(d, None)
-        return self
-
-    def divide(self, other: "_WeightProduct") -> "_WeightProduct":
-        """Divide by another product (exact, in the field of fractions)."""
-        self.sign *= other.sign
-        expo = self.expo
-        for d, e in other.expo.items():
-            ne = expo.get(d, 0) - e
-            if ne:
-                expo[d] = ne
-            else:
-                expo.pop(d, None)
-        return self
-
-
-def _weight_product_of_hooks(hook_lengths) -> _WeightProduct:
-    wp = _WeightProduct()
-    for h, mult in Counter(hook_lengths).items():
-        wp.mul_w(h, mult)
-    return wp
-
-
-def _materialize(terms: list[tuple[int, _WeightProduct]]) -> RationalFunction:
-    """Canonical rational function of sum(coeff * product) over the terms.
-
-    The common denominator is read off the factored exponents; the lifted
+    Each term is factored once, here: w(h) for h >= 1 is -1 times the
+    cyclotomic monomial of `_w_factor_items(h)`, and w(-h) = -w(h).  The
+    common denominator is read off the factored exponents; the lifted
     numerator is summed at one Kronecker point (see `_cyclo_sum`), and the
     final reduction is exact trial division by the denominator factors.
     """
+    factored = []
     den_exp: dict[int, int] = {}
-    for _, wp in terms:
-        for d, e in wp.expo.items():
-            if e < 0 and -e > den_exp.get(d, 0):
+    for coeff, powers in terms:
+        sign = 1
+        expo: dict[int, int] = {}
+        for h, p in powers.items():
+            if h == 0:
+                raise ValueError("weight undefined at 0 (pole)")
+            if h > 0 and p % 2:
+                sign = -sign
+            for d, e in _w_factor_items(abs(h)):
+                expo[d] = expo.get(d, 0) + e * p
+        for d, e in expo.items():
+            if -e > den_exp.get(d, 0):
                 den_exp[d] = -e
+        factored.append((coeff * sign, expo))
     lifted = []
-    for coeff, wp in terms:
+    for coeff, expo in factored:
         if coeff == 0:
             continue
         cofactor = {}
-        for d in set(wp.expo) | set(den_exp):
-            k = wp.expo.get(d, 0) + den_exp.get(d, 0)
+        for d in set(expo) | set(den_exp):
+            k = expo.get(d, 0) + den_exp.get(d, 0)
             if k > 0:
                 cofactor[d] = k
-        lifted.append((coeff * wp.sign, cofactor))
+        lifted.append((coeff, cofactor))
+    del factored  # the exponents are lifted; free them before the big sum
     total = _cyclo_sum(lifted)
     if not total:
         return RationalFunction.zero()
@@ -254,7 +223,7 @@ def _cyclo_norm(d: int) -> int:
 @cache
 def weight_lambda(lam: Partition) -> RationalFunction:
     """Product of w over all hook lengths of the shape, canonical in q."""
-    return _materialize([(1, _weight_product_of_hooks(hooks(lam)))])
+    return _materialize([(1, Counter(hooks(lam)))])
 
 
 @cache
@@ -263,12 +232,12 @@ def phi_n(n: int) -> RationalFunction:
     return _materialize(_phi_terms(n))
 
 
-def _phi_terms(n: int) -> list[tuple[int, _WeightProduct]]:
-    """The terms of phi_n as (count, factored weight), one per hook multiset:
+def _phi_terms(n: int) -> list[tuple[int, Counter]]:
+    """The terms of phi_n as (count, hook powers), one per hook multiset:
     f-lambda and the weight depend only on the hooks, so the shapes sharing
     a multiset (conjugate pairs, in particular) are pooled."""
     return [
-        (count * hook_quotient(n, key), _weight_product_of_hooks(key))
+        (count * hook_quotient(n, key), Counter(key))
         for key, count in hook_census(n).items()
     ]
 
@@ -351,9 +320,11 @@ def verify_lemma1(lam: Partition) -> str | None:
     extensions sum to w(1) times the shape weight plus the weights of all
     one-cell retractions.
 
-    Both sides are divided by the (nonzero) shape weight before comparison;
-    this is an exact field operation and keeps the polynomials small since
-    extension and retraction only disturb hooks in one row and one column.
+    Both sides are divided by the (nonzero) shape weight before comparison:
+    each neighbour's hook powers have the shape's subtracted, so the hooks
+    that the two share cancel before anything is factored.  Extension and
+    retraction only disturb hooks in one row and one column, so the few
+    that are left keep the polynomials small.
     """
     lhs_terms, rhs_terms = _lemma1_terms(lam)
     lhs = _materialize(lhs_terms)
@@ -367,16 +338,18 @@ def verify_lemma1(lam: Partition) -> str | None:
 
 def _lemma1_terms(lam: Partition):
     """The two sides of the extend-retract identity at one shape, as term
-    lists of weight ratios to the shape weight."""
-    base = _weight_product_of_hooks(hooks(lam))
-    lhs_terms = []
-    for cell in addable_cells(lam):
-        ratio = _weight_product_of_hooks(hooks(add_cell(lam, cell))).divide(base)
-        lhs_terms.append((1, ratio))
-    rhs_terms = [(1, _WeightProduct().mul_w(1))]
-    for cell in removable_cells(lam):
-        ratio = _weight_product_of_hooks(hooks(remove_cell(lam, cell))).divide(base)
-        rhs_terms.append((1, ratio))
+    lists of weight ratios to the shape weight.  A neighbour's hooks that it
+    shares with the shape cancel here, before anything is factored."""
+    base = Counter(hooks(lam))
+
+    def ratio(shape: Partition) -> tuple[int, Counter]:
+        powers = Counter(hooks(shape))
+        powers.subtract(base)
+        return 1, powers
+
+    lhs_terms = [ratio(add_cell(lam, cell)) for cell in addable_cells(lam)]
+    rhs_terms = [(1, {1: 1})]  # w(1)
+    rhs_terms += [ratio(remove_cell(lam, cell)) for cell in removable_cells(lam)]
     return lhs_terms, rhs_terms
 
 
@@ -528,19 +501,15 @@ def verify_prop2(xs, ys) -> str | None:
     return _prop2_substitution_witness(xs, ys)
 
 
-def _prop2_terms(xs: list[int], ys: list[int]) -> list[tuple[int, _WeightProduct]]:
-    """The weight ratios of the corner-content sum, one factored term per
-    outer content and one per inner content."""
+def _prop2_terms(xs: list[int], ys: list[int]) -> list[tuple[int, Counter]]:
+    """The weight ratios of the corner-content sum as hook powers, one term
+    per outer content and one per inner content."""
     terms = []
     for own, other in ((xs, ys), (ys, xs)):
         for k, v in enumerate(own):
-            wp = _WeightProduct()
-            for i, u in enumerate(own):
-                if i != k:
-                    wp.mul_w(v - u)
-            for u in other:
-                wp.mul_w(v - u, power=-1)
-            terms.append((1, wp))
+            powers = Counter(v - u for i, u in enumerate(own) if i != k)
+            powers.subtract(v - u for u in other)
+            terms.append((1, powers))
     return terms
 
 

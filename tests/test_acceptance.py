@@ -11,6 +11,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 from hookforge.cli import Unit
 from hookforge.identity import (
@@ -29,6 +30,8 @@ from hookforge.identity import (
 from hookforge.involutions import involution_count, psi_n
 from hookforge.partitions import corner_profile, f_lambda, hooks, partitions_of
 from hookforge.tableaux import enumerate_syt
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def report(number, name, ok):
@@ -153,6 +156,8 @@ def test_criterion_10_cli_determinism():
         "--max-n", "10", "--seed", "7", "--format", "json",
     ]
     env = dict(os.environ)
+    # the child imports this checkout's package, installed or not
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     first = subprocess.run(cmd, capture_output=True, timeout=900, env=env)
     second = subprocess.run(cmd, capture_output=True, timeout=900, env=env)
     ok = first.returncode == 0 and second.returncode == 0

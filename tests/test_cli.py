@@ -5,14 +5,18 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 BASE = [sys.executable, "-m", "hookforge", "verify"]
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run_cli(*args, env_extra=None):
     env = dict(os.environ)
+    # the child imports this checkout's package, installed or not
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(

@@ -2,6 +2,7 @@
 behind `_materialize`, checked against generic rational-function arithmetic,
 and perturbed term lists showing that the factored comparisons can fail."""
 
+from collections import Counter
 from functools import cache
 
 import pytest
@@ -9,12 +10,10 @@ import pytest
 from hookforge import identity
 from hookforge.exact import Polynomial, RationalFunction
 from hookforge.identity import (
-    _WeightProduct,
     _cyclo_sum,
     _lemma1_terms,
     _materialize,
     _phi_terms,
-    _weight_product_of_hooks,
     phi_n,
     verify_lemma1,
     verify_theorem1prime,
@@ -22,7 +21,16 @@ from hookforge.identity import (
     weight_w,
 )
 from hookforge.involutions import psi_n
-from hookforge.partitions import Partition, f_lambda, hooks, partitions_of
+from hookforge.partitions import (
+    Partition,
+    add_cell,
+    addable_cells,
+    f_lambda,
+    hooks,
+    partitions_of,
+    remove_cell,
+    removable_cells,
+)
 
 
 @cache
@@ -46,10 +54,10 @@ def generic_cyclo_sum(terms) -> Polynomial:
     return total
 
 
-def generic_value(wp: _WeightProduct) -> RationalFunction:
-    value = RationalFunction(wp.sign)
-    for d, e in wp.expo.items():
-        value = value * RationalFunction(generic_cyclotomic(d)) ** e
+def generic_value(powers: dict[int, int]) -> RationalFunction:
+    value = RationalFunction.one()
+    for h, p in powers.items():
+        value = value * weight_w(h) ** p
     return value
 
 
@@ -63,11 +71,7 @@ def assert_same(got: RationalFunction, expected: RationalFunction):
 def test_sum_cancelling_to_zero():
     assert _cyclo_sum([(5, {1: 2, 3: 1}), (-5, {3: 1, 1: 2})]) == []
     # w((2)) + w((1,1)) - w(1)^2 - 1 = 0: both shapes have hooks {1, 2}
-    terms = [
-        (2, _weight_product_of_hooks([1, 2])),
-        (-1, _weight_product_of_hooks([1, 1])),
-        (-1, _WeightProduct()),
-    ]
+    terms = [(2, {1: 1, 2: 1}), (-1, {1: 2}), (-1, {})]
     assert _materialize(terms) == RationalFunction.zero()
 
 
@@ -75,7 +79,7 @@ def test_negative_leading_coefficient():
     # -5 (q - 1)^2: the top digit borrows from nothing above it
     assert _cyclo_sum([(-5, {1: 2})]) == [-5, 10, -5]
     # w(1) = (1 + q)/(1 - q) in canonical form is -(1 + q)/(q - 1)
-    got = _materialize([(1, _WeightProduct().mul_w(1))])
+    got = _materialize([(1, {1: 1})])
     assert got.num.coeffs == (-1, -1) and got.den.coeffs == (-1, 1)
     assert_same(got, weight_w(1))
 
@@ -106,18 +110,33 @@ def test_alternating_signs():
     got = _cyclo_sum(terms)
     assert got == list(expected.coeffs)
     assert any(a < 0 < b or b < 0 < a for a, b in zip(got, got[1:]))
-    wps = [
-        (c, _WeightProduct(1, {1: -k, 4: -j}))
-        for c, k, j in [(1, 3, 1), (-2, 2, 0), (3, 1, 2), (-4, 4, 1)]
+    weighted = [
+        (c, {1: k, 4: j}) for c, k, j in [(1, 3, 1), (-2, 2, 0), (3, 1, 2), (-4, 4, 1)]
     ]
-    expected_rf = sum((c * generic_value(wp) for c, wp in wps), RationalFunction.zero())
-    assert_same(_materialize(wps), expected_rf)
+    expected_rf = sum((c * generic_value(p) for c, p in weighted), RationalFunction.zero())
+    assert_same(_materialize(weighted), expected_rf)
 
 
 def test_coefficient_zero_terms_are_skipped():
-    wp = _weight_product_of_hooks([1, 3])
-    assert _materialize([(0, wp)]) == RationalFunction.zero()
-    assert_same(_materialize([(0, wp), (2, _WeightProduct())]), RationalFunction(2))
+    powers = {1: 1, 3: 1}
+    assert _materialize([(0, powers)]) == RationalFunction.zero()
+    assert_same(_materialize([(0, powers), (2, {})]), RationalFunction(2))
+
+
+def test_materialize_hook_power_edge_cases():
+    # a negative hook: w(-h) = -w(h)
+    assert_same(_materialize([(1, {-2: 1})]), -weight_w(2))
+    # a zero power contributes nothing
+    assert_same(_materialize([(1, {3: 0, 1: 1})]), weight_w(1))
+    # hook 0 is a pole of the weight, whatever its power
+    for powers in ({0: 1}, {0: 0}):
+        with pytest.raises(ValueError, match="pole"):
+            _materialize([(1, powers)])
+    # a power that `subtract` cancels to zero stays in the map and is ignored
+    powers = Counter([2, 3, 3])
+    powers.subtract([3, 3])
+    assert powers[3] == 0
+    assert_same(_materialize([(1, powers)]), weight_w(2))
 
 
 # -- oracle: random term lists against generic arithmetic -----------------------
@@ -133,34 +152,20 @@ def test_materialize_matches_generic_sums_property():
             st.integers(-2, 2),  # its power
         ),
         max_size=4,
-    ).map(lambda hs: ("hooks", hs))
-    exponent_vectors = st.tuples(
-        st.sampled_from((1, -1)),
-        st.dictionaries(st.integers(1, 12), st.integers(-3, 3).filter(bool), max_size=4),
-    ).map(lambda v: ("expo", v))
-    term_lists = st.lists(
-        st.tuples(st.integers(-60, 60), st.one_of(hook_products, exponent_vectors)),
-        max_size=5,
     )
+    term_lists = st.lists(st.tuples(st.integers(-60, 60), hook_products), max_size=5)
 
     @hypothesis.settings(max_examples=60, deadline=None)
     @hypothesis.given(term_lists)
     def check(raw):
         terms = []
         expected = RationalFunction.zero()
-        for coeff, (kind, data) in raw:
-            if kind == "hooks":
-                wp = _WeightProduct()
-                generic = RationalFunction.one()
-                for h, power in data:
-                    wp.mul_w(h, power)
-                    generic = generic * weight_w(h) ** power
-            else:
-                sign, expo = data
-                wp = _WeightProduct(sign, dict(expo))
-                generic = generic_value(wp)
-            terms.append((coeff, wp))
-            expected = expected + coeff * generic
+        for coeff, data in raw:
+            powers = Counter()
+            for h, power in data:
+                powers[h] += power
+            terms.append((coeff, powers))
+            expected = expected + coeff * generic_value(powers)
         assert_same(_materialize(terms), expected)
 
     check()
@@ -210,12 +215,34 @@ def test_factored_sums_match_independent_routes():
         assert_same(phi_n(n), psi_n(n))
 
 
+def test_lemma1_terms_are_exact_weight_ratios():
+    # the hooks a neighbour shares with the shape cancel inside the term;
+    # every term must still be the full ratio of the two shape weights
+    def generic_weight(shape):
+        return generic_value(Counter(hooks(shape)))
+
+    for n in range(8):
+        for lam in partitions_of(n):
+            lhs, rhs = _lemma1_terms(lam)
+            assert rhs[0] == (1, {1: 1})
+            neighbours = [add_cell(lam, cell) for cell in addable_cells(lam)]
+            neighbours += [remove_cell(lam, cell) for cell in removable_cells(lam)]
+            terms = lhs + rhs[1:]
+            assert len(terms) == len(neighbours)
+            base = generic_weight(lam)
+            for (coeff, powers), shape in zip(terms, neighbours):
+                assert coeff == 1
+                assert_same(_materialize([(1, powers)]), generic_weight(shape) / base)
+
+
 # -- the factored comparisons can fail ------------------------------------------
 
 
-def _shift_hook_one(wp: _WeightProduct) -> _WeightProduct:
+def _shift_hook_one(powers: Counter) -> Counter:
     """The same product with one hook of length 1 made a hook of length 2."""
-    return wp.copy().mul_w(1, -1).mul_w(2)
+    shifted = Counter(powers)
+    shifted.update({1: -1, 2: 1})
+    return shifted
 
 
 @pytest.mark.parametrize("perturbation", ["count", "hook"])
@@ -223,11 +250,11 @@ def test_perturbed_phi_terms_fail_theorem1prime(monkeypatch, perturbation):
     n = 7
     terms = _phi_terms(n)
     assert _materialize(terms) == psi_n(n)
-    coeff, wp = terms[3]
+    coeff, powers = terms[3]
     if perturbation == "count":
-        terms[3] = (coeff + 1, wp)  # an off-by-one f-lambda
+        terms[3] = (coeff + 1, powers)  # an off-by-one f-lambda
     else:
-        terms[3] = (coeff, _shift_hook_one(wp))  # every shape of n >= 1 has a hook 1
+        terms[3] = (coeff, _shift_hook_one(powers))  # every shape of n >= 1 has a hook 1
     wrong = _materialize(terms)
     assert wrong != psi_n(n)
 
@@ -245,7 +272,7 @@ def test_perturbed_lemma1_terms_fail(monkeypatch):
     lam = Partition((3, 1))
     lhs, rhs = _lemma1_terms(lam)
     assert _materialize(lhs) == _materialize(rhs)
-    lhs[0] = (1, lhs[0][1].copy().mul_w(2))  # one extension ratio times w(2)
+    lhs[0][1].update({2: 1})  # one extension ratio times w(2)
     assert _materialize(lhs) != _materialize(rhs)
 
     monkeypatch.setattr(identity, "_lemma1_terms", lambda shape: (lhs, rhs))

@@ -397,7 +397,7 @@ def test_prop2_substitution_recheck_is_independent(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the recheck must not use the factored route")
 
-    for name in ("_materialize", "_cyclo_sum", "_WeightProduct", "weight_w"):
+    for name in ("_materialize", "_cyclo_sum", "_w_factor_items", "weight_w"):
         monkeypatch.setattr(identity, name, forbidden)
     assert identity._prop2_substitution_witness([4, 1, -1, -4], [2, 0, -3]) is None
 
