@@ -54,6 +54,8 @@ class RunConfig:
     def __post_init__(self):
         if self.check not in CHECKS:
             raise ValueError(f"unknown check selector: {self.check}")
+        if self.fmt not in ("text", "json"):
+            raise ValueError(f"unknown report format: {self.fmt}")
         if self.max_n < 0 or self.series_order < 0 or self.trials < 1:
             raise ValueError(
                 "max-n and order must be nonnegative and trials at least 1"
@@ -91,6 +93,10 @@ def _prop3(seed: int, n: int, trials: int) -> Iterator[str | None]:
         ):
             if witness is not None:
                 yield f"trial {t}: {witness}"
+    # seed-independent: one exact value proves this n (see identity.verify_prop3)
+    witness = identity.verify_prop3(list(range(1, n + 1)))
+    if witness is not None:
+        yield f"proof point a_i = i: {witness}"
     if 2 <= n <= 6:
         yield identity.verify_prop3_alternating(n)
 

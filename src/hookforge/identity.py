@@ -20,6 +20,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import cache
+from itertools import combinations
 from math import comb
 
 from . import _multipoly as mp
@@ -530,7 +531,12 @@ def _validate_distinct_nonzero(values) -> list[Fraction]:
 
 def verify_prop3(a) -> str | None:
     """Symmetric two-term sum: sum_k prod_{i != k} (a_k + a_i)/(a_k - a_i)
-    equals 0 for an even number of values and 1 for an odd number."""
+    equals 0 for an even number of values and 1 for an odd number.
+
+    One exact value at distinct points proves it for that n, by the alternant
+    lemma (Macdonald, Symmetric Functions and Hall Polynomials, I.3): with V
+    the difference product, V f is alternating (f is symmetric) and
+    homogeneous of degree C(n, 2) = deg V, so it is a constant c times V."""
     vals = _validate_distinct_nonzero(a)
     n = len(vals)
     total = _signed_ratio_sum(vals)
@@ -610,47 +616,40 @@ def _homogeneous(coeffs: list[int], p: int, q: int, m: int) -> int:
     return acc
 
 
+def _difference_product(n: int, skip: int | None = None) -> mp.MPoly:
+    """prod_{i<j} (a_i - a_j) over the n variables, without those of a_skip."""
+    out = mp.mp_const(n, 1)
+    for i, j in combinations([v for v in range(n) if v != skip], 2):
+        out = mp.mp_mul(out, mp.mp_linear_diff(n, i, j))
+    return out
+
+
 def verify_prop3_alternating(n: int) -> str | None:
     """Cleared-denominator form of the symmetric sum, checked symbolically.
 
-    Expands sum_k (-1)^(k-1) prod_{i != k} (a_k + a_i) prod_{i<j, both != k}
-    (a_i - a_j) as an exact integer polynomial and asserts it is alternating,
-    divisible by the full difference product, with constant quotient n mod 2.
+    With V = prod_{i<j} (a_i - a_j) and V_k the same product without a_k,
+    V f = sum_k (-1)^k prod_{i != k} (a_k + a_i) V_k (k counted from 0).
+    Expands that as an exact integer polynomial and compares it with
+    (n mod 2) V.  Equality holds exactly when the expansion is alternating,
+    V divides it and the quotient is the constant n mod 2.
     """
     if not 2 <= n <= 6:
         raise ValueError("symbolic check supported for 2 <= n <= 6")
     lhs: mp.MPoly = {}
     for k in range(n):
-        summand = mp.mp_const(n, 1)
+        summand = _difference_product(n, skip=k)
         for i in range(n):
             if i != k:
-                summand = mp.mp_mul(
-                    summand, mp.mp_add(mp.mp_var(n, k), mp.mp_var(n, i))
-                )
-        for i in range(n):
-            for j in range(i + 1, n):
-                if i != k and j != k:
-                    summand = mp.mp_mul(summand, mp.mp_linear_diff(n, i, j))
-        if k % 2:
-            summand = mp.mp_neg(summand)
-        lhs = mp.mp_add(lhs, summand)
-
-    failures: list[str] = []
-    for r in range(n - 1):
-        if mp.mp_swap_vars(lhs, r, r + 1) != mp.mp_neg(lhs):
-            failures.append(f"not alternating under swapping positions {r+1},{r+2}")
-    quotient = lhs
-    try:
-        for i in range(n):
-            for j in range(i + 1, n):
-                quotient = mp.mp_div_linear_diff(quotient, i, j)
-    except ArithmeticError:
-        failures.append(f"difference product does not divide (at factor {i+1},{j+1})")
-    else:
-        if quotient != mp.mp_const(n, n % 2):
-            failures.append(f"quotient is {quotient}, expected the constant {n % 2}")
-    if failures:
-        return f"n={n}: " + "; ".join(failures)
+                summand = mp.mp_mul(summand, mp.mp_add(mp.mp_var(n, k), mp.mp_var(n, i)))
+        lhs = mp.mp_add(lhs, mp.mp_neg(summand) if k % 2 else summand)
+    rhs = mp.mp_mul(mp.mp_const(n, n % 2), _difference_product(n))
+    if lhs != rhs:
+        # name one monomial: the expansion runs to hundreds of them at n = 6
+        differ = sorted(m for m in lhs.keys() | rhs.keys() if lhs.get(m) != rhs.get(m))
+        return (
+            f"n={n}: V*f and {n % 2}*V differ in {len(differ)} monomials, first at "
+            f"exponents {differ[0]}: {lhs.get(differ[0], 0)} vs {rhs.get(differ[0], 0)}"
+        )
 
 
 def verify_weight_substitution(n: int) -> str | None:
@@ -662,16 +661,17 @@ def verify_weight_substitution(n: int) -> str | None:
     if n < 1:
         raise ValueError("n must be positive")
     even, odd = _substitution_binomials(n)
-    m_even, m_odd = len(even) - 1, len(odd) - 1
     sq = Polynomial((1, -1)) ** 2  # (1 - q)^2
     co = Polynomial((1, 1)) ** 2  # (1 + q)^2
-    num_even = Polynomial.zero()
-    for k, c in enumerate(even):
-        num_even = num_even + c * sq**k * co ** (m_even - k)
-    num_odd = Polynomial.zero()
-    for k, c in enumerate(odd):
-        num_odd = num_odd + c * sq**k * co ** (m_odd - k)
-    lhs = RationalFunction(num_even, n * num_odd * co ** (m_even - m_odd))
+
+    def substituted(binomials: list[int]) -> Polynomial:
+        """sum_k c_k z^k at z = sq / co, cleared by co^m (m the degree)."""
+        m = len(binomials) - 1
+        terms = (c * sq**k * co ** (m - k) for k, c in enumerate(binomials))
+        return sum(terms, Polynomial.zero())
+
+    num_even, num_odd = substituted(even), substituted(odd)
+    lhs = RationalFunction(num_even, n * num_odd * co ** (len(even) - len(odd)))
     q_n = Polynomial.monomial(n)
     rhs = RationalFunction(
         (1 + q_n) * Polynomial((1, -1)), n * (1 - q_n) * Polynomial((1, 1))

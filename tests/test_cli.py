@@ -132,6 +132,13 @@ def test_out_of_range_bounds_exit_2():
         )
 
 
+def test_run_config_rejects_an_unknown_format():
+    from hookforge import cli
+
+    with pytest.raises(ValueError, match="unknown report format: JSON"):
+        cli.RunConfig("substitution", max_n=2, fmt="JSON")
+
+
 def test_progress_goes_to_stderr():
     result = run_cli("theorem1prime", "--max-n", "2", "--format", "json")
     assert result.returncode == 0
@@ -430,6 +437,41 @@ def test_prop3_fails_on_wrong_parity(monkeypatch):
     assert report.verdict == "fail"
     assert report.witness.startswith("trial 0: a=[")
     assert report.witness.endswith("]: sum is 0, expected 1")
+
+
+def test_prop3_fails_on_the_proof_point_alone(monkeypatch):
+    from hookforge import cli, identity
+
+    verify_prop3 = identity.verify_prop3
+
+    def wrong_at_one_to_n(a):
+        if list(a) == list(range(1, len(a) + 1)):
+            return f"a={list(a)}: sum is 7, expected {len(a) % 2}"
+        return verify_prop3(a)
+
+    monkeypatch.setattr(identity, "verify_prop3", wrong_at_one_to_n)
+    report = cli.Unit("prop3", {"n": 5, "trials": 2}, 0)()
+    assert (report.verdict, report.witness) == (
+        "fail",
+        "proof point a_i = i: a=[1, 2, 3, 4, 5]: sum is 7, expected 1",
+    )
+
+
+def test_prop3_fails_on_the_symbolic_witness(monkeypatch):
+    from hookforge import _multipoly as mp
+    from hookforge import cli, identity
+
+    difference_product = identity._difference_product
+
+    def flipped(n, skip=None):  # negates the k = 0 summand of V*f
+        out = difference_product(n, skip)
+        return mp.mp_neg(out) if skip == 0 else out
+
+    monkeypatch.setattr(identity, "_difference_product", flipped)
+    witness = identity.verify_prop3_alternating(4)
+    assert witness is not None
+    report = cli.Unit("prop3", {"n": 4, "trials": 1}, 0)()
+    assert (report.verdict, report.witness) == ("fail", witness)
 
 
 def test_prop3_residues_fail_on_a_dropped_denominator_factor(monkeypatch):

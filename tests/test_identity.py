@@ -333,6 +333,25 @@ def test_alternating_left_side_vanishes_for_two_values():
     assert witness is None
 
 
+def test_prop3_alternating_fails_on_a_flipped_summand(monkeypatch):
+    from hookforge import _multipoly as mp
+    from hookforge import identity
+
+    difference_product = identity._difference_product
+
+    def flipped(n, skip=None):  # negates the k = n - 1 summand of V*f, not V
+        out = difference_product(n, skip)
+        return mp.mp_neg(out) if skip == n - 1 else out
+
+    monkeypatch.setattr(identity, "_difference_product", flipped)
+    for n in range(2, 7):
+        witness = verify_prop3_alternating(n)
+        assert witness is not None and witness.startswith(f"n={n}: "), witness
+        assert f"and {n % 2}*V differ in " in witness
+    # one monomial is named, not the whole expansion
+    assert len(witness) < 300
+
+
 # -- substitution between the z-form and q-form weights -------------------------
 
 

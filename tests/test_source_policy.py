@@ -38,6 +38,9 @@ def policy_violations(tree: ast.AST) -> list[str]:
         where = f"line {getattr(node, 'lineno', '?')}"
         if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
             found.append(f"{where}: {type(node.value).__name__} literal {node.value!r}")
+        elif isinstance(node, ast.Assert):
+            # python -O strips it, so a check built on one could never fail
+            found.append(f"{where}: assert statement")
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
             if node.func.id in ("float", "complex"):
                 found.append(f"{where}: call to {node.func.id}()")
@@ -92,6 +95,7 @@ def test_source_is_float_free_and_stdlib_only(path):
         "from random import gauss",
         "import numpy",
         "from sympy import Rational",
+        "def f(x):\n    assert x > 0\n    return x",
     ],
 )
 def test_policy_rejects(code):
