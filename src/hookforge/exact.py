@@ -2,10 +2,14 @@
 functions, and truncated power series with an exponential.
 
 Everything here is exact.  Rational numbers are arbitrary-precision
-``fractions.Fraction`` values, polynomials are dense coefficient tuples over
-the rationals, and rational functions are kept in a canonical form (fully
-reduced, monic denominator) so that equality is a plain representation
-comparison.  No floating point is used anywhere.
+``fractions.Fraction`` values, and rational functions are kept in a
+canonical form (fully reduced, monic denominator) so that equality is a
+plain representation comparison.  A polynomial is stored in one format:
+a tuple of integer numerators over one positive integer denominator, in
+lowest terms, so that equal polynomials have equal parts.  Products, GCDs
+and canonicalisation run on those integers; ``Polynomial.coeffs`` rebuilds
+the ``Fraction`` coefficients on demand.  No floating point is used
+anywhere.
 """
 
 from __future__ import annotations
@@ -24,33 +28,46 @@ def _is_scalar(v) -> bool:
 class Polynomial:
     """Dense univariate polynomial over the rationals.
 
-    Coefficients are stored lowest degree first with no trailing zeros; the
-    zero polynomial has an empty coefficient tuple.  Instances are immutable.
-    The indeterminate is anonymous: one polynomial type serves the q, z, t
-    and a_i contexts alike, and only formatting names the variable.
+    Stored as integer numerators ``_ints`` (lowest degree first, no trailing
+    zeros) over one positive denominator ``_den``, with gcd(_ints, _den) = 1;
+    the zero polynomial is ``()`` over 1.  Equal polynomials therefore have
+    equal parts.  ``coeffs`` is the same value as a tuple of ``Fraction``s.
+    Instances are immutable.  The indeterminate is anonymous: one polynomial
+    type serves the q, z, t and a_i contexts alike, and only formatting names
+    the variable.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_ints", "_den")
 
-    def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+    def __new__(cls, coeffs: Iterable[Scalar] = ()):
+        cs = list(coeffs)
+        den = 1
+        for c in cs:
+            if not _is_scalar(c):
+                raise TypeError(f"polynomial coefficient {c!r} is not an int or a Fraction")
+            den = den * c.denominator // math.gcd(den, c.denominator)
+        return cls._over([c.numerator * (den // c.denominator) for c in cs], den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
     @classmethod
-    def _over(cls, ints: list[int], den: int = 1) -> "Polynomial":
-        """The polynomial with coefficients ints[k] / den; ints must be
-        nonempty with a nonzero last entry, and den nonzero."""
+    def _over(cls, ints: Sequence[int], den: int = 1) -> "Polynomial":
+        """The polynomial with coefficients ints[k] / den, for integers ints
+        and den != 0: trailing zeros are popped (so ints must be a list if it
+        has any), and the common factor and the sign of den are divided out."""
+        while ints and not ints[-1]:
+            ints.pop()
+        if not ints:
+            den = 1
+        elif den != 1:
+            g = math.gcd(den, *ints) if den > 0 else -math.gcd(den, *ints)
+            if g != 1:
+                ints = [v // g for v in ints]
+                den //= g
         obj = object.__new__(cls)
-        if den == 1:
-            coeffs = tuple(map(Fraction, ints))
-        else:
-            coeffs = tuple(Fraction(v, den) for v in ints)
-        object.__setattr__(obj, "coeffs", coeffs)
+        object.__setattr__(obj, "_ints", tuple(ints))
+        object.__setattr__(obj, "_den", den)
         return obj
 
     # -- constructors ------------------------------------------------------
@@ -64,11 +81,6 @@ class Polynomial:
         return cls((1,))
 
     @classmethod
-    def x(cls) -> "Polynomial":
-        """The monomial q (or z, t, ... depending on context)."""
-        return cls((0, 1))
-
-    @classmethod
     def monomial(cls, degree: int, coeff: Scalar = 1) -> "Polynomial":
         if degree < 0:
             raise ValueError("monomial degree must be nonnegative")
@@ -77,24 +89,28 @@ class Polynomial:
     # -- structure ---------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as ``Fraction``s, lowest degree first."""
+        return tuple(Fraction(v, self._den) for v in self._ints)
+
+    @property
     def degree(self) -> int:
         """Degree, with the convention deg 0 = -1."""
-        return len(self.coeffs) - 1
+        return len(self._ints) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._ints
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
+        return bool(self._ints) and self._ints[-1] == self._den
 
     def monic(self) -> "Polynomial":
         if self.is_zero:
             raise ValueError("zero polynomial cannot be made monic")
-        lc = self.coeffs[-1]
-        if lc == 1:
+        if self.is_monic():
             return self
-        return Polynomial(c / lc for c in self.coeffs)
+        return Polynomial._over(self._ints, self._ints[-1])
 
     # -- arithmetic --------------------------------------------------------
 
@@ -109,18 +125,18 @@ class Polynomial:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
+        a = [v * o._den for v in self._ints]
+        b = [v * self._den for v in o._ints]
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
         for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Polynomial(out)
+            a[i] += c
+        return Polynomial._over(a, self._den * o._den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(-c for c in self.coeffs)
+        return Polynomial._over([-v for v in self._ints], self._den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -136,16 +152,12 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            a, b = self.coeffs, other.coeffs
-            if not a or not b:
+            if not self._ints or not other._ints:
                 return Polynomial()
-            ia, la = _cleared(a)
-            ib, lb = _cleared(b)
-            return Polynomial._over(_int_mul(ia, ib), la * lb)
+            return Polynomial._over(_int_mul(self._ints, other._ints), self._den * other._den)
         if _is_scalar(other):
-            if other == 0:
-                return Polynomial()
-            return Polynomial(c * other for c in self.coeffs)
+            scale = other.numerator
+            return Polynomial._over([v * scale for v in self._ints], self._den * other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -171,7 +183,8 @@ class Polynomial:
         if other.is_zero:
             raise ZeroDivisionError("division by zero polynomial")
         rem = list(self.coeffs)
-        dlead = other.coeffs[-1]
+        divisor = other.coeffs
+        dlead = divisor[-1]
         dd = other.degree
         quot = [Fraction(0)] * max(len(rem) - dd, 0)
         for i in range(len(rem) - 1, dd - 1, -1):
@@ -180,7 +193,7 @@ class Polynomial:
                 continue
             q = c / dlead
             quot[i - dd] = q
-            for j, dc in enumerate(other.coeffs):
+            for j, dc in enumerate(divisor):
                 rem[i - dd + j] -= q * dc
         return Polynomial(quot), Polynomial(rem)
 
@@ -194,7 +207,8 @@ class Polynomial:
         if _is_scalar(other):
             if other == 0:
                 raise ZeroDivisionError("division by zero")
-            return Polynomial(c / other for c in self.coeffs)
+            scale = other.denominator
+            return Polynomial._over([v * scale for v in self._ints], self._den * other.numerator)
         if isinstance(other, Polynomial):
             return RationalFunction(self, other)
         return NotImplemented
@@ -202,29 +216,29 @@ class Polynomial:
     # -- evaluation and misc ----------------------------------------------
 
     def __call__(self, point: Scalar) -> Fraction:
-        """Exact evaluation by Horner's rule."""
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
+        """Exact evaluation by Horner's rule on the numerators."""
+        acc = 0
+        for v in reversed(self._ints):
+            acc = acc * point + v
+        return Fraction(acc, self._den)
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self._ints == o._ints and self._den == o._den
 
     def __hash__(self):
         # a constant equals its scalar, so it must hash as one
-        if len(self.coeffs) <= 1:
-            return hash(self.coeffs[0] if self.coeffs else 0)
-        return hash(("Polynomial", self.coeffs))
+        if len(self._ints) <= 1:
+            return hash(Fraction(self._ints[0], self._den) if self._ints else 0)
+        return hash(("Polynomial", self._ints, self._den))
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self._ints)
 
     def format(self, var: str = "q") -> str:
-        if not self.coeffs:
+        if not self._ints:
             return "0"
         parts = []
         for k, c in enumerate(self.coeffs):
@@ -249,34 +263,17 @@ class Polynomial:
         return f"Polynomial({self.format('x')})"
 
 
-# -- integer coefficient lists (low degree first) behind the Fraction API --
+# -- integer coefficient lists (low degree first) --------------------------
 
 
-def _cleared(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integers ints and the common denominator den with coeffs = ints / den."""
-    den = 1
-    for c in coeffs:
-        d = c.denominator
-        if den % d:
-            den = den // math.gcd(den, d) * d
-    if den == 1:
-        return [c.numerator for c in coeffs], 1
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
+def _primitive(ints: Sequence[int]) -> Sequence[int]:
+    """The primitive part of a nonzero integer polynomial: ints divided by
+    their (positive) gcd, so the sign of each entry is kept."""
+    g = math.gcd(*ints)
+    return ints if g == 1 else [v // g for v in ints]
 
 
-def _primitive(coeffs: Sequence[Fraction]) -> tuple[list[int], Fraction]:
-    """Primitive integer part and rational content of a nonzero polynomial:
-    coeffs = content * part, with gcd(part) = 1 and content positive."""
-    ints, den = _cleared(coeffs)
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
-        if g == 1:
-            return ints, Fraction(1, den)
-    return [v // g for v in ints], Fraction(g, den)
-
-
-def _int_mul(a: list[int], b: list[int]) -> list[int]:
+def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Product of two nonempty integer coefficient lists."""
     if len(a) < len(b):
         a, b = b, a
@@ -288,7 +285,7 @@ def _int_mul(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _int_divexact(a: list[int], b: list[int]) -> list[int]:
+def _int_divexact(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Quotient of integer polynomials a / b, b nonzero with a nonzero last
     entry; raises ArithmeticError unless b divides a over the integers (as a
     primitive divisor does, by Gauss's lemma)."""
@@ -310,7 +307,7 @@ def _int_divexact(a: list[int], b: list[int]) -> list[int]:
     return quot
 
 
-def _int_pseudo_rem(a: list[int], b: list[int]) -> list[int]:
+def _int_pseudo_rem(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Pseudo-remainder of integer polynomial a by b (lc(b)^k scaled)."""
     rem = list(a)
     db = len(b) - 1
@@ -341,16 +338,13 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
         return b.monic()
     if b.is_zero:
         return a.monic()
-    pa, pb = _primitive(a.coeffs)[0], _primitive(b.coeffs)[0]
+    pa, pb = _primitive(a._ints), _primitive(b._ints)
     if len(pa) < len(pb):
         pa, pb = pb, pa
     while pb:
         rem = _int_pseudo_rem(pa, pb)
         if rem:
-            g = 0
-            for v in rem:
-                g = math.gcd(g, v)
-            rem = [v // g for v in rem]
+            rem = _primitive(rem)
         pa, pb = pb, rem
     return Polynomial._over(pa, pa[-1])
 
@@ -378,16 +372,17 @@ class RationalFunction:
             object.__setattr__(self, "num", Polynomial())
             object.__setattr__(self, "den", Polynomial.one())
             return
-        pn, cn = _primitive(num.coeffs)
-        pd, cd = _primitive(den.coeffs)
+        # num / den = (pn * den._den) / (pd * num._den) for the stored
+        # numerators; the primitive gcd divides pn and pd exactly, by Gauss's
+        # lemma, and dividing by pd's leading entry makes the denominator monic
+        pn, pd = num._ints, den._ints
         g = poly_gcd(num, den)
         if g.degree > 0:
-            pg = _primitive(g.coeffs)[0]
+            pg = _primitive(g._ints)
             pn = _int_divexact(pn, pg)
             pd = _int_divexact(pd, pg)
         lead = pd[-1]
-        scale = cn / (cd * lead)
-        num = Polynomial._over([v * scale.numerator for v in pn], scale.denominator)
+        num = Polynomial._over([v * den._den for v in pn], num._den * lead)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", Polynomial._over(pd, lead))
 
@@ -514,7 +509,7 @@ class RationalFunction:
         # with denominator 1 it equals its numerator, so it hashes as one
         if self.is_polynomial:
             return hash(self.num)
-        return hash(("RationalFunction", self.num.coeffs, self.den.coeffs))
+        return hash(("RationalFunction", self.num, self.den))
 
     # -- evaluation ---------------------------------------------------------
 

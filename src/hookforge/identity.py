@@ -136,7 +136,7 @@ def _materialize(terms: list[tuple[int, dict[int, int]]]) -> RationalFunction:
             remaining[d] -= 1
     den = _cyclo_sum([(1, remaining)])
     # coprime numerator over a monic denominator: already canonical
-    return RationalFunction._from_canonical(Polynomial(total), Polynomial(den))
+    return RationalFunction._from_canonical(Polynomial._over(total), Polynomial._over(den))
 
 
 def _cyclo_sum(terms: list[tuple[int, dict[int, int]]]) -> list[int]:

@@ -221,8 +221,8 @@ def _psi_by_recursion(n: int) -> RationalFunction:
         raise AssertionError(f"psi numerator at n={n} does not take the value 2^n at q=1")
     # the denominator made monic: (q - 1)^n, with the numerator's sign to match
     sign = -1 if n % 2 else 1
-    den = Polynomial(comb(n, i) * (-1) ** (n - i) for i in range(n + 1))
-    return RationalFunction._from_canonical(Polynomial(sign * c for c in cur), den)
+    den = Polynomial._over([comb(n, i) * (-1) ** (n - i) for i in range(n + 1)])
+    return RationalFunction._from_canonical(Polynomial._over([sign * c for c in cur]), den)
 
 
 @cache

@@ -1,7 +1,9 @@
 """Tests for the exact arithmetic kernel."""
 
+import math
 import random
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 
@@ -112,6 +114,62 @@ def test_poly_gcd_divides_random_products():
         g = poly_gcd(a * c, b * c)
         # the common factor c divides the gcd
         assert (g % c.monic()).is_zero
+
+
+def test_polynomial_rejects_non_rational_coefficients():
+    for bad in (0.1, "1/3", None, 1j):
+        with pytest.raises(TypeError):
+            Polynomial((1, bad))
+    with pytest.raises(TypeError):
+        Polynomial.monomial(2, 0.5)
+    with pytest.raises(TypeError):
+        Polynomial((1,)) + 0.5
+
+
+# -- the stored format: integer numerators over one denominator --------------
+
+
+def assert_lowest_terms(p: Polynomial):
+    assert p._den > 0
+    assert math.gcd(p._den, *p._ints) == 1
+    assert not p._ints or p._ints[-1] != 0
+
+
+def assert_same(p: Polynomial, q: Polynomial):
+    """Equal values have equal parts, equal coeffs and equal hashes."""
+    assert_lowest_terms(p)
+    assert_lowest_terms(q)
+    assert (p._ints, p._den) == (q._ints, q._den)
+    assert p.coeffs == q.coeffs
+    assert hash(p) == hash(q)
+
+
+def test_stored_format_is_one_per_value():
+    half_third = P(Fraction(1, 2), Fraction(1, 3))  # (3 + 2q) / 6
+    assert (half_third._ints, half_third._den) == ((3, 2), 6)
+    for same in (
+        Polynomial._over([3, 2], 6),
+        Polynomial._over([6, 4], 12),  # a common factor
+        Polynomial._over([-3, -2], -6),  # a negative denominator
+        Polynomial._over([-9, -6, 0, 0], -18),  # and trailing zeros
+        P(Fraction(1, 2)) + P(0, Fraction(1, 3)),
+        P(1, Fraction(1, 3)) - P(Fraction(1, 2)),
+        P(Fraction(3, 2)) * P(Fraction(1, 3), Fraction(2, 9)),
+        P(Fraction(3, 4), Fraction(1, 2)) * Fraction(2, 3),
+        P(3, 2) / 6,
+    ):
+        assert_same(same, half_third)
+    # halves that add up to integers leave the denominator 1
+    assert_same(P(Fraction(1, 2), Fraction(3, 2)) + P(Fraction(1, 2), Fraction(1, 2)), P(1, 2))
+    for zero in (P(0, 0), Polynomial._over([0, 0], 5), Polynomial._over([], -3),
+                 half_third - half_third, half_third * 0):
+        assert_same(zero, P())
+        assert hash(zero) == hash(0)
+    for half in (P(Fraction(2, 4)), Polynomial._over([3], 6), Polynomial._over([-1], -2)):
+        assert_same(half, P(Fraction(1, 2)))
+        assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
+    assert_same(Polynomial._over([10], 2), P(5))
+    assert hash(P(5)) == hash(5)
 
 
 # -- rational functions ------------------------------------------------------
@@ -282,6 +340,29 @@ def schoolbook_product(a: Polynomial, b: Polynomial) -> Polynomial:
 def _polynomial_strategy(st):
     fractions = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
     return st.lists(fractions, max_size=6).map(Polynomial)
+
+
+def test_stored_format_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    fractions = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+    lists = st.lists(fractions, max_size=6)
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(lists, lists, st.integers(1, 5), st.sampled_from((1, -1)))
+    def one_format(a, b, factor, sign):
+        pa, pb = Polynomial(a), Polynomial(b)
+        assert_lowest_terms(pa)
+        assert_lowest_terms(pb)
+        # the same value over a scaled denominator of either sign
+        den = sign * factor * math.lcm(1, *(c.denominator for c in a))
+        assert_same(Polynomial._over([int(c * den) for c in a], den), pa)
+        pairs = list(zip_longest(a, b, fillvalue=0))
+        assert_same(pa + pb, Polynomial([x + y for x, y in pairs]))
+        assert_same(pa - pb, Polynomial([x - y for x, y in pairs]))
+        assert_same(pa * pb, schoolbook_product(pa, pb))
+
+    one_format()
 
 
 def test_kernel_properties():

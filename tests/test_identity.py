@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -350,6 +350,23 @@ def test_prop3_alternating_fails_on_a_flipped_summand(monkeypatch):
         assert f"and {n % 2}*V differ in " in witness
     # one monomial is named, not the whole expansion
     assert len(witness) < 300
+
+
+def test_prop3_alternating_summands_have_the_degree_of_v():
+    # the alternant lemma's premise: each summand prod_{i != k}(a_k + a_i) V_k
+    # of V*f, built as verify_prop3_alternating builds it, is homogeneous of
+    # total degree C(n, 2) = deg V
+    from hookforge import _multipoly as mp
+    from hookforge.identity import _difference_product
+
+    for n in range(2, 7):
+        assert {sum(mono) for mono in _difference_product(n)} == {comb(n, 2)}
+        for k in range(n):
+            summand = _difference_product(n, skip=k)
+            for i in range(n):
+                if i != k:
+                    summand = mp.mp_mul(summand, mp.mp_add(mp.mp_var(n, k), mp.mp_var(n, i)))
+            assert {sum(mono) for mono in summand} == {comb(n, 2)}, (n, k)
 
 
 # -- substitution between the z-form and q-form weights -------------------------
