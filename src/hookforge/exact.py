@@ -51,6 +51,10 @@ class Polynomial:
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through _over, not the forbidden __setattr__
+        return Polynomial._over, (list(self._ints), self._den)
+
     @classmethod
     def _over(cls, ints: Sequence[int], den: int = 1) -> "Polynomial":
         """The polynomial with coefficients ints[k] / den, for integers ints
@@ -389,6 +393,9 @@ class RationalFunction:
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
 
+    def __reduce__(self):
+        return RationalFunction._from_canonical, (self.num, self.den)
+
     @classmethod
     def _from_canonical(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
         """Wrap parts already known to be reduced with monic denominator."""
@@ -554,6 +561,9 @@ class PowerSeries:
 
     def __setattr__(self, name, value):
         raise AttributeError("PowerSeries is immutable")
+
+    def __reduce__(self):
+        return PowerSeries, (self.coeffs,)
 
     @property
     def order(self) -> int:

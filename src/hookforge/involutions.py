@@ -4,6 +4,15 @@ bivariate cycle-counting polynomial g_n, and the fixed-point weight sum psi_n.
 The counting recursion used throughout is g_{n+1} = u1 g_n + n u2 g_{n-1}:
 the last point is either fixed (weight u1) or paired with one of n earlier
 points (weight u2).  Specializing u1 = u2 = 1 counts involutions.
+
+Enumeration follows the same recursion but stores images, not objects:
+Inv(m) is m byte columns, column p holding the image of p in every
+involution.  The rows with m fixed are Inv(m-1) plus a column of m; the rows
+with m paired with k are Inv(m-2) relabelled onto [1, m-1] without k by one
+`bytes.translate` per column.  psi_n's cross-check counts fixed points by
+comparing each image with its position, not by trusting the recursion's
+choices, so it stays independent of the recursion it checks: a dropped row,
+a wrong image or a wrong relabelling changes the count.
 """
 
 from __future__ import annotations
@@ -12,14 +21,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial
-from operator import eq
-from typing import Callable
+from typing import Iterator
 
 from .exact import Polynomial, PowerSeries, RationalFunction
 
 # Largest n for which psi_n re-derives its value by brute enumeration as an
 # internal consistency assertion; above this only the recursion is used.
 PSI_ENUMERATION_BOUND = 12
+
+# Images are stored one byte each.
+MAX_POINTS = 255
 
 
 @dataclass(frozen=True)
@@ -71,69 +82,88 @@ def cycle_stats(inv: Involution) -> CycleStats:
     return CycleStats(alpha1=fixed, alpha2=(inv.n - fixed) // 2)
 
 
-def _walk_involutions(n: int, leaf: Callable[[list[int]], None]) -> None:
-    """Call leaf(images) once per involution of S_n, by the matching
+def _skip_table(k: int) -> bytes:
+    """The `bytes.translate` table of the order-preserving relabelling that
+    skips k: j -> j for j < k and j -> j + 1 for j >= k."""
+    return bytes(range(k)) + bytes(range(k + 1, 256)) + b"\xff"
+
+
+# (rows, columns): column p-1 holds the image of p in each of the rows
+Block = tuple[int, list[bytes]]
+
+
+def _blocks_of(m: int, inv_m2: Block, inv_m1: Block) -> Iterator[Block]:
+    """The row blocks of Inv(m), m >= 1, given Inv(m-2) and Inv(m-1) in full:
+    first m fixed (Inv(m-1) with a column of m), then m paired with each
+    k = 1..m-1 in turn (Inv(m-2) relabelled onto [1, m-1] without k)."""
+    rows, cols = inv_m1
+    yield rows, [*cols, bytes([m]) * rows]
+    rows, cols = inv_m2
+    partner_of_k = bytes([m]) * rows
+    for k in range(1, m):
+        table = _skip_table(k)
+        moved = [col.translate(table) for col in cols]
+        yield rows, [*moved[: k - 1], partner_of_k, *moved[k - 1 :], bytes([k]) * rows]
+
+
+def _involution_blocks(n: int) -> Iterator[Block]:
+    """The involutions of S_n as row blocks, in the order of the matching
     recursion: the largest free point is fixed first, then paired with each
     smaller free point in increasing order.
 
-    images is one 1-based list (images[0] == 0) rewritten in place between
-    calls, so a leaf that keeps it must copy it.  The free points are one
-    ascending list edited in place: a step pops its largest point, pops and
-    reinserts each partner in turn, and appends the point back on return.
-    When a single free point remains beside the largest, its two leaves
-    (both fixed, then the two paired) are emitted without a further call.
-    The recursion only ever forms involutions, so nothing is validated or
-    built per involution.
+    Every smaller Inv(m) is built bottom-up in full, each column extended
+    block by block as the blocks are made; the blocks of Inv(n) itself are
+    yielded one at a time and never joined.  Images are bytes, so n may not
+    exceed MAX_POINTS.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    images = [0] * (n + 1)
+    if n > MAX_POINTS:
+        raise ValueError(f"an image takes one byte, so n may not exceed {MAX_POINTS}")
+    # Inv(m-2) and Inv(m-1) at m = 1; Inv(-1) is never read
+    inv_m2: Block = (0, [])
+    inv_m1: Block = (1, [])  # Inv(0): one empty involution
     if n == 0:
-        leaf(images)
+        yield inv_m1
         return
-    free = list(range(1, n + 1))
-
-    def walk():
-        e = free.pop()
-        images[e] = e
-        if len(free) > 1:
-            walk()
-            for k in range(len(free)):
-                f = free.pop(k)
-                images[e], images[f] = f, e
-                walk()
-                free.insert(k, f)
-        elif free:
-            f = free[0]
-            images[f] = f
-            leaf(images)
-            images[e], images[f] = f, e
-            leaf(images)
-        else:
-            leaf(images)
-        free.append(e)
-
-    walk()
+    for m in range(1, n):
+        rows, joined = 0, [bytearray() for _ in range(m)]
+        for block_rows, cols in _blocks_of(m, inv_m2, inv_m1):
+            rows += block_rows
+            for column, col in zip(joined, cols):
+                column += col
+        inv_m2, inv_m1 = inv_m1, (rows, joined)
+    yield from _blocks_of(n, inv_m2, inv_m1)
 
 
 def _fixed_point_histogram(n: int) -> list[int]:
-    """hist[a] = the number of involutions of S_n with a fixed points, each
-    counted from the walked images rather than from the walk's choices."""
+    """hist[a] = the number of involutions of S_n with a fixed points.
+
+    Each count is read from the images, as the number of positions p whose
+    image is p, not from the recursion's choices, so a fault in the blocks'
+    construction changes the histogram.  Per block, `translate` turns column
+    p into a 1 where the image is p and a 0 elsewhere; summed as base-256
+    integers, each row's count is one digit (at most n <= 255, so no carry),
+    and the histogram counts the digits.
+    """
     hist = [0] * (n + 1)
-    points = range(n + 1)
-
-    def leaf(images: list[int]):
-        # images[0] == 0 matches the point 0, hence the - 1
-        hist[sum(map(eq, images, points)) - 1] += 1
-
-    _walk_involutions(n, leaf)
+    for rows, cols in _involution_blocks(n):
+        total = 0
+        for p, col in enumerate(cols, start=1):
+            is_p = bytes(p) + b"\x01" + bytes(255 - p)
+            total += int.from_bytes(col.translate(is_p), "little")
+        digits = total.to_bytes(rows, "little")
+        for a in range(n + 1):
+            hist[a] += digits.count(a)
     return hist
 
 
 def enumerate_involutions(n: int) -> list[Involution]:
-    """All involutions of S_n, in the order `_walk_involutions` visits them."""
+    """All involutions of S_n, in the order of `_involution_blocks`, each
+    read from its block's columns without revalidation."""
     out: list[Involution] = []
-    _walk_involutions(n, lambda images: out.append(Involution._trusted(tuple(images[1:]))))
+    for rows, cols in _involution_blocks(n):
+        out.extend(map(Involution._trusted, zip(*cols) if cols else [()] * rows))
     return out
 
 

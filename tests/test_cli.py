@@ -544,21 +544,17 @@ def test_crashing_unit_becomes_error_record_and_exit_1(monkeypatch, capsys):
 def test_failing_psi_cross_check_becomes_error_records(monkeypatch, capsys):
     from hookforge import cli, involutions
 
-    walk = involutions._walk_involutions
+    blocks = involutions._involution_blocks
 
-    def dropping_first_leaf(n, leaf):
-        seen = []
-
-        def skip_once(images):
-            if seen:
-                leaf(images)
-            seen.append(True)
-
-        walk(n, skip_once)
+    def dropping_first_leaf(n):
+        it = blocks(n)
+        rows, cols = next(it)
+        yield rows - 1, [c[1:] for c in cols]
+        yield from it
 
     involutions.psi_n.cache_clear()
     try:
-        monkeypatch.setattr(involutions, "_walk_involutions", dropping_first_leaf)
+        monkeypatch.setattr(involutions, "_involution_blocks", dropping_first_leaf)
         status = cli.main(["verify", "theorem1prime", "--max-n", "6", "--format", "json"])
     finally:
         monkeypatch.undo()

@@ -1,6 +1,8 @@
 """Tests for the exact arithmetic kernel."""
 
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 from itertools import zip_longest
@@ -313,6 +315,23 @@ def test_equal_values_hash_equal():
     assert RationalFunction(p) == p
     assert len({p, RationalFunction(p)}) == 1
     assert len({p, RationalFunction(p, 2), RationalFunction(P(1), p)}) == 3
+
+
+@pytest.mark.parametrize(
+    "route",
+    [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_exact_values_copy_and_pickle(route):
+    p = P(Fraction(1, 2), 0, -3)
+    rf = RationalFunction(P(2, 2), P(3, -3, 6))
+    series = PowerSeries([Fraction(1, 3), p, rf], order=4)
+    for value in (p, Polynomial.zero(), rf, RationalFunction.one(), series):
+        back = route(value)
+        assert type(back) is type(value)
+        assert back == value and hash(back) == hash(value)
+    assert route(p)._ints == p._ints and route(p)._den == p._den
+    assert route(rf).num == rf.num and route(rf).den == rf.den
 
 
 def test_int_divexact_on_a_non_monic_divisor():

@@ -183,10 +183,11 @@ def test_fixed_point_histogram_matches_cycle_stats():
 
 
 def _walked(n: int) -> list[tuple[int, ...]]:
-    from hookforge.involutions import _walk_involutions
+    from hookforge.involutions import _involution_blocks
 
     seen = []
-    _walk_involutions(n, lambda images: seen.append(tuple(images[1:])))
+    for rows, cols in _involution_blocks(n):
+        seen.extend(zip(*cols) if cols else [()] * rows)
     return seen
 
 
@@ -219,54 +220,86 @@ def test_walk_visits_in_the_documented_order():
         assert _walked(n) == list(_reference_walk(tuple(range(1, n + 1)), {})), n
 
 
-def _dropping_first_leaf(walk):
-    def walker(n, leaf):
-        seen = []
-
-        def skip_once(images):
-            if seen:
-                leaf(images)
-            seen.append(True)
-
-        walk(n, skip_once)
-
-    return walker
-
-
-def _unpairing_first_leaf(walk):
-    """The first involution (the identity) reported with point n sent to 1,
-    as if a pairing of n with 1 had been written halfway: the leaf count is
-    unchanged, only one image is wrong."""
-
-    def walker(n, leaf):
-        seen = []
-
-        def corrupt_once(images):
-            if seen:
-                leaf(images)
-                return
-            seen.append(True)
-            kept = images[n]
-            images[n] = 1
-            leaf(images)
-            images[n] = kept
-
-        walk(n, corrupt_once)
-
-    return walker
-
-
-@pytest.mark.parametrize("fault", [_dropping_first_leaf, _unpairing_first_leaf])
-def test_psi_cross_check_fails_on_a_faulty_walk(monkeypatch, fault):
+def _faulting_first_block(monkeypatch, corrupt):
+    """Patch the block seam so that corrupt(n, rows, cols) rewrites the
+    first block of Inv(n); the other blocks pass through unchanged."""
     from hookforge import involutions
 
+    blocks = involutions._involution_blocks
+
+    def faulty(n):
+        it = blocks(n)
+        yield corrupt(n, *next(it))
+        yield from it
+
+    monkeypatch.setattr(involutions, "_involution_blocks", faulty)
+
+
+def _dropping_first_leaf(monkeypatch):
+    """The first involution dropped from the first block."""
+    _faulting_first_block(monkeypatch, lambda n, rows, cols: (rows - 1, [c[1:] for c in cols]))
+
+
+def _unpairing_first_leaf(monkeypatch):
+    """The first involution (the identity) reported with point n sent to 1,
+    as if a pairing of n with 1 had been written halfway: the row count is
+    unchanged, only one image is wrong."""
+
+    def corrupt(n, rows, cols):
+        cols = list(cols)
+        cols[n - 1] = b"\x01" + bytes(cols[n - 1][1:])
+        return rows, cols
+
+    _faulting_first_block(monkeypatch, corrupt)
+
+
+def _off_by_one_relabel(monkeypatch):
+    """Each relabelling table skips k + 1 instead of k: every row keeps its
+    positions, but an image k stays k where it should become k + 1."""
+    from hookforge import involutions
+
+    skip = involutions._skip_table
+    monkeypatch.setattr(involutions, "_skip_table", lambda k: skip(k + 1))
+
+
+@pytest.mark.parametrize(
+    "fault", [_dropping_first_leaf, _unpairing_first_leaf, _off_by_one_relabel]
+)
+def test_psi_cross_check_fails_on_a_faulty_walk(monkeypatch, fault):
     n = 6
     psi_n.cache_clear()
     try:
-        monkeypatch.setattr(involutions, "_walk_involutions", fault(involutions._walk_involutions))
-        with pytest.raises(AssertionError, match=f"disagree at n={n}:"):
+        fault(monkeypatch)
+        with pytest.raises(AssertionError, match=f"psi recursion and enumeration disagree at n={n}:"):
             psi_n(n)
     finally:
         monkeypatch.undo()
         psi_n.cache_clear()
     psi_n(n)
+
+
+def test_enumerators_reject_n_outside_0_to_255():
+    from hookforge.involutions import MAX_POINTS, _fixed_point_histogram
+
+    assert MAX_POINTS == 255
+    for enumerator in (_fixed_point_histogram, enumerate_involutions):
+        with pytest.raises(ValueError, match="nonnegative"):
+            enumerator(-1)
+        with pytest.raises(ValueError, match="may not exceed 255"):
+            enumerator(256)
+
+
+def test_fixed_point_histogram_memory_stays_small():
+    # Inv(12) is never joined and no object is built per involution; either
+    # pushes the peak past 2.5 MB (joining measured 2.9 MB, objects 32 MB)
+    import tracemalloc
+
+    from hookforge.involutions import _fixed_point_histogram
+
+    tracemalloc.start()
+    try:
+        _fixed_point_histogram(12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6, peak
