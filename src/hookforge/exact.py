@@ -7,9 +7,10 @@ canonical form (fully reduced, monic denominator) so that equality is a
 plain representation comparison.  A polynomial is stored in one format:
 a tuple of integer numerators over one positive integer denominator, in
 lowest terms, so that equal polynomials have equal parts.  Products, GCDs
-and canonicalisation run on those integers; ``Polynomial.coeffs`` rebuilds
-the ``Fraction`` coefficients on demand.  No floating point is used
-anywhere.
+and canonicalisation run on those integers, and one exact integer division,
+``_int_divexact``, serves canonicalisation, the GCD's acceptance test and
+the factored path's trial division; ``Polynomial.coeffs`` rebuilds the
+``Fraction`` coefficients on demand.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -311,30 +312,21 @@ def _int_divexact(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return quot
 
 
-def _int_pseudo_rem(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Pseudo-remainder of integer polynomial a by b (lc(b)^k scaled)."""
-    rem = list(a)
-    db = len(b) - 1
-    lb = b[-1]
-    while len(rem) - 1 >= db and rem:
-        if rem[-1] == 0:
-            rem.pop()
-            continue
-        top = rem[-1]
-        shift = len(rem) - 1 - db
-        rem = [c * lb for c in rem]
-        for j, bc in enumerate(b):
-            rem[shift + j] -= top * bc
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return rem
-
-
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic greatest common divisor over the rationals.
+    """Monic greatest common divisor over the rationals: the heuristic GCD
+    of Char, Geddes & Gonnet (GCDHEU, J. Symbolic Comput. 7, 1989).
 
-    Uses a primitive pseudo-remainder sequence over the integers to keep
-    coefficient growth in check, then rescales the result to be monic.
+    The primitive parts A and B are packed as integers at xi = 2^k, with k
+    one more than the bit length of 2 min(|A|, |B|) + 2 (|.| the largest
+    absolute coefficient).  The primitive part of the signed base-xi digits
+    of gcd(A(xi), B(xi)) is returned, made monic, once exact division shows
+    that it divides both A and B; otherwise k doubles.
+
+    Correctness: for xi >= 2 min(|A|, |B|) + 2, a candidate that divides A
+    and B is their gcd (CGG, Theorem 1).  Termination: with A = G A' and
+    B = G B', gcd(A(xi), B(xi)) = s |G(xi)|, where s divides res(A', B');
+    once xi > 2 |res(A', B')| |G|, the digits are +-s G, whose primitive
+    part is G, so doubling k needs no fallback.
     """
     if a.is_zero and b.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
@@ -343,14 +335,21 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     if b.is_zero:
         return a.monic()
     pa, pb = _primitive(a._ints), _primitive(b._ints)
-    if len(pa) < len(pb):
-        pa, pb = pb, pa
-    while pb:
-        rem = _int_pseudo_rem(pa, pb)
-        if rem:
-            rem = _primitive(rem)
-        pa, pb = pb, rem
-    return Polynomial._over(pa, pa[-1])
+    k = (2 * min(max(map(abs, pa)), max(map(abs, pb))) + 2).bit_length() + 1
+    while True:
+        h = math.gcd(*(sum(v << k * i for i, v in enumerate(p)) for p in (pa, pb)))
+        digits, half = [], 1 << (k - 1)
+        while h:  # signed digits in [-xi/2, xi/2)
+            digits.append(((h + half) & ((half << 1) - 1)) - half)
+            h = (h - digits[-1]) >> k
+        g = _primitive(digits)
+        try:
+            _int_divexact(pa, g)
+            _int_divexact(pb, g)
+        except ArithmeticError:
+            k *= 2
+        else:
+            return Polynomial._over(g, g[-1])
 
 
 class RationalFunction:
@@ -377,14 +376,14 @@ class RationalFunction:
             object.__setattr__(self, "den", Polynomial.one())
             return
         # num / den = (pn * den._den) / (pd * num._den) for the stored
-        # numerators; the primitive gcd divides pn and pd exactly, by Gauss's
-        # lemma, and dividing by pd's leading entry makes the denominator monic
+        # numerators; a monic gcd stores the primitive gcd as its numerators,
+        # which divides pn and pd exactly, by Gauss's lemma, and dividing by
+        # pd's leading entry makes the denominator monic
         pn, pd = num._ints, den._ints
         g = poly_gcd(num, den)
         if g.degree > 0:
-            pg = _primitive(g._ints)
-            pn = _int_divexact(pn, pg)
-            pd = _int_divexact(pd, pg)
+            pn = _int_divexact(pn, g._ints)
+            pd = _int_divexact(pd, g._ints)
         lead = pd[-1]
         num = Polynomial._over([v * den._den for v in pn], num._den * lead)
         object.__setattr__(self, "num", num)

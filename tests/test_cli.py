@@ -187,6 +187,7 @@ def test_sweep_millis_is_wall_clock(monkeypatch):
     assert report.millis >= int(sum(inside) * 1000)
 
 
+@pytest.mark.fails("bijection")
 def test_bijection_fails_on_wrong_forward_insertion(monkeypatch):
     from hookforge import cli
     from hookforge.partitions import Cell
@@ -210,6 +211,7 @@ def test_bijection_fails_on_wrong_forward_insertion(monkeypatch):
     assert report.witness == "round trip failed at 1 2 3 4 corner (1, 4)"
 
 
+@pytest.mark.fails("bijection")
 def test_bijection_fails_when_forward_insertion_misreports_the_cell(monkeypatch):
     from hookforge import cli
     from hookforge.partitions import Cell
@@ -243,6 +245,7 @@ def test_bijection_validates_each_enumerated_tableau_once(monkeypatch):
     assert sorted(calls) == sorted(expected)
 
 
+@pytest.mark.fails("bijection")
 def test_bijection_fails_when_reverse_insertion_skips_relabelling(monkeypatch):
     from hookforge import cli
     from hookforge.tableaux import reverse_row_insert_word
@@ -262,6 +265,7 @@ def test_bijection_fails_when_reverse_insertion_skips_relabelling(monkeypatch):
     )
 
 
+@pytest.mark.fails("bijection")
 def test_bijection_fails_when_a_corner_is_deleted_twice(monkeypatch):
     from hookforge import cli, partitions
 
@@ -275,6 +279,7 @@ def test_bijection_fails_when_a_corner_is_deleted_twice(monkeypatch):
     assert report.witness == "corner deletions are not injective"
 
 
+@pytest.mark.fails("bijection")
 def test_bijection_fails_when_the_smaller_enumeration_misses_a_tableau(monkeypatch):
     from hookforge import cli
     from hookforge.tableaux import lattice_words
@@ -293,6 +298,7 @@ def test_bijection_fails_when_the_smaller_enumeration_misses_a_tableau(monkeypat
     assert report.witness.endswith(", standard but missing from the enumeration")
 
 
+@pytest.mark.fails("bijection")
 def test_bijection_fails_on_an_enumerated_non_lattice_word(monkeypatch):
     from hookforge import cli
     from hookforge.partitions import Partition
@@ -323,6 +329,7 @@ def test_bijection_fails_on_an_enumerated_non_lattice_word(monkeypatch):
     assert inserted == []
 
 
+@pytest.mark.fails("bijection")
 def test_bijection_fails_on_an_enumerated_zero_byte(monkeypatch):
     from hookforge import cli
     from hookforge.tableaux import lattice_words
@@ -342,6 +349,7 @@ def test_bijection_fails_on_an_enumerated_zero_byte(monkeypatch):
     )
 
 
+@pytest.mark.fails("bijection")
 def test_bijection_fails_when_the_smaller_enumeration_repeats_a_word(monkeypatch):
     from hookforge import cli
     from hookforge.tableaux import lattice_words
@@ -358,6 +366,7 @@ def test_bijection_fails_when_the_smaller_enumeration_repeats_a_word(monkeypatch
     assert report.witness == "corner count 16 != n * |SYT(n-1)| = 20"
 
 
+@pytest.mark.fails("bijection")
 def test_bijection_fails_when_the_larger_enumeration_drops_a_word(monkeypatch):
     from hookforge import cli
     from hookforge.tableaux import lattice_words
@@ -374,6 +383,7 @@ def test_bijection_fails_when_the_larger_enumeration_drops_a_word(monkeypatch):
     assert report.witness == "corner count 15 != n * |SYT(n-1)| = 16"
 
 
+@pytest.mark.fails("egf")
 def test_egf_fails_on_wrong_recurrence(monkeypatch):
     from fractions import Fraction
 
@@ -399,6 +409,7 @@ def test_egf_fails_on_wrong_recurrence(monkeypatch):
     assert involutions.verify_involution_egf(10, u1, u2)
 
 
+@pytest.mark.fails("egf")
 def test_egf_kronecker_point_fails_on_its_own(monkeypatch):
     from fractions import Fraction
 
@@ -426,6 +437,7 @@ def test_egf_kronecker_point_fails_on_its_own(monkeypatch):
     assert (report.verdict, report.witness) == ("fail", "x0 at 10")
 
 
+@pytest.mark.fails("prop3")
 def test_prop3_fails_on_wrong_parity(monkeypatch):
     from hookforge import cli, identity
 
@@ -439,6 +451,7 @@ def test_prop3_fails_on_wrong_parity(monkeypatch):
     assert report.witness.endswith("]: sum is 0, expected 1")
 
 
+@pytest.mark.fails("prop3")
 def test_prop3_fails_on_the_proof_point_alone(monkeypatch):
     from hookforge import cli, identity
 
@@ -457,6 +470,7 @@ def test_prop3_fails_on_the_proof_point_alone(monkeypatch):
     )
 
 
+@pytest.mark.fails("prop3")
 def test_prop3_fails_on_the_symbolic_witness(monkeypatch):
     from hookforge import _multipoly as mp
     from hookforge import cli, identity
@@ -474,6 +488,7 @@ def test_prop3_fails_on_the_symbolic_witness(monkeypatch):
     assert (report.verdict, report.witness) == ("fail", witness)
 
 
+@pytest.mark.fails("prop3")
 def test_prop3_residues_fail_on_a_dropped_denominator_factor(monkeypatch):
     from hookforge import cli, identity
 
@@ -492,6 +507,7 @@ def test_prop3_residues_fail_on_a_dropped_denominator_factor(monkeypatch):
     assert "t - a_5 does not divide the denominator" in report.witness
 
 
+@pytest.mark.fails("prop3")
 def test_prop3_residues_fail_on_a_doubled_numerator(monkeypatch):
     from hookforge import cli, identity
 
@@ -541,6 +557,7 @@ def test_crashing_unit_becomes_error_record_and_exit_1(monkeypatch, capsys):
     assert all(r["verdict"] == "pass" for r in records if r not in errors)
 
 
+@pytest.mark.fails("theorem1prime")
 def test_failing_psi_cross_check_becomes_error_records(monkeypatch, capsys):
     from hookforge import cli, involutions
 

@@ -118,6 +118,72 @@ def test_poly_gcd_divides_random_products():
         assert (g % c.monic()).is_zero
 
 
+def _primitive(ints):
+    g = math.gcd(*ints)
+    return [v // g for v in ints]
+
+
+def _int_pseudo_rem(a, b):
+    """Pseudo-remainder of integer polynomial a by b (lc(b)^k scaled)."""
+    rem = list(a)
+    db = len(b) - 1
+    lb = b[-1]
+    while len(rem) - 1 >= db and rem:
+        if rem[-1] == 0:
+            rem.pop()
+            continue
+        top = rem[-1]
+        shift = len(rem) - 1 - db
+        rem = [c * lb for c in rem]
+        for j, bc in enumerate(b):
+            rem[shift + j] -= top * bc
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return rem
+
+
+def prs_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Reference monic gcd of two polynomials, not both zero: a primitive
+    pseudo-remainder sequence over the integer numerators, which shares
+    only `Polynomial._over` and `monic` with `poly_gcd`."""
+    if a.is_zero or b.is_zero:
+        return (b if a.is_zero else a).monic()
+    pa, pb = _primitive(a._ints), _primitive(b._ints)
+    if len(pa) < len(pb):
+        pa, pb = pb, pa
+    while pb:
+        rem = _int_pseudo_rem(pa, pb)
+        if rem:
+            rem = _primitive(rem)
+        pa, pb = pb, rem
+    return Polynomial._over(pa, pa[-1])
+
+
+def test_poly_gcd_retries_when_a_candidate_does_not_divide(monkeypatch):
+    from hookforge import exact
+
+    a = P(3, 7, 2)  # (2q + 1)(q + 3)
+    b = P(-1, -5, -6, -1, -2)  # -(2q + 1)(q^3 + 3q + 1)
+    divexact = exact._int_divexact
+    rejected = []
+
+    def spy(x, y):
+        try:
+            return divexact(x, y)
+        except ArithmeticError:
+            rejected.append(list(y))
+            raise
+
+    monkeypatch.setattr(exact, "_int_divexact", spy)
+    g = poly_gcd(a, b)
+    monkeypatch.undo()
+    # at xi = 2^5 the digits of gcd(a(xi), b(xi)) = 2275 are 2q^2 + 7q + 3,
+    # which divides a but not b, so the next round runs
+    assert rejected == [[3, 7, 2]]
+    assert g == P(Fraction(1, 2), 1) == prs_gcd(a, b)
+    assert (a % g).is_zero and (b % g).is_zero
+
+
 def test_polynomial_rejects_non_rational_coefficients():
     for bad in (0.1, "1/3", None, 1j):
         with pytest.raises(TypeError):
@@ -439,3 +505,24 @@ def test_kernel_properties():
 
     for prop in (product, division, gcd, canonical, int_divexact):
         prop()
+
+
+def test_poly_gcd_matches_the_pseudo_remainder_sequence_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    # small coefficients share factors often; large ones (up to 10^12) make
+    # the first packing base large
+    large = st.builds(Fraction, st.integers(-10**12, 10**12), st.integers(1, 6))
+    polys = st.one_of(_polynomial_strategy(st), st.lists(large, max_size=6).map(Polynomial))
+    nonzero = polys.filter(lambda p: not p.is_zero)
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(polys, polys, nonzero)
+    def same_gcd(a, b, c):
+        hypothesis.assume(not (a.is_zero and b.is_zero))
+        g = poly_gcd(a * c, b * c)
+        assert g == prs_gcd(a * c, b * c)
+        # RationalFunction divides by these numerators as the primitive gcd
+        assert math.gcd(*g._ints) == 1
+
+    same_gcd()

@@ -246,6 +246,7 @@ def _shift_hook_one(powers: Counter) -> Counter:
 
 
 @pytest.mark.parametrize("perturbation", ["count", "hook"])
+@pytest.mark.fails("theorem1prime")
 def test_perturbed_phi_terms_fail_theorem1prime(monkeypatch, perturbation):
     n = 7
     terms = _phi_terms(n)
@@ -268,6 +269,7 @@ def test_perturbed_phi_terms_fail_theorem1prime(monkeypatch, perturbation):
     assert verify_theorem1prime(n - 1) is None
 
 
+@pytest.mark.fails("lemma1")
 def test_perturbed_lemma1_terms_fail(monkeypatch):
     lam = Partition((3, 1))
     lhs, rhs = _lemma1_terms(lam)

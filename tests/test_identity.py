@@ -222,6 +222,21 @@ def test_corner_hooks_sweep():
                 assert witness is None, witness
 
 
+@pytest.mark.fails("lemma1")
+def test_corner_hooks_fail_on_an_off_by_one_hook(monkeypatch):
+    from hookforge import cli, identity
+
+    real_hook_length = identity.hook_length
+    monkeypatch.setattr(identity, "hook_length", lambda lam, cell: real_hook_length(lam, cell) + 1)
+    witness = verify_corner_hooks(Partition((3, 1)), 2)
+    assert witness is not None
+    assert witness.startswith("shape=3,1, k=2: extended row 1: hook at (1, 2) in 3,2 is 4, expected 3; ")
+    # the extend-retract sums read hooks(), so the corner relations fail the unit
+    report = cli.Unit("lemma1", {"n": 4})()
+    assert report.verdict == "fail"
+    assert ", k=" in report.witness
+
+
 # -- corner content identity (interlaced weight-ratio sums) --------------------
 
 
@@ -333,6 +348,7 @@ def test_alternating_left_side_vanishes_for_two_values():
     assert witness is None
 
 
+@pytest.mark.fails("prop3")
 def test_prop3_alternating_fails_on_a_flipped_summand(monkeypatch):
     from hookforge import _multipoly as mp
     from hookforge import identity
@@ -413,6 +429,7 @@ def test_reports_carry_reproducible_witnesses():
     assert bad is None
 
 
+@pytest.mark.fails("prop2")
 def test_prop2_substitution_recheck_can_fail():
     from hookforge.identity import _prop2_substitution_witness
 
@@ -438,6 +455,7 @@ def test_prop2_substitution_recheck_is_independent(monkeypatch):
     assert identity._prop2_substitution_witness([4, 1, -1, -4], [2, 0, -3]) is None
 
 
+@pytest.mark.fails("substitution")
 def test_substitution_fails_on_a_perturbed_binomial(monkeypatch):
     from hookforge import identity
 
@@ -456,6 +474,7 @@ def test_substitution_fails_on_a_perturbed_binomial(monkeypatch):
     assert verify_weight_substitution(4) is None
 
 
+@pytest.mark.fails("substitution")
 def test_rho_is_built_from_the_binomials_the_substitution_checks(monkeypatch):
     from hookforge import identity
 
@@ -479,6 +498,7 @@ def test_rho_is_built_from_the_binomials_the_substitution_checks(monkeypatch):
     assert rho(4) == real
 
 
+@pytest.mark.fails("theorem1")
 def test_theorem1_fails_on_an_off_by_one_interpolating_weight(monkeypatch):
     from hookforge import identity
 
@@ -497,6 +517,7 @@ def test_theorem1_fails_on_an_off_by_one_interpolating_weight(monkeypatch):
     assert verify_theorem1(4) is None
 
 
+@pytest.mark.fails("prop2")
 def test_prop2_fails_on_a_perturbed_factored_term(monkeypatch):
     from hookforge import identity
 

@@ -265,6 +265,7 @@ def _off_by_one_relabel(monkeypatch):
 @pytest.mark.parametrize(
     "fault", [_dropping_first_leaf, _unpairing_first_leaf, _off_by_one_relabel]
 )
+@pytest.mark.fails("theorem1prime")
 def test_psi_cross_check_fails_on_a_faulty_walk(monkeypatch, fault):
     n = 6
     psi_n.cache_clear()
