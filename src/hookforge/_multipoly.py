@@ -1,27 +1,30 @@
 """Minimal exact multivariate polynomials over the integers.
 
-A polynomial in n variables is a dict mapping exponent tuples of length n to
-nonzero integer coefficients; {} is zero.  Just enough arithmetic lives here
-to expand the cleared symmetric sum and the difference product, so that they
-can be compared as dicts: sums, negation, products and the binomial
+A polynomial in n variables is a dict mapping packed monomials to nonzero
+integer coefficients; {} is zero.  A monomial is one int with the exponent
+of variable i in bits [8i, 8i + 8), so `tuple(mono.to_bytes(n, "little"))`
+decodes it and a product of monomials is one addition, which carries into
+the next exponent unless every exponent stays below 256.  The only caller,
+`verify_prop3_alternating`, has n <= 6 and multiplies binomials in which a
+variable occurs in at most n - 1 factors, so no exponent exceeds 5.  Just
+enough arithmetic lives here to expand and compare the cleared symmetric
+sum and the difference product: sums, negation, products and the binomial
 x_i - x_j, with no division.
 """
 
 from __future__ import annotations
 
-MPoly = dict[tuple[int, ...], int]
+MPoly = dict[int, int]
 
 
 def mp_const(nvars: int, value: int) -> MPoly:
     if value == 0:
         return {}
-    return {(0,) * nvars: value}
+    return {0: value}
 
 
 def mp_var(nvars: int, idx: int) -> MPoly:
-    exp = [0] * nvars
-    exp[idx] = 1
-    return {tuple(exp): 1}
+    return {1 << (8 * idx): 1}
 
 
 def mp_add(a: MPoly, b: MPoly) -> MPoly:
@@ -43,7 +46,7 @@ def mp_mul(a: MPoly, b: MPoly) -> MPoly:
     out: MPoly = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
-            mono = tuple(x + y for x, y in zip(ma, mb))
+            mono = ma + mb
             s = out.get(mono, 0) + ca * cb
             if s:
                 out[mono] = s

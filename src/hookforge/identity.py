@@ -321,20 +321,20 @@ def verify_lemma1(lam: Partition) -> str | None:
     extensions sum to w(1) times the shape weight plus the weights of all
     one-cell retractions.
 
-    Both sides are divided by the (nonzero) shape weight before comparison:
-    each neighbour's hook powers have the shape's subtracted, so the hooks
-    that the two share cancel before anything is factored.  Extension and
-    retraction only disturb hooks in one row and one column, so the few
-    that are left keep the polynomials small.
+    Both sides are divided by the (nonzero) shape weight: each neighbour's
+    hook powers have the shape's subtracted, so shared hooks cancel before
+    anything is factored, and the few left in one row and one column keep
+    the polynomials small.  The identity holds when the difference of the
+    two sides, materialized once, is zero in Q(q); only a failure
+    materializes each side, for the witness.
     """
     lhs_terms, rhs_terms = _lemma1_terms(lam)
-    lhs = _materialize(lhs_terms)
-    rhs = _materialize(rhs_terms)
-    if lhs != rhs:
-        return (
-            f"shape={lam.serialize()}: extensions {lhs.format()} != {rhs.format()}"
-            " (both sides divided by the shape weight)"
-        )
+    if _materialize(lhs_terms + [(-c, p) for c, p in rhs_terms]).is_zero:
+        return None
+    return (
+        f"shape={lam.serialize()}: extensions {_materialize(lhs_terms).format()}"
+        f" != {_materialize(rhs_terms).format()} (both sides divided by the shape weight)"
+    )
 
 
 def _lemma1_terms(lam: Partition):
@@ -483,10 +483,11 @@ def verify_prop2(xs, ys) -> str | None:
     """Corner-content identity: the two interlaced weight-ratio sums add to 1.
 
     Takes the outer contents xs (d of them) and inner contents ys (d - 1),
-    all distinct integers.  The sum is evaluated exactly in q via factored
-    hook weights; the reduction to the symmetric two-term sum is rechecked for
-    every d by exact evaluation of that sum at one integer point q0 beyond a
-    proven root bound (see `_prop2_substitution_witness`).
+    all distinct integers.  The sum minus 1, materialized once from factored
+    hook weights, must be zero in Q(q).  The reduction to the symmetric
+    two-term sum is rechecked for every d, with no factored code, by exact
+    evaluation of that sum at one integer point q0 beyond a proven root
+    bound (see `_prop2_substitution_witness`).
     """
     xs = _as_int_contents(xs)
     ys = _as_int_contents(ys)
@@ -496,20 +497,23 @@ def verify_prop2(xs, ys) -> str | None:
     if len(set(xs) | set(ys)) != 2 * d - 1:
         raise ValueError("requires distinct values")
 
-    total = _materialize(_prop2_terms(xs, ys))
-    if total != RationalFunction.one():
-        return f"xs={xs}, ys={ys}: weight-ratio sum is {total.format()}, expected 1"
+    terms = _prop2_terms(xs, ys)
+    if not _materialize(terms + [(-1, {})]).is_zero:
+        total = _materialize(terms).format()
+        return f"xs={xs}, ys={ys}: weight-ratio sum is {total}, expected 1"
     return _prop2_substitution_witness(xs, ys)
 
 
-def _prop2_terms(xs: list[int], ys: list[int]) -> list[tuple[int, Counter]]:
+def _prop2_terms(xs: list[int], ys: list[int]) -> list[tuple[int, dict[int, int]]]:
     """The weight ratios of the corner-content sum as hook powers, one term
-    per outer content and one per inner content."""
+    per content v: +1 at v - u for the other contents u of its own side, -1
+    at v - u for those of the other side.  The contents are distinct
+    (`verify_prop2` checks it), so no two keys collide."""
     terms = []
     for own, other in ((xs, ys), (ys, xs)):
         for k, v in enumerate(own):
-            powers = Counter(v - u for i, u in enumerate(own) if i != k)
-            powers.subtract(v - u for u in other)
+            powers = {v - u: 1 for i, u in enumerate(own) if i != k}
+            powers.update({v - u: -1 for u in other})
             terms.append((1, powers))
     return terms
 
@@ -645,10 +649,11 @@ def verify_prop3_alternating(n: int) -> str | None:
     rhs = mp.mp_mul(mp.mp_const(n, n % 2), _difference_product(n))
     if lhs != rhs:
         # name one monomial: the expansion runs to hundreds of them at n = 6
-        differ = sorted(m for m in lhs.keys() | rhs.keys() if lhs.get(m) != rhs.get(m))
+        differ = [m for m in lhs.keys() | rhs.keys() if lhs.get(m) != rhs.get(m)]
+        first = min(differ, key=lambda m: m.to_bytes(n, "little"))  # in tuple order
         return (
-            f"n={n}: V*f and {n % 2}*V differ in {len(differ)} monomials, first at "
-            f"exponents {differ[0]}: {lhs.get(differ[0], 0)} vs {rhs.get(differ[0], 0)}"
+            f"n={n}: V*f and {n % 2}*V differ in {len(differ)} monomials, first at exponents "
+            f"{tuple(first.to_bytes(n, 'little'))}: {lhs.get(first, 0)} vs {rhs.get(first, 0)}"
         )
 
 

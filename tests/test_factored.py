@@ -7,7 +7,7 @@ from functools import cache
 
 import pytest
 
-from hookforge import identity
+from hookforge import cli, identity
 from hookforge.exact import Polynomial, RationalFunction
 from hookforge.identity import (
     _cyclo_sum,
@@ -16,6 +16,7 @@ from hookforge.identity import (
     _phi_terms,
     phi_n,
     verify_lemma1,
+    verify_prop2,
     verify_theorem1prime,
     weight_lambda,
     weight_w,
@@ -282,3 +283,45 @@ def test_perturbed_lemma1_terms_fail(monkeypatch):
     assert witness is not None
     assert witness.startswith(f"shape={lam.serialize()}: extensions ")
     assert _materialize(lhs).format() in witness
+
+
+def test_passing_folded_checks_materialize_once(monkeypatch):
+    # a passing lemma1 or prop2 materializes the difference of its two sides
+    # once; only the failing path builds the sides for the witness
+    calls = []
+
+    def counted(terms):
+        calls.append(len(terms))
+        return _materialize(terms)
+
+    monkeypatch.setattr(identity, "_materialize", counted)
+    for lam in (Partition(()), Partition((1,)), Partition((3, 1)), Partition((4, 2, 2, 1))):
+        calls.clear()
+        assert verify_lemma1(lam) is None
+        assert calls == [len(addable_cells(lam)) + 1 + len(removable_cells(lam))]
+    for xs, ys in (([0], []), ([3, 0, -2], [2, -1]), ([4, 1, -1, -4], [2, 0, -3])):
+        calls.clear()
+        assert verify_prop2(xs, ys) is None
+        assert calls == [len(xs) + len(ys) + 1]
+
+
+@pytest.mark.fails("theorem1prime")
+def test_a_vanishing_cyclotomic_sum_fails_theorem1prime(monkeypatch):
+    # With every factored sum zero, the folded differences vanish, so the
+    # factored routes of lemma1 and prop2 pass (prop2's substitution recheck
+    # reads no factored code and still guards that check).  theorem1prime
+    # compares phi_n with psi_n, which sums no cyclotomic terms: it fails.
+    phi_n.cache_clear()
+    try:
+        monkeypatch.setattr(identity, "_cyclo_sum", lambda terms: [])
+        assert verify_lemma1(Partition((3, 1))) is None
+        assert verify_prop2([3, 0, -2], [2, -1]) is None
+        report = cli.Unit("theorem1prime", {"n": 4})()
+    finally:
+        monkeypatch.undo()
+        phi_n.cache_clear()
+    assert (report.verdict, report.witness) == (
+        "fail",
+        f"n=4: involution side {psi_n(4).format()} != tableau side 0",
+    )
+    assert cli.Unit("theorem1prime", {"n": 4})().verdict == "pass"
