@@ -5,11 +5,11 @@ integer coefficients; {} is zero.  A monomial is one int with the exponent
 of variable i in bits [8i, 8i + 8), so `tuple(mono.to_bytes(n, "little"))`
 decodes it and a product of monomials is one addition, which carries into
 the next exponent unless every exponent stays below 256.  The only caller,
-`verify_prop3_alternating`, has n <= 6 and multiplies binomials in which a
-variable occurs in at most n - 1 factors, so no exponent exceeds 5.  Just
-enough arithmetic lives here to expand and compare the cleared symmetric
-sum and the difference product: sums, negation, products and the binomial
-x_i - x_j, with no division.
+`verify_prop3_alternating`, has n <= 6 and forms no product but each V_k
+(expanded as a determinant, not multiplied out) times the n - 1 binomials
+a_k + a_i, so no exponent exceeds n - 1 <= 5.  Just enough arithmetic lives
+here to expand and compare the cleared symmetric sum and the difference
+product: sums, negation and products, with no division.
 """
 
 from __future__ import annotations
@@ -54,7 +54,3 @@ def mp_mul(a: MPoly, b: MPoly) -> MPoly:
                 out.pop(mono, None)
     return out
 
-
-def mp_linear_diff(nvars: int, i: int, j: int) -> MPoly:
-    """The binomial x_i - x_j."""
-    return mp_add(mp_var(nvars, i), mp_neg(mp_var(nvars, j)))

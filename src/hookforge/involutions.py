@@ -1,9 +1,10 @@
 """Involutions of S_n: enumeration, fixed-point/2-cycle statistics, the
 bivariate cycle-counting polynomial g_n, and the fixed-point weight sum psi_n.
 
-The counting recursion used throughout is g_{n+1} = u1 g_n + n u2 g_{n-1}:
-the last point is either fixed (weight u1) or paired with one of n earlier
-points (weight u2).  Specializing u1 = u2 = 1 counts involutions.
+g_n(u1, u2), the sum of u1^(fixed points) u2^(2-cycles), has one recursion,
+`g_poly`: g_{n+1} = u1 g_n + n u2 g_{n-1}, the last point fixed or paired
+with one of n earlier points.  Its one enumerated sum is `g_poly_oracle`.
+The involution numbers are g_n(1, 1), and psi_n = g_n(w(1), 1).
 
 Enumeration follows the same recursion but stores images, not objects:
 Inv(m) is m byte columns, column p holding the image of p in every
@@ -169,22 +170,16 @@ def enumerate_involutions(n: int) -> list[Involution]:
 
 @cache
 def involution_count(n: int) -> int:
-    """Involution numbers by the recurrence I(n) = I(n-1) + (n-1) I(n-2),
-    computed bottom-up so that no call recurses."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    prev, cur = 1, 1  # I(0), I(1)
-    for m in range(1, n):
-        prev, cur = cur, cur + m * prev
-    return cur
+    """Involution numbers I(n) = g_n(1, 1), computed bottom-up."""
+    return g_poly(n, 1, 1)
 
 
-def g_poly(n: int, u1: Fraction, u2: Fraction) -> Fraction:
-    """Evaluate the cycle-counting polynomial g_n at (u1, u2) by recursion."""
+def g_poly(n: int, u1, u2):
+    """g_n(u1, u2) by its recursion, bottom-up, in the ring of u1 and u2:
+    int, Fraction, Polynomial or RationalFunction (g_0 is u1**0)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    u1, u2 = Fraction(u1), Fraction(u2)
-    prev, cur = Fraction(1), u1  # g_0, g_1
+    prev, cur = u1**0, u1  # g_0, g_1
     if n == 0:
         return prev
     for m in range(1, n):
@@ -192,13 +187,15 @@ def g_poly(n: int, u1: Fraction, u2: Fraction) -> Fraction:
     return cur
 
 
-def g_poly_oracle(n: int, u1: Fraction, u2: Fraction) -> Fraction:
-    """g_n by direct summation of u1^alpha1 u2^alpha2 over all involutions."""
-    u1, u2 = Fraction(u1), Fraction(u2)
-    total = Fraction(0)
+def g_poly_oracle(n: int, u1, u2):
+    """g_n(u1, u2) as the sum of u1^alpha1 u2^alpha2 over the enumerated
+    involutions, in the rings of `g_poly`.  The sum starts at 0 * u1, so it
+    lies in u1's ring even when empty, and each term multiplies its scalars
+    first."""
+    total = 0 * u1
     for a1, count in enumerate(_fixed_point_histogram(n)):
         if count:
-            total += count * u1**a1 * u2 ** ((n - a1) // 2)
+            total += count * u2 ** ((n - a1) // 2) * u1**a1
     return total
 
 
@@ -217,57 +214,33 @@ def verify_involution_egf(order: int, u1: Fraction, u2: Fraction) -> bool:
     )
 
 
-def _psi_by_enumeration(n: int) -> RationalFunction:
-    from .identity import weight_w
-
-    w1 = weight_w(1)
-    total = RationalFunction.zero()
-    for a1, count in enumerate(_fixed_point_histogram(n)):
-        if count:
-            total = total + count * (w1**a1 if a1 else RationalFunction.one())
-    return total
-
-
 def _psi_by_recursion(n: int) -> RationalFunction:
-    """psi_n by the recursion psi_{m+1} = w(1) psi_m + m psi_{m-1}, bottom-up.
-
-    With w(1) = (1 + q)/(1 - q), psi_m = P_m / (1 - q)^m for the integer
-    polynomials P_0 = 1, P_1 = 1 + q and
-    P_{m+1} = (1 + q) P_m + m (1 - q)^2 P_{m-1}.  P_m(1) = 2^m is nonzero, so
-    no factor 1 - q cancels and the fraction is already reduced.
-    """
-    prev, cur = [], [1]  # P_{m-1}, P_m (low degree first)
-    for m in range(n):
-        nxt = cur + [0]
-        for i, c in enumerate(cur):
-            nxt[i + 1] += c
-        for i, c in enumerate(prev):
-            mc = m * c
-            nxt[i] += mc
-            nxt[i + 1] -= 2 * mc
-            nxt[i + 2] += mc
-        prev, cur = cur, nxt
-    if sum(cur) != 1 << n:
+    """psi_n = g_n(w(1), 1) = P_n / (1 - q)^n for P_n = g_n(1 + q, (1 - q)^2),
+    as w(1) = (1 + q)/(1 - q) and g_n is homogeneous of degree n when u1 has
+    weight 1 and u2 weight 2.  P_n(1) = 2^n is nonzero, so no factor 1 - q
+    cancels and the fraction is already reduced."""
+    num = g_poly(n, Polynomial((1, 1)), Polynomial((1, -2, 1)))
+    if num(1) != 1 << n:
         raise AssertionError(f"psi numerator at n={n} does not take the value 2^n at q=1")
     # the denominator made monic: (q - 1)^n, with the numerator's sign to match
     sign = -1 if n % 2 else 1
     den = Polynomial._over([comb(n, i) * (-1) ** (n - i) for i in range(n + 1)])
-    return RationalFunction._from_canonical(Polynomial._over([sign * c for c in cur]), den)
+    return RationalFunction._from_canonical(sign * num, den)
 
 
 @cache
 def psi_n(n: int) -> RationalFunction:
     """Sum of w(1)^(number of fixed points) over all involutions of S_n.
 
-    Computed bottom-up by the recursion psi_{n+1} = w(1) psi_n + n psi_{n-1},
-    so no call recurses; for small n the value is re-derived by brute
-    enumeration and the two routes are asserted to agree.
+    This is g_n(w(1), 1) by `g_poly`, bottom-up so that no call recurses
+    (and n < 0 raises `ValueError`); for small n `g_poly_oracle` re-derives it
+    from the enumerated involutions and the two routes are asserted to agree.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     value = _psi_by_recursion(n)
     if n <= PSI_ENUMERATION_BOUND:
-        enumerated = _psi_by_enumeration(n)
+        from .identity import weight_w
+
+        enumerated = g_poly_oracle(n, weight_w(1), 1)
         if enumerated != value:
             raise AssertionError(
                 f"psi recursion and enumeration disagree at n={n}: "

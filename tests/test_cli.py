@@ -437,6 +437,39 @@ def test_egf_kronecker_point_fails_on_its_own(monkeypatch):
     assert (report.verdict, report.witness) == ("fail", "x0 at 10")
 
 
+@pytest.mark.fails("theorem1prime")
+def test_one_recursion_fault_fails_theorem1prime_and_egf(monkeypatch):
+    # psi_n and the egf check read the same g_poly, so one fault in the
+    # recursion fails both
+    from hookforge import cli, involutions
+
+    def without_m(n, u1, u2):  # ring-generic, with the factor m dropped
+        prev, cur = u1**0, u1
+        if n == 0:
+            return prev
+        for _ in range(1, n):
+            prev, cur = cur, u1 * cur + u2 * prev
+        return cur
+
+    involutions.psi_n.cache_clear()
+    try:
+        monkeypatch.setattr(involutions, "g_poly", without_m)
+        small = cli.Unit("theorem1prime", {"n": 4})()
+        large = cli.Unit("theorem1prime", {"n": 14})()
+        egf = cli.Unit("egf", {"order": 10, "trials": 1}, 0)()
+    finally:
+        monkeypatch.undo()
+        involutions.psi_n.cache_clear()
+    # below PSI_ENUMERATION_BOUND the enumeration disagrees; above it the
+    # tableau side does
+    assert small.verdict == "error"
+    assert small.witness.startswith(
+        "AssertionError: psi recursion and enumeration disagree at n=4"
+    ), small.witness
+    assert large.verdict == "fail"
+    assert egf.verdict == "fail"
+
+
 @pytest.mark.fails("prop3")
 def test_prop3_fails_on_wrong_parity(monkeypatch):
     from hookforge import cli, identity

@@ -368,6 +368,26 @@ def test_prop3_alternating_fails_on_a_flipped_summand(monkeypatch):
     assert len(witness) < 300
 
 
+@pytest.mark.fails("prop3")
+def test_prop3_alternating_fails_on_a_faulty_monomial_product(monkeypatch):
+    # V is expanded as a determinant, not by mp_mul, so a product kernel that
+    # joins monomials by `|` in place of `+` breaks V*f alone
+    from hookforge import _multipoly as mp
+    from hookforge import cli, identity
+
+    def or_joined(a, b):
+        out: mp.MPoly = {}
+        for ma, ca in a.items():
+            for mb, cb in b.items():
+                out[ma | mb] = out.get(ma | mb, 0) + ca * cb
+        return {mono: c for mono, c in out.items() if c}
+
+    monkeypatch.setattr(identity.mp, "mp_mul", or_joined)
+    report = cli.Unit("prop3", {"n": 3, "trials": 1}, 0)()
+    assert report.verdict == "fail"
+    assert report.witness.startswith("n=3: V*f and 1*V differ in 6 monomials"), report.witness
+
+
 def test_prop3_alternating_summands_have_the_degree_of_v():
     # the alternant lemma's premise: each summand prod_{i != k}(a_k + a_i) V_k
     # of V*f, built as verify_prop3_alternating builds it, is homogeneous of

@@ -66,3 +66,18 @@ def test_packed_products_match_the_tuple_reference(monkeypatch):
             assert decode(out, n) == ref_mul(decode(a, n), decode(b, n)), n
             # every exponent stays at most n - 1, far inside its 8-bit field
             assert all(max(mono.to_bytes(n, "little")) < n for mono in out), n
+
+
+def test_difference_product_is_the_product_of_its_binomials():
+    # the determinant expansion of V_skip against the product of the
+    # binomials a_i - a_j, formed by the tuple reference
+    for n in range(2, 7):
+        for skip in (None, *range(n)):
+            expected = {(0,) * n: 1}
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if skip not in (i, j):
+                        unit_i = tuple(int(v == i) for v in range(n))
+                        unit_j = tuple(int(v == j) for v in range(n))
+                        expected = ref_mul(expected, {unit_i: 1, unit_j: -1})
+            assert decode(identity._difference_product(n, skip), n) == expected, (n, skip)
