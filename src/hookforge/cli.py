@@ -33,9 +33,9 @@ from . import identity, involutions, partitions
 from .partitions import corner_profile, partitions_of
 from .tableaux import (
     StandardTableau,
-    forward_row_insert_word,
+    forward_row_insert_words,
     lattice_words,
-    reverse_row_insert_word,
+    reverse_row_insert_words,
     rows_of_word,
     serialize_rows,
     validate_word,
@@ -110,7 +110,10 @@ def _bijection(seed: int, n: int) -> Iterator[str]:
     SYT(n) is deleted once by reverse insertion; the resulting word must be
     the word of an enumerated tableau T (checked by lookup), the letter must
     lie in 1..n, no pair (T, letter) may be reached twice, and forward
-    insertion of the pair must give back the word of P and the corner.
+    insertion of the pair must give back the word of P and the corner.  The
+    insertions run one corner of one shape at a time, over all the words of
+    that shape; the pairs are checked one by one, and the round trip is
+    walked pair by pair only when the batch differs somewhere.
 
     No forward-then-reverse pass over SYT(n-1) x [n] is needed.  The checks
     above make corner deletion injective into E x [n], E the validated
@@ -134,25 +137,33 @@ def _bijection(seed: int, n: int) -> Iterator[str]:
     reached = bytearray(n * size)
     corner_total = 0
     for lam, words in larger.items():
-        corners = partitions.removable_cells(lam)
-        for word in words:
-            for cell in corners:
-                corner_total += 1
-                reduced, letter = reverse_row_insert_word(word, cell)
+        for cell in partitions.removable_cells(lam):
+            corner_total += len(words)
+            reduced, letters = reverse_row_insert_words(words, cell)
+            kept = []  # the positions whose deletion was looked up
+            for k, (small, letter) in enumerate(zip(reduced, letters)):
                 if not 1 <= letter <= n:
-                    yield f"ejected letter {letter} out of range for {_rows_text(word)}"
+                    yield f"ejected letter {letter} out of range for {_rows_text(words[k])}"
                     continue
-                i = index.get(reduced)
+                i = index.get(small)
                 if i is None:
-                    yield _unenumerated_witness(word, cell, reduced)
+                    yield _unenumerated_witness(words[k], cell, small)
                     continue
                 slot = i * n + letter - 1
                 if reached[slot]:
                     yield "corner deletions are not injective"
                 reached[slot] = 1
-                back, back_cell = forward_row_insert_word(reduced, letter)
-                if back != word or back_cell != cell:
-                    yield f"round trip failed at {_rows_text(word)} corner {tuple(cell)}"
+                kept.append(k)
+            domain = words
+            if len(kept) < len(words):
+                domain, reduced, letters = (
+                    [seq[k] for k in kept] for seq in (words, reduced, letters)
+                )
+            grown, cells = forward_row_insert_words(reduced, letters)
+            if grown != domain or cells.count(cell) != len(cells):
+                for word, back, back_cell in zip(domain, grown, cells):
+                    if back != word or back_cell != cell:
+                        yield f"round trip failed at {_rows_text(word)} corner {tuple(cell)}"
     if corner_total != n * size:
         yield f"corner count {corner_total} != n * |SYT(n-1)| = {n * size}"
 

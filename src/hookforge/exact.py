@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -130,13 +131,13 @@ class Polynomial:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a = [v * o._den for v in self._ints]
-        b = [v * self._den for v in o._ints]
-        if len(a) < len(b):
-            a, b = b, a
-        for i, c in enumerate(b):
-            a[i] += c
-        return Polynomial._over(a, self._den * o._den)
+        if self._den == o._den:  # 1 on every integer polynomial: no rescaling
+            a, b, den = self._ints, o._ints, self._den
+        else:
+            a = [v * o._den for v in self._ints]
+            b = [v * self._den for v in o._ints]
+            den = self._den * o._den
+        return Polynomial._over([x + y for x, y in zip_longest(a, b, fillvalue=0)], den)
 
     __radd__ = __add__
 

@@ -8,7 +8,10 @@ is the exact inverse.
 
 Both insertions run on the tableau's Yamanouchi word, one byte per entry
 holding its row, so that each bump is one bytes search and relabelling the
-entries is one byte inserted or deleted (Knuth, TAOCP vol. 3, 5.1.4).
+entries is one byte inserted or deleted (Knuth, TAOCP vol. 3, 5.1.4).  The
+two kernels, `reverse_row_insert_words` and `forward_row_insert_words`, take
+a list of words at once, so that the bijection check makes one call per
+shape and corner; the per-word forms are one-word calls of them.
 
 Tableaux come in two forms.  `enumerate_syt` builds `StandardTableau` rows,
 each checked by the validating constructor.  `lattice_words` builds the
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from typing import Sequence
 
 from .partitions import Cell, Partition, partitions_of
 
@@ -231,52 +235,86 @@ def forward_row_insert(tab: StandardTableau, value: int) -> tuple[StandardTablea
     return StandardTableau(rows_of_word(word)), cell
 
 
-def reverse_row_insert_word(word: bytes, cell: Cell) -> tuple[bytes, int]:
-    """reverse_row_insert on a Yamanouchi word; the result is not validated.
+def reverse_row_insert_words(
+    words: Sequence[bytes], cell: Cell
+) -> tuple[list[bytes], list[int]]:
+    """reverse_row_insert on each of a shape's Yamanouchi words, deleting the
+    same corner from every one; the results are not validated.
 
-    In the word, the mover displaces the last entry of the row above that
-    precedes it, and deleting the ejected letter's byte is the relabelling.
+    Returns the reduced words and the ejected letters as parallel lists.  In
+    a word, the mover displaces the last entry of the row above that precedes
+    it, and deleting the ejected letter's byte is the relabelling.  Every
+    word is checked on its own: the cell must be one of its corners, and each
+    row above must hold an entry below the mover.
     """
     r, c = cell
-    if (
-        not 1 <= r <= MAX_ROWS
-        or not 1 <= c == word.count(r)
-        or (r < MAX_ROWS and word.count(r + 1) >= c)
-    ):
+    if not 1 <= r <= MAX_ROWS:
         raise ValueError(f"cell {tuple(cell)} is not a removable corner")
-    out = bytearray(word)
-    moving = out.rfind(r)  # the corner holds the largest entry of its row
-    for row in range(r - 1, 0, -1):
-        x = out.rfind(row, 0, moving)
-        if x < 0:
+    above = range(r - 1, 0, -1)
+    reduced: list[bytes] = []
+    letters: list[int] = []
+    for word in words:
+        if not 1 <= c == word.count(r) or (r < MAX_ROWS and word.count(r + 1) >= c):
+            raise ValueError(f"cell {tuple(cell)} is not a removable corner")
+        out = bytearray(word)
+        moving = out.rfind(r)  # the corner holds the largest entry of its row
+        for row in above:
+            x = out.rfind(row, 0, moving)
+            if x < 0:
+                raise ValueError(
+                    f"not a lattice word: row {row} has no entry below {moving + 1}"
+                )
+            out[moving] = row
+            moving = x
+        del out[moving]
+        reduced.append(bytes(out))
+        letters.append(moving + 1)
+    return reduced, letters
+
+
+def forward_row_insert_words(
+    words: Sequence[bytes], values: Sequence[int]
+) -> tuple[list[bytes], list[tuple[int, int]]]:
+    """forward_row_insert of values[k] into words[k], for every k; the
+    results are not validated.
+
+    Returns the grown words and the new cells, as (row, col) tuples, in
+    parallel lists.  Inserting a placeholder byte at value-1 shifts the
+    larger entries up by one; in each row the mover displaces the first
+    entry that follows it.
+    """
+    row_numbers = range(1, MAX_ROWS + 1)
+    grown: list[bytes] = []
+    cells: list[tuple[int, int]] = []
+    for word, value in zip(words, values, strict=True):
+        if not 1 <= value <= len(word) + 1:
+            raise ValueError(f"insertion value must lie in 1..{len(word) + 1}")
+        out = bytearray(word)
+        out.insert(value - 1, 0)
+        moving = value - 1
+        for row in row_numbers:
+            x = out.find(row, moving + 1)
+            out[moving] = row
+            if x < 0:
+                break
+            moving = x
+        else:
             raise ValueError(
-                f"not a lattice word: row {row} has no entry below {moving + 1}"
+                f"insertion needs row {MAX_ROWS + 1}: a row number takes one byte, "
+                f"so at most {MAX_ROWS} rows"
             )
-        out[moving] = row
-        moving = x
-    del out[moving]
-    return bytes(out), moving + 1
+        grown.append(bytes(out))
+        cells.append((row, out.count(row)))
+    return grown, cells
+
+
+def reverse_row_insert_word(word: bytes, cell: Cell) -> tuple[bytes, int]:
+    """reverse_row_insert_words on one word."""
+    [reduced], [letter] = reverse_row_insert_words((word,), cell)
+    return reduced, letter
 
 
 def forward_row_insert_word(word: bytes, value: int) -> tuple[bytes, Cell]:
-    """forward_row_insert on a Yamanouchi word; the result is not validated.
-
-    Inserting a placeholder byte at value-1 shifts the larger entries up by
-    one; in each row the mover displaces the first entry that follows it.
-    """
-    n = len(word) + 1
-    if not 1 <= value <= n:
-        raise ValueError(f"insertion value must lie in 1..{n}")
-    out = bytearray(word)
-    out.insert(value - 1, 0)
-    moving = value - 1
-    for row in range(1, MAX_ROWS + 1):
-        x = out.find(row, moving + 1)
-        out[moving] = row
-        if x < 0:
-            return bytes(out), Cell(row, out.count(row))
-        moving = x
-    raise ValueError(
-        f"insertion needs row {MAX_ROWS + 1}: a row number takes one byte, "
-        f"so at most {MAX_ROWS} rows"
-    )
+    """forward_row_insert_words on one word, with the new cell as a Cell."""
+    [grown], [cell] = forward_row_insert_words((word,), (value,))
+    return grown, Cell(*cell)

@@ -187,6 +187,22 @@ def test_sweep_millis_is_wall_clock(monkeypatch):
     assert report.millis >= int(sum(inside) * 1000)
 
 
+def batched(per_word):
+    """The batch form of a per-word insertion kernel, run on each word in
+    turn: reverse insertion passes one corner for every word, forward
+    insertion one value per word."""
+    from itertools import repeat
+
+    from hookforge.partitions import Cell
+
+    def kernel(words, arg):
+        args = repeat(arg) if isinstance(arg, Cell) else arg
+        pairs = [per_word(word, a) for word, a in zip(words, args)]
+        return [p[0] for p in pairs], [p[1] for p in pairs]
+
+    return kernel
+
+
 @pytest.mark.fails("bijection")
 def test_bijection_fails_on_wrong_forward_insertion(monkeypatch):
     from hookforge import cli
@@ -205,7 +221,7 @@ def test_bijection_fails_on_wrong_forward_insertion(monkeypatch):
                 return bytes(out), Cell(row, out.count(row))
             moving, row = x, row + 1
 
-    monkeypatch.setattr(cli, "forward_row_insert_word", reverse_rule)
+    monkeypatch.setattr(cli, "forward_row_insert_words", batched(reverse_rule))
     report = cli.Unit("bijection", {"n": 4})()
     assert report.verdict == "fail"
     assert report.witness == "round trip failed at 1 2 3 4 corner (1, 4)"
@@ -221,7 +237,7 @@ def test_bijection_fails_when_forward_insertion_misreports_the_cell(monkeypatch)
         back, cell = forward_row_insert_word(word, value)
         return back, Cell(cell.row, cell.col + 1)
 
-    monkeypatch.setattr(cli, "forward_row_insert_word", shifted)
+    monkeypatch.setattr(cli, "forward_row_insert_words", batched(shifted))
     report = cli.Unit("bijection", {"n": 3})()
     assert report.verdict == "fail"
     assert report.witness == "round trip failed at 1 2 3 corner (1, 3)"
@@ -256,7 +272,7 @@ def test_bijection_fails_when_reverse_insertion_skips_relabelling(monkeypatch):
         reduced, ejected = reverse_row_insert_word(word, cell)
         return reduced[: ejected - 1] + b"\x01" + reduced[ejected - 1 :], ejected
 
-    monkeypatch.setattr(cli, "reverse_row_insert_word", unrelabelled)
+    monkeypatch.setattr(cli, "reverse_row_insert_words", batched(unrelabelled))
     report = cli.Unit("bijection", {"n": 4})()
     assert report.verdict == "fail"
     assert report.witness == (
@@ -313,8 +329,8 @@ def test_bijection_fails_on_an_enumerated_non_lattice_word(monkeypatch):
     inserted = []
     monkeypatch.setattr(cli, "lattice_words", bad_word)
     monkeypatch.setattr(
-        cli, "reverse_row_insert_word",
-        lambda word, cell: inserted.append(word) or reverse_row_insert_word(word, cell),
+        cli, "reverse_row_insert_words",
+        batched(lambda word, cell: inserted.append(word) or reverse_row_insert_word(word, cell)),
     )
 
     report = cli.Unit("bijection", {"n": 3})()
@@ -694,7 +710,7 @@ def test_calling_a_unit_twice_runs_it_twice(monkeypatch):
         back, cell = forward_row_insert_word(word, value)
         return back, Cell(cell.row, cell.col + 1)
 
-    monkeypatch.setattr(cli, "forward_row_insert_word", shifted)
+    monkeypatch.setattr(cli, "forward_row_insert_words", batched(shifted))
     first, second = failing(), failing()
     assert (first.verdict, first.witness) == (second.verdict, second.witness)
     assert first.witness == "round trip failed at 1 2 3 corner (1, 3)"

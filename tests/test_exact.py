@@ -450,6 +450,38 @@ def test_stored_format_property():
     one_format()
 
 
+def cross_scaled_sum(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Reference sum: both numerators scaled to the product denominator."""
+    x = [v * b._den for v in a._ints]
+    y = [v * a._den for v in b._ints]
+    total = [s + t for s, t in zip_longest(x, y, fillvalue=0)]
+    return Polynomial._over(total, a._den * b._den)
+
+
+def test_sums_over_equal_and_unequal_denominators_are_unchanged():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    ints = st.lists(st.integers(-10**12, 10**12), max_size=6)
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(ints, ints, st.integers(1, 12), st.integers(1, 12))
+    def same_sum(a, b, den_a, den_b):
+        for pa, pb in (
+            (Polynomial._over(list(a)), Polynomial._over(list(b))),  # both over 1
+            (Polynomial._over(list(a), den_a), Polynomial._over(list(b), den_b)),
+        ):
+            total = pa + pb
+            assert_same(total, cross_scaled_sum(pa, pb))
+            assert total.coeffs == Polynomial(
+                [x + y for x, y in zip_longest(pa.coeffs, pb.coeffs, fillvalue=0)]
+            ).coeffs
+
+    same_sum()
+    # the equal-denominator branch, past 1: 1/6 + 5/6 q plus 5/6 - 5/6 q is 1
+    half = Polynomial._over([1, 5], 6) + Polynomial._over([5, -5], 6)
+    assert (half._ints, half._den) == ((1,), 1)
+
+
 def test_kernel_properties():
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")

@@ -15,9 +15,11 @@ from hookforge.tableaux import (
     enumerate_syt_of_size,
     forward_row_insert,
     forward_row_insert_word,
+    forward_row_insert_words,
     lattice_words,
     reverse_row_insert,
     reverse_row_insert_word,
+    reverse_row_insert_words,
     rows_of_word,
     validate_word,
     yamanouchi_word,
@@ -221,6 +223,55 @@ def test_word_kernels_reject_bad_input():
         reverse_row_insert_word(b"\x02", Cell(2, 1))
     with pytest.raises(ValueError, match="not a lattice word"):
         reverse_row_insert_word(b"\x02\x02\x01", Cell(2, 2))
+
+
+def test_batch_kernels_match_the_validating_oracles_pair_by_pair():
+    for n in range(1, 8):
+        for lam in partitions_of(n):
+            tabs = enumerate_syt(lam)
+            words = [yamanouchi_word(t.rows) for t in tabs]
+            for cell in removable_cells(lam):
+                reduced, letters = reverse_row_insert_words(words, cell)
+                grown, cells = forward_row_insert_words(reduced, letters)
+                assert len(reduced) == len(letters) == len(grown) == len(cells) == len(tabs)
+                for k, tab in enumerate(tabs):
+                    smaller, letter = reverse_row_insert(tab, cell)
+                    assert reduced[k] == yamanouchi_word(smaller.rows)
+                    assert letters[k] == letter
+                    back, back_cell = forward_row_insert(smaller, letter)
+                    assert grown[k] == yamanouchi_word(back.rows)
+                    assert cells[k] == tuple(back_cell) and type(cells[k]) is tuple
+    assert reverse_row_insert_words([], Cell(1, 1)) == ([], [])
+    assert forward_row_insert_words([], []) == ([], [])
+
+
+def test_batch_kernels_check_every_word():
+    corner = "cell (1, 1) is not a removable corner"
+    lattice = "not a lattice word: row 1 has no entry below 1"
+    value = "insertion value must lie in 1..4"
+    rows = "insertion needs row 256: a row number takes one byte, so at most 255 rows"
+    column = bytes(range(1, MAX_ROWS + 1))
+    cases = [
+        # a bad word after a good one: the batch kernels check each word
+        (reverse_row_insert_words, ([b"\x01", b"\x01\x01\x02"], Cell(1, 1)), corner),
+        (reverse_row_insert_words, ([b"\x01", b"\x02"], Cell(1, 1)), corner),
+        (reverse_row_insert_words, ([b"\x01\x02", b"\x02"], Cell(2, 1)), lattice),
+        (forward_row_insert_words, ([b"\x01", b"\x01\x01\x02"], [1, 5]), value),
+        (forward_row_insert_words, ([b"", column], [1, 1]), rows),
+        # the per-word kernels raise the same texts
+        (reverse_row_insert_word, (b"\x01\x01\x02", Cell(1, 1)), corner),
+        (reverse_row_insert_word, (b"\x02", Cell(2, 1)), lattice),
+        (forward_row_insert_word, (b"\x01\x01\x02", 5), value),
+        (forward_row_insert_word, (column, 1), rows),
+    ]
+    for kernel, args, text in cases:
+        with pytest.raises(ValueError) as raised:
+            kernel(*args)
+        assert str(raised.value) == text
+    with pytest.raises(ValueError, match="is not a removable corner"):
+        reverse_row_insert_words([], Cell(MAX_ROWS + 1, 1))
+    with pytest.raises(ValueError):  # one value per word
+        forward_row_insert_words([b"\x01"], [1, 2])
 
 
 def test_more_rows_than_a_byte_holds_raise():
