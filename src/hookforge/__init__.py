@@ -33,14 +33,13 @@ from .identity import (
     weight_w,
 )
 from .involutions import (
-    CycleStats,
     Involution,
-    cycle_stats,
     enumerate_involutions,
     g_poly,
     g_poly_oracle,
     involution_count,
     psi_n,
+    verify_egf_kronecker,
     verify_involution_egf,
 )
 from .partitions import (
@@ -64,6 +63,7 @@ from .tableaux import (
     enumerate_syt_of_size,
     forward_row_insert,
     reverse_row_insert,
+    verify_bijection,
 )
 
 __version__ = "0.1.0"

@@ -17,12 +17,6 @@ from __future__ import annotations
 MPoly = dict[int, int]
 
 
-def mp_const(nvars: int, value: int) -> MPoly:
-    if value == 0:
-        return {}
-    return {0: value}
-
-
 def mp_var(nvars: int, idx: int) -> MPoly:
     return {1 << (8 * idx): 1}
 

@@ -3,12 +3,17 @@ text or machine-readable JSON reports.
 
 Each check is one entry of `REGISTRY`: a parameter sweep over the run
 configuration and a runner that yields what each of its exact checks returns,
-None where the check holds and a witness string where it fails (the
-`identity.verify_*` functions follow the same convention).  A `Unit` is one
-check at one point of its sweep, and calling it is the only place a
-`VerificationReport` is built and timed: the first witness fails the unit.
-A unit whose runner raises reports the verdict `error`, with the exception as
-its witness, and the other units still run.
+None where the check holds and a witness string where it fails.  The proofs
+live in the modules they check, under the same convention: the `verify_*`
+functions of `identity`, `tableaux.verify_bijection`, and the sweeps
+`identity.lemma1_checks`, `prop2_checks`, `prop3_checks` and `egf_checks`
+(which ends in `involutions.verify_egf_kronecker`).  A runner here only
+adapts one of them to the signature (seed, **params).
+
+A `Unit` is one check at one point of its sweep, and calling it is the only
+place a `VerificationReport` is built and timed: the first witness fails the
+unit.  A unit whose runner raises reports the verdict `error`, with the
+exception as its witness, and the other units still run.
 
 Exit status is 0 when every check passes, 1 when any check fails or errors,
 and 2 on usage errors.  With equal configuration (including the seed) the
@@ -20,26 +25,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import chain
-from math import factorial
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
-from . import identity, involutions, partitions
-from .partitions import corner_profile, partitions_of
-from .tableaux import (
-    StandardTableau,
-    forward_row_insert_words,
-    lattice_words,
-    reverse_row_insert_words,
-    rows_of_word,
-    serialize_rows,
-    validate_word,
-)
+from . import identity, tableaux
+
 
 @dataclass
 class RunConfig:
@@ -62,167 +55,6 @@ class RunConfig:
             )
 
 
-def _unit_rng(seed: int, *key) -> random.Random:
-    # string seeding is deterministic across processes and platforms
-    return random.Random(":".join([str(seed), *map(str, key)]))
-
-
-# A runner takes a unit's seed and params and yields what each of its checks
-# returns: None where the check holds, else the failure's witness.  The first
-# witness fails the unit, and the runner is not resumed after it.
-def _lemma1(seed: int, n: int) -> Iterator[str | None]:
-    for lam in partitions_of(n):
-        yield identity.verify_lemma1(lam)
-        d = len(corner_profile(lam).outer_cells)
-        for k in range(1, d + 1):
-            yield identity.verify_corner_hooks(lam, k)
-
-
-def _prop2(seed: int, n: int) -> Iterator[str | None]:
-    for lam in partitions_of(n):
-        yield identity.verify_prop2_for_shape(lam)
-
-
-def _prop3(seed: int, n: int, trials: int) -> Iterator[str | None]:
-    for t in range(trials):
-        rng = _unit_rng(seed, "prop3", n, t)
-        vector = identity.sample_distinct_rationals(rng, n)
-        for witness in (
-            identity.verify_prop3(vector),
-            identity.verify_prop3_residues(vector),
-        ):
-            if witness is not None:
-                yield f"trial {t}: {witness}"
-    # seed-independent: one exact value proves this n (see identity.verify_prop3)
-    witness = identity.verify_prop3(list(range(1, n + 1)))
-    if witness is not None:
-        yield f"proof point a_i = i: {witness}"
-    if 2 <= n <= 6:
-        yield identity.verify_prop3_alternating(n)
-
-
-def _bijection(seed: int, n: int) -> Iterator[str]:
-    """The row-insertion bijection (SYT(n), corner) <-> (SYT(n-1), letter).
-
-    Both codomains are enumerated once, as Yamanouchi words grouped by shape,
-    and every word is validated once, before any insertion runs, by a check
-    that shares no code with the enumerator.  Each corner of each P in
-    SYT(n) is deleted once by reverse insertion; the resulting word must be
-    the word of an enumerated tableau T (checked by lookup), the letter must
-    lie in 1..n, no pair (T, letter) may be reached twice, and forward
-    insertion of the pair must give back the word of P and the corner.  The
-    insertions run one corner of one shape at a time, over all the words of
-    that shape; the pairs are checked one by one, and the round trip is
-    walked pair by pair only when the batch differs somewhere.
-
-    No forward-then-reverse pass over SYT(n-1) x [n] is needed.  The checks
-    above make corner deletion injective into E x [n], E the validated
-    SYT(n-1), and the domain has n|E| elements, so the map is onto.  Every
-    pair in E x [n] is thus the image of some (P, corner), and its round trip
-    already inserted that pair forward and got (P, corner) back, whose
-    reverse insertion is the pair: the second pass would only replay calls.
-    """
-    smaller, larger = lattice_words(n)
-    for groups in (smaller, larger):
-        for lam, words in groups.items():
-            for word in words:
-                try:
-                    validate_word(word, lam)
-                except ValueError as exc:
-                    yield _invalid_word_witness(word, lam, exc)
-                    return
-    flat = list(chain.from_iterable(smaller.values()))
-    index = {word: i for i, word in enumerate(flat)}
-    size = len(flat)
-    reached = bytearray(n * size)
-    corner_total = 0
-    for lam, words in larger.items():
-        for cell in partitions.removable_cells(lam):
-            corner_total += len(words)
-            reduced, letters = reverse_row_insert_words(words, cell)
-            kept = []  # the positions whose deletion was looked up
-            for k, (small, letter) in enumerate(zip(reduced, letters)):
-                if not 1 <= letter <= n:
-                    yield f"ejected letter {letter} out of range for {_rows_text(words[k])}"
-                    continue
-                i = index.get(small)
-                if i is None:
-                    yield _unenumerated_witness(words[k], cell, small)
-                    continue
-                slot = i * n + letter - 1
-                if reached[slot]:
-                    yield "corner deletions are not injective"
-                reached[slot] = 1
-                kept.append(k)
-            domain = words
-            if len(kept) < len(words):
-                domain, reduced, letters = (
-                    [seq[k] for k in kept] for seq in (words, reduced, letters)
-                )
-            grown, cells = forward_row_insert_words(reduced, letters)
-            if grown != domain or cells.count(cell) != len(cells):
-                for word, back, back_cell in zip(domain, grown, cells):
-                    if back != word or back_cell != cell:
-                        yield f"round trip failed at {_rows_text(word)} corner {tuple(cell)}"
-    if corner_total != n * size:
-        yield f"corner count {corner_total} != n * |SYT(n-1)| = {n * size}"
-
-
-def _rows_text(word: bytes) -> str:
-    """The rows a word describes, written as `StandardTableau.serialize` does."""
-    return serialize_rows(rows_of_word(word))
-
-
-def _invalid_word_witness(word, lam, exc) -> str:
-    """Why an enumerated word is not the word of a standard tableau of lam."""
-    try:
-        shown = repr(_rows_text(word))
-    except ValueError:  # a 0 byte names no row
-        shown = f"bytes {list(word)}"
-    return f"enumerated rows {shown} are not a standard tableau of shape {lam}: {exc}"
-
-
-def _unenumerated_witness(word, cell, reduced) -> str:
-    """Why a corner deletion's word is not among the enumerated SYT(n-1)."""
-    rows = rows_of_word(reduced)
-    try:
-        StandardTableau(rows)
-    except ValueError as exc:
-        reason = f"not standard: {exc}"
-    else:
-        reason = "standard but missing from the enumeration"
-    return (
-        f"deleting corner {tuple(cell)} of {_rows_text(word)} "
-        f"gave {serialize_rows(rows)!r}, {reason}"
-    )
-
-
-def _egf(seed: int, order: int, trials: int) -> Iterator[str | None]:
-    for t in range(trials):
-        rng = _unit_rng(seed, "egf", t)
-        u1, u2 = identity.sample_distinct_rationals(rng, 2, 100, 50)
-        if not involutions.verify_involution_egf(order, u1, u2):
-            yield f"trial {t}: u1={u1}, u2={u2}"
-    yield _egf_kronecker_witness(order)
-
-
-def _egf_kronecker_witness(order: int) -> str | None:
-    """Prove the egf identity for every n <= order at one integer point.
-
-    D_n = n! [t^n] exp(u1 t + u2 t^2/2) - g_n(u1, u2) is an integer
-    polynomial: both parts have nonnegative integer coefficients summing to
-    the involution number I(n) <= n!, so its coefficients are at most order!
-    in absolute value.  Its u1-degree is at most order, so u1 = x0,
-    u2 = x0^(order+1) sends distinct monomials to distinct powers of x0, and
-    by Cauchy's bound D_n(x0, x0^(order+1)) = 0 at x0 = order! + 2 proves
-    D_n = 0.  Returns None when the identity holds, else a witness.
-    """
-    x0 = factorial(order) + 2
-    if involutions.verify_involution_egf(order, x0, x0 ** (order + 1)):
-        return None
-    return f"Kronecker point u1=x0={x0}, u2=x0^{order + 1}: coefficients differ"
-
-
 class Check(NamedTuple):
     """A check's parameter sweep over the run configuration, and its runner."""
 
@@ -243,15 +75,16 @@ REGISTRY = {
         lambda cfg: [{"order": cfg.series_order}],
         lambda seed, order: [identity.verify_theorem1(order)],
     ),
-    "lemma1": Check(_each_n(0), _lemma1),
-    "prop2": Check(_each_n(0), _prop2),
+    "lemma1": Check(_each_n(0), lambda seed, n: identity.lemma1_checks(n)),
+    "prop2": Check(_each_n(0), lambda seed, n: identity.prop2_checks(n)),
     "prop3": Check(
         lambda cfg: [{"n": n, "trials": cfg.trials} for n in range(1, cfg.max_n + 1)],
-        _prop3,
+        identity.prop3_checks,
     ),
-    "bijection": Check(_each_n(1), _bijection),
+    "bijection": Check(_each_n(1), lambda seed, n: [tableaux.verify_bijection(n)]),
     "egf": Check(
-        lambda cfg: [{"order": cfg.series_order, "trials": cfg.trials}], _egf
+        lambda cfg: [{"order": cfg.series_order, "trials": cfg.trials}],
+        identity.egf_checks,
     ),
     "substitution": Check(
         _each_n(1), lambda seed, n: [identity.verify_weight_substitution(n)]

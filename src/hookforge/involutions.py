@@ -1,10 +1,12 @@
-"""Involutions of S_n: enumeration, fixed-point/2-cycle statistics, the
-bivariate cycle-counting polynomial g_n, and the fixed-point weight sum psi_n.
+"""Involutions of S_n: enumeration, the bivariate cycle-counting polynomial
+g_n, its exponential generating function, and the fixed-point weight sum psi_n.
 
 g_n(u1, u2), the sum of u1^(fixed points) u2^(2-cycles), has one recursion,
 `g_poly`: g_{n+1} = u1 g_n + n u2 g_{n-1}, the last point fixed or paired
 with one of n earlier points.  Its one enumerated sum is `g_poly_oracle`.
 The involution numbers are g_n(1, 1), and psi_n = g_n(w(1), 1).
+`verify_egf_kronecker` proves that exp(u1 t + u2 t^2/2) generates g_n up to
+an order, from one exact integer point.
 
 Enumeration follows the same recursion but stores images, not objects:
 Inv(m) is m byte columns, column p holding the image of p in every
@@ -68,19 +70,6 @@ class Involution:
 
     def __str__(self):
         return self.serialize()
-
-
-@dataclass(frozen=True)
-class CycleStats:
-    """Fixed-point and 2-cycle counts; alpha1 + 2*alpha2 = n."""
-
-    alpha1: int
-    alpha2: int
-
-
-def cycle_stats(inv: Involution) -> CycleStats:
-    fixed = sum(1 for i, img in enumerate(inv.images, start=1) if img == i)
-    return CycleStats(alpha1=fixed, alpha2=(inv.n - fixed) // 2)
 
 
 def _skip_table(k: int) -> bytes:
@@ -212,6 +201,23 @@ def verify_involution_egf(order: int, u1: Fraction, u2: Fraction) -> bool:
         expanded.coefficient(n) == g_poly(n, u1, u2) / factorial(n)
         for n in range(order + 1)
     )
+
+
+def verify_egf_kronecker(order: int) -> str | None:
+    """Prove the egf identity for every n <= order at one integer point.
+
+    D_n = n! [t^n] exp(u1 t + u2 t^2/2) - g_n(u1, u2) is an integer
+    polynomial: both parts have nonnegative integer coefficients summing to
+    the involution number I(n) <= n!, so its coefficients are at most order!
+    in absolute value.  Its u1-degree is at most order, so u1 = x0,
+    u2 = x0^(order+1) sends distinct monomials to distinct powers of x0, and
+    by Cauchy's bound D_n(x0, x0^(order+1)) = 0 at x0 = order! + 2 proves
+    D_n = 0.  Returns None when the identity holds, else a witness.
+    """
+    x0 = factorial(order) + 2
+    if verify_involution_egf(order, x0, x0 ** (order + 1)):
+        return None
+    return f"Kronecker point u1=x0={x0}, u2=x0^{order + 1}: coefficients differ"
 
 
 def _psi_by_recursion(n: int) -> RationalFunction:

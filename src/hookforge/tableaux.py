@@ -17,7 +17,8 @@ Tableaux come in two forms.  `enumerate_syt` builds `StandardTableau` rows,
 each checked by the validating constructor.  `lattice_words` builds the
 Yamanouchi words of two consecutive sizes directly, letter by letter, and
 `validate_word` checks a word against its shape with no code shared with
-that enumerator; the bijection check runs on this second form.
+that enumerator.  `verify_bijection`, the proof that corner deletion is a
+bijection, runs on this second form.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
 
+from . import partitions
 from .partitions import Cell, Partition, partitions_of
 
 Rows = tuple[tuple[int, ...], ...]
@@ -318,3 +320,90 @@ def forward_row_insert_word(word: bytes, value: int) -> tuple[bytes, Cell]:
     """forward_row_insert_words on one word, with the new cell as a Cell."""
     [grown], [cell] = forward_row_insert_words((word,), (value,))
     return grown, Cell(*cell)
+
+
+def verify_bijection(n: int) -> str | None:
+    """The row-insertion bijection (SYT(n), corner) <-> (SYT(n-1), letter).
+
+    Both codomains are enumerated once, as Yamanouchi words grouped by shape,
+    and every word is validated once, before any insertion runs, by a check
+    that shares no code with the enumerator.  Each corner of each P in
+    SYT(n) is deleted once by reverse insertion; the resulting word must be
+    the word of an enumerated tableau T (checked by lookup), the letter must
+    lie in 1..n, no pair (T, letter) may be reached twice, and forward
+    insertion of the pair must give back the word of P and the corner.  The
+    insertions run one corner of one shape at a time, over all the words of
+    that shape; the pairs are checked one by one, and the round trip is
+    walked pair by pair only when the batch differs somewhere.
+
+    No forward-then-reverse pass over SYT(n-1) x [n] is needed.  The checks
+    above make corner deletion injective into E x [n], E the validated
+    SYT(n-1), and the domain has n|E| elements, so the map is onto.  Every
+    pair in E x [n] is thus the image of some (P, corner), and its round trip
+    already inserted that pair forward and got (P, corner) back, whose
+    reverse insertion is the pair: the second pass would only replay calls.
+
+    Returns None when the bijection holds at n, else the first failure's
+    witness.
+    """
+    smaller, larger = lattice_words(n)
+    for groups in (smaller, larger):
+        for lam, words in groups.items():
+            for word in words:
+                try:
+                    validate_word(word, lam)
+                except ValueError as exc:
+                    return _invalid_word_witness(word, lam, exc)
+    flat = list(chain.from_iterable(smaller.values()))
+    index = {word: i for i, word in enumerate(flat)}
+    size = len(flat)
+    reached = bytearray(n * size)
+    corner_total = 0
+    for lam, words in larger.items():
+        for cell in partitions.removable_cells(lam):
+            corner_total += len(words)
+            reduced, letters = reverse_row_insert_words(words, cell)
+            for word, small, letter in zip(words, reduced, letters):
+                if not 1 <= letter <= n:
+                    shown = serialize_rows(rows_of_word(word))
+                    return f"ejected letter {letter} out of range for {shown}"
+                i = index.get(small)
+                if i is None:
+                    return _unenumerated_witness(word, cell, small)
+                slot = i * n + letter - 1
+                if reached[slot]:
+                    return "corner deletions are not injective"
+                reached[slot] = 1
+            grown, cells = forward_row_insert_words(reduced, letters)
+            if grown != words or cells.count(cell) != len(cells):
+                for word, back, back_cell in zip(words, grown, cells):
+                    if back != word or back_cell != cell:
+                        shown = serialize_rows(rows_of_word(word))
+                        return f"round trip failed at {shown} corner {tuple(cell)}"
+    if corner_total != n * size:
+        return f"corner count {corner_total} != n * |SYT(n-1)| = {n * size}"
+    return None
+
+
+def _invalid_word_witness(word: bytes, lam: Partition, exc: ValueError) -> str:
+    """Why an enumerated word is not the word of a standard tableau of lam."""
+    try:
+        shown = repr(serialize_rows(rows_of_word(word)))
+    except ValueError:  # a 0 byte names no row
+        shown = f"bytes {list(word)}"
+    return f"enumerated rows {shown} are not a standard tableau of shape {lam}: {exc}"
+
+
+def _unenumerated_witness(word: bytes, cell: Cell, reduced: bytes) -> str:
+    """Why a corner deletion's word is not among the enumerated SYT(n-1)."""
+    rows = rows_of_word(reduced)
+    try:
+        StandardTableau(rows)
+    except ValueError as exc:
+        reason = f"not standard: {exc}"
+    else:
+        reason = "standard but missing from the enumeration"
+    return (
+        f"deleting corner {tuple(cell)} of {serialize_rows(rows_of_word(word))} "
+        f"gave {serialize_rows(rows)!r}, {reason}"
+    )

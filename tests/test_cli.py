@@ -187,17 +187,32 @@ def test_sweep_millis_is_wall_clock(monkeypatch):
     assert report.millis >= int(sum(inside) * 1000)
 
 
+BATCH_KERNELS = ("reverse_row_insert_words", "forward_row_insert_words")
+
+
 def batched(per_word):
     """The batch form of a per-word insertion kernel, run on each word in
     turn: reverse insertion passes one corner for every word, forward
-    insertion one value per word."""
+    insertion one value per word.
+
+    `tableaux.reverse_row_insert_word` and `forward_row_insert_word` look up
+    the module's batch kernels on every call, and a test puts this adapter
+    in place of one of them.  So `per_word` runs with the batch kernels as
+    they were when the adapter was made: a mutant built on a per-word kernel
+    then runs the original kernel, not itself."""
     from itertools import repeat
 
+    from hookforge import tableaux
     from hookforge.partitions import Cell
+
+    originals = {name: getattr(tableaux, name) for name in BATCH_KERNELS}
 
     def kernel(words, arg):
         args = repeat(arg) if isinstance(arg, Cell) else arg
-        pairs = [per_word(word, a) for word, a in zip(words, args)]
+        with pytest.MonkeyPatch.context() as patch:
+            for name, original in originals.items():
+                patch.setattr(tableaux, name, original)
+            pairs = [per_word(word, a) for word, a in zip(words, args)]
         return [p[0] for p in pairs], [p[1] for p in pairs]
 
     return kernel
@@ -205,7 +220,7 @@ def batched(per_word):
 
 @pytest.mark.fails("bijection")
 def test_bijection_fails_on_wrong_forward_insertion(monkeypatch):
-    from hookforge import cli
+    from hookforge import cli, tableaux
     from hookforge.partitions import Cell
 
     def reverse_rule(word, value):
@@ -221,7 +236,7 @@ def test_bijection_fails_on_wrong_forward_insertion(monkeypatch):
                 return bytes(out), Cell(row, out.count(row))
             moving, row = x, row + 1
 
-    monkeypatch.setattr(cli, "forward_row_insert_words", batched(reverse_rule))
+    monkeypatch.setattr(tableaux, "forward_row_insert_words", batched(reverse_rule))
     report = cli.Unit("bijection", {"n": 4})()
     assert report.verdict == "fail"
     assert report.witness == "round trip failed at 1 2 3 4 corner (1, 4)"
@@ -229,7 +244,7 @@ def test_bijection_fails_on_wrong_forward_insertion(monkeypatch):
 
 @pytest.mark.fails("bijection")
 def test_bijection_fails_when_forward_insertion_misreports_the_cell(monkeypatch):
-    from hookforge import cli
+    from hookforge import cli, tableaux
     from hookforge.partitions import Cell
     from hookforge.tableaux import forward_row_insert_word
 
@@ -237,14 +252,14 @@ def test_bijection_fails_when_forward_insertion_misreports_the_cell(monkeypatch)
         back, cell = forward_row_insert_word(word, value)
         return back, Cell(cell.row, cell.col + 1)
 
-    monkeypatch.setattr(cli, "forward_row_insert_words", batched(shifted))
+    monkeypatch.setattr(tableaux, "forward_row_insert_words", batched(shifted))
     report = cli.Unit("bijection", {"n": 3})()
     assert report.verdict == "fail"
     assert report.witness == "round trip failed at 1 2 3 corner (1, 3)"
 
 
 def test_bijection_validates_each_enumerated_tableau_once(monkeypatch):
-    from hookforge import cli
+    from hookforge import cli, tableaux
     from hookforge.tableaux import enumerate_syt_of_size, validate_word, yamanouchi_word
 
     expected = [yamanouchi_word(t.rows) for m in (5, 6) for t in enumerate_syt_of_size(m)]
@@ -254,7 +269,7 @@ def test_bijection_validates_each_enumerated_tableau_once(monkeypatch):
         calls.append(word)
         validate_word(word, shape)
 
-    monkeypatch.setattr(cli, "validate_word", counted)
+    monkeypatch.setattr(tableaux, "validate_word", counted)
     assert cli.Unit("bijection", {"n": 6})().passed
     # the two codomains, each word once; insertion results are looked up
     assert len(calls) == 26 + 76 == 102
@@ -263,7 +278,7 @@ def test_bijection_validates_each_enumerated_tableau_once(monkeypatch):
 
 @pytest.mark.fails("bijection")
 def test_bijection_fails_when_reverse_insertion_skips_relabelling(monkeypatch):
-    from hookforge import cli
+    from hookforge import cli, tableaux
     from hookforge.tableaux import reverse_row_insert_word
 
     def unrelabelled(word, cell):
@@ -272,7 +287,7 @@ def test_bijection_fails_when_reverse_insertion_skips_relabelling(monkeypatch):
         reduced, ejected = reverse_row_insert_word(word, cell)
         return reduced[: ejected - 1] + b"\x01" + reduced[ejected - 1 :], ejected
 
-    monkeypatch.setattr(cli, "reverse_row_insert_words", batched(unrelabelled))
+    monkeypatch.setattr(tableaux, "reverse_row_insert_words", batched(unrelabelled))
     report = cli.Unit("bijection", {"n": 4})()
     assert report.verdict == "fail"
     assert report.witness == (
@@ -297,7 +312,7 @@ def test_bijection_fails_when_a_corner_is_deleted_twice(monkeypatch):
 
 @pytest.mark.fails("bijection")
 def test_bijection_fails_when_the_smaller_enumeration_misses_a_tableau(monkeypatch):
-    from hookforge import cli
+    from hookforge import cli, tableaux
     from hookforge.tableaux import lattice_words
 
     def dropping(n):
@@ -307,7 +322,7 @@ def test_bijection_fails_when_the_smaller_enumeration_misses_a_tableau(monkeypat
             smaller[lam] = smaller[lam][:-1]
         return smaller, larger
 
-    monkeypatch.setattr(cli, "lattice_words", dropping)
+    monkeypatch.setattr(tableaux, "lattice_words", dropping)
     report = cli.Unit("bijection", {"n": 4})()
     assert report.verdict == "fail"
     assert report.witness.startswith("deleting corner ")
@@ -316,7 +331,7 @@ def test_bijection_fails_when_the_smaller_enumeration_misses_a_tableau(monkeypat
 
 @pytest.mark.fails("bijection")
 def test_bijection_fails_on_an_enumerated_non_lattice_word(monkeypatch):
-    from hookforge import cli
+    from hookforge import cli, tableaux
     from hookforge.partitions import Partition
     from hookforge.tableaux import lattice_words, reverse_row_insert_word
 
@@ -327,9 +342,9 @@ def test_bijection_fails_on_an_enumerated_non_lattice_word(monkeypatch):
         return smaller, larger
 
     inserted = []
-    monkeypatch.setattr(cli, "lattice_words", bad_word)
+    monkeypatch.setattr(tableaux, "lattice_words", bad_word)
     monkeypatch.setattr(
-        cli, "reverse_row_insert_words",
+        tableaux, "reverse_row_insert_words",
         batched(lambda word, cell: inserted.append(word) or reverse_row_insert_word(word, cell)),
     )
 
@@ -339,15 +354,15 @@ def test_bijection_fails_on_an_enumerated_non_lattice_word(monkeypatch):
         "enumerated rows '2 3/1' are not a standard tableau of shape 2,1: "
         "not a lattice word: entry 1 would make row 2 longer than row 1"
     )
-    # every word is validated before the first insertion, and the runner
-    # stops at the invalid word even when it is resumed
-    assert [w for w in cli._bijection(0, 3) if w is not None] == [report.witness]
+    # every word is validated before the first insertion, and the proof
+    # returns at the invalid word
+    assert tableaux.verify_bijection(3) == report.witness
     assert inserted == []
 
 
 @pytest.mark.fails("bijection")
 def test_bijection_fails_on_an_enumerated_zero_byte(monkeypatch):
-    from hookforge import cli
+    from hookforge import cli, tableaux
     from hookforge.tableaux import lattice_words
 
     def zero_byte(n):
@@ -356,7 +371,7 @@ def test_bijection_fails_on_an_enumerated_zero_byte(monkeypatch):
         smaller[lam] = [b"\x01\x00", *smaller[lam][1:]]
         return smaller, larger
 
-    monkeypatch.setattr(cli, "lattice_words", zero_byte)
+    monkeypatch.setattr(tableaux, "lattice_words", zero_byte)
     report = cli.Unit("bijection", {"n": 3})()
     assert report.verdict == "fail"
     assert report.witness == (
@@ -367,7 +382,7 @@ def test_bijection_fails_on_an_enumerated_zero_byte(monkeypatch):
 
 @pytest.mark.fails("bijection")
 def test_bijection_fails_when_the_smaller_enumeration_repeats_a_word(monkeypatch):
-    from hookforge import cli
+    from hookforge import cli, tableaux
     from hookforge.tableaux import lattice_words
 
     def repeating(n):
@@ -376,7 +391,7 @@ def test_bijection_fails_when_the_smaller_enumeration_repeats_a_word(monkeypatch
         smaller[lam] = [*smaller[lam], smaller[lam][0]]
         return smaller, larger
 
-    monkeypatch.setattr(cli, "lattice_words", repeating)
+    monkeypatch.setattr(tableaux, "lattice_words", repeating)
     report = cli.Unit("bijection", {"n": 4})()
     assert report.verdict == "fail"
     assert report.witness == "corner count 16 != n * |SYT(n-1)| = 20"
@@ -384,7 +399,7 @@ def test_bijection_fails_when_the_smaller_enumeration_repeats_a_word(monkeypatch
 
 @pytest.mark.fails("bijection")
 def test_bijection_fails_when_the_larger_enumeration_drops_a_word(monkeypatch):
-    from hookforge import cli
+    from hookforge import cli, tableaux
     from hookforge.tableaux import lattice_words
 
     def dropping(n):
@@ -393,7 +408,7 @@ def test_bijection_fails_when_the_larger_enumeration_drops_a_word(monkeypatch):
         larger[lam] = larger[lam][1:]
         return smaller, larger
 
-    monkeypatch.setattr(cli, "lattice_words", dropping)
+    monkeypatch.setattr(tableaux, "lattice_words", dropping)
     report = cli.Unit("bijection", {"n": 4})()
     assert report.verdict == "fail"
     assert report.witness == "corner count 15 != n * |SYT(n-1)| = 16"
@@ -431,7 +446,7 @@ def test_egf_kronecker_point_fails_on_its_own(monkeypatch):
 
     from hookforge import cli, involutions
 
-    assert cli._egf_kronecker_witness(10) is None
+    assert involutions.verify_egf_kronecker(10) is None
 
     def without_m(n, u1, u2):
         prev, cur = Fraction(1), Fraction(u1)
@@ -443,12 +458,12 @@ def test_egf_kronecker_point_fails_on_its_own(monkeypatch):
 
     monkeypatch.setattr(involutions, "g_poly", without_m)
     # 10! + 2 = 3628802
-    assert cli._egf_kronecker_witness(10) == (
+    assert involutions.verify_egf_kronecker(10) == (
         "Kronecker point u1=x0=3628802, u2=x0^11: coefficients differ"
     )
     # the unit fails on the seam's witness once the sampled trials pass
     monkeypatch.undo()
-    monkeypatch.setattr(cli, "_egf_kronecker_witness", lambda order: f"x0 at {order}")
+    monkeypatch.setattr(involutions, "verify_egf_kronecker", lambda order: f"x0 at {order}")
     report = cli.Unit("egf", {"order": 10, "trials": 2}, 0)()
     assert (report.verdict, report.witness) == ("fail", "x0 at 10")
 
@@ -690,7 +705,7 @@ def test_unit_fails_on_the_first_witness_its_runner_yields(monkeypatch):
 
 
 def test_calling_a_unit_twice_runs_it_twice(monkeypatch):
-    from hookforge import cli, identity
+    from hookforge import cli, identity, tableaux
     from hookforge.partitions import Cell
     from hookforge.tableaux import forward_row_insert_word
 
@@ -710,7 +725,7 @@ def test_calling_a_unit_twice_runs_it_twice(monkeypatch):
         back, cell = forward_row_insert_word(word, value)
         return back, Cell(cell.row, cell.col + 1)
 
-    monkeypatch.setattr(cli, "forward_row_insert_words", batched(shifted))
+    monkeypatch.setattr(tableaux, "forward_row_insert_words", batched(shifted))
     first, second = failing(), failing()
     assert (first.verdict, first.witness) == (second.verdict, second.witness)
     assert first.witness == "round trip failed at 1 2 3 corner (1, 3)"

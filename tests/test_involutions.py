@@ -7,13 +7,12 @@ from itertools import permutations
 from math import factorial
 
 import pytest
+from support import CycleStats, cycle_stats
 
 from hookforge.exact import Polynomial, PowerSeries, RationalFunction, series_exp
 from hookforge.involutions import (
     PSI_ENUMERATION_BOUND,
-    CycleStats,
     Involution,
-    cycle_stats,
     enumerate_involutions,
     g_poly,
     g_poly_oracle,

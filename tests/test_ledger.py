@@ -3,14 +3,18 @@ with the checks that `hookforge verify` runs.
 
 Every key of `cli.REGISTRY` has a test marked `@pytest.mark.fails(check)`,
 and every marker names a real check.  The ledger has one row per check,
-and each row names exactly the tests marked with its check.  Markers are
-read from the test sources, so nothing is collected or run here.
+and each row names exactly the tests marked with its check.  Each row's
+routes name library functions as dotted names under `hookforge`, and each
+of those names resolves.  Markers are read from the test sources, so
+nothing is collected or run here.
 """
 
 import ast
 import re
+from functools import reduce
 from pathlib import Path
 
+import hookforge
 from hookforge import cli
 
 TESTS = Path(__file__).resolve().parent
@@ -30,15 +34,20 @@ def marked_tests() -> dict[str, set[str]]:
     return found
 
 
-def ledger_rows() -> list[tuple[str, set[str]]]:
-    """(check, tests named in its row) for each row of the README's ledger."""
+def ledger_lines() -> list[tuple[str, str]]:
+    """(check, the rest of its row) for each row of the README's ledger."""
     section = README.read_text(encoding="utf-8").split("## Proof ledger\n", 1)[1]
     section = section.split("\n## ", 1)[0]
     return [
-        (m.group(1), set(re.findall(r"`(test_\w+)`", line)))
+        (m.group(1), line[m.end():])
         for line in section.splitlines()
         if (m := re.match(r"\| `(\w+)` \|", line))
     ]
+
+
+def ledger_rows() -> list[tuple[str, set[str]]]:
+    """(check, tests named in its row) for each row of the README's ledger."""
+    return [(check, set(re.findall(r"`(test_\w+)`", rest))) for check, rest in ledger_lines()]
 
 
 def test_every_check_has_a_marked_failing_test():
@@ -52,3 +61,12 @@ def test_the_ledger_has_one_row_per_check_naming_its_marked_tests():
     marked = marked_tests()
     for check, tests in rows:
         assert tests == marked.get(check, set()), check
+
+
+def test_every_ledger_row_names_library_functions_that_resolve():
+    for check, rest in ledger_lines():
+        routes = rest.split(" | ")[0]
+        dotted = re.findall(r"`(\w+(?:\.\w+)+)`", routes)
+        assert dotted, check
+        for name in dotted:
+            assert callable(reduce(getattr, name.split("."), hookforge)), name

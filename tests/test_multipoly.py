@@ -9,6 +9,8 @@ the reference product of its decoded factors.
 
 from itertools import product
 
+from support import mp_const
+
 from hookforge import _multipoly as mp
 from hookforge import identity
 
@@ -40,8 +42,8 @@ def test_decoding_inverts_encoding():
         for i in range(nvars):
             unit = tuple(int(j == i) for j in range(nvars))
             assert decode(mp.mp_var(nvars, i), nvars) == {unit: 1}
-        assert decode(mp.mp_const(nvars, 7), nvars) == {(0,) * nvars: 7}
-        assert mp.mp_const(nvars, 0) == {}
+        assert decode(mp_const(nvars, 7), nvars) == {(0,) * nvars: 7}
+        assert mp_const(nvars, 0) == {}
     for exponents in product((0, 1, 5, 9, 255), repeat=3):
         mono = encode(exponents)
         assert tuple(mono.to_bytes(3, "little")) == exponents

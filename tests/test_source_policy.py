@@ -7,7 +7,9 @@ below) and type annotations are allowed: neither feeds a verdict.
 
 A report is built and timed in one place, `cli.Unit.__call__`: every other
 module's checks return None or a witness string, and neither constructs a
-`VerificationReport` nor reads a clock.
+`VerificationReport` nor reads a clock.  The CLI imports package modules
+only, never a name from one, so each proof is reached through the module
+that owns it.
 """
 
 import ast
@@ -161,3 +163,12 @@ def test_the_cli_is_where_reports_are_built_and_timed():
     tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
     built = [v for v in report_violations(tree) if "VerificationReport" in v]
     assert len(built) == 1
+
+
+def test_the_cli_imports_package_modules_only():
+    # the driver reaches each check through its module (`from . import x`),
+    # never a kernel by name, so the proofs stay in the modules they check
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    relative = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]
+    assert relative
+    assert [ast.unparse(node) for node in relative if node.module is not None] == []
