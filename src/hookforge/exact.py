@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import zip_longest
+from operator import add, sub
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -280,13 +281,19 @@ def _primitive(ints: Sequence[int]) -> Sequence[int]:
 
 
 def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Product of two nonempty integer coefficient lists."""
+    """Product of two nonempty integer coefficient lists.  A digit of +-1
+    of the shorter list adds or subtracts a row of the longer one instead of
+    multiplying it."""
     if len(a) < len(b):
         a, b = b, a
     out = [0] * (len(a) + len(b) - 1)
     width = len(a)
     for j, y in enumerate(b):
-        if y:
+        if y == 1:
+            out[j : j + width] = map(add, out[j : j + width], a)
+        elif y == -1:
+            out[j : j + width] = map(sub, out[j : j + width], a)
+        elif y:
             out[j : j + width] = [o + x * y for o, x in zip(out[j : j + width], a)]
     return out
 

@@ -9,9 +9,12 @@ the product of the cyclotomic polynomials indexed by the divisors of h, and
 monomial in cyclotomic polynomials.  `_materialize` factors each term once,
 brings the monomials over a common denominator, sums their numerator as one
 integer at a Kronecker point q = 2^B and unpacks it once, and reduces the
-result by exact trial division, which sidesteps large rational GCDs.  The
+result by exact division, which sidesteps large rational GCDs: one division
+by every denominator factor but Phi_1 together (in phi_n they all cancel),
+and trial division factor by factor only where that one is inexact.  The
 factored path is cross-checked against generic rational-function arithmetic
-in the test suite.
+in the test suite.  The shapes of n come from `hook_census`, which builds
+each shape once per process by adding a first row to a smaller shape.
 
 The sweeps at the end (`lemma1_checks`, `prop2_checks`, `prop3_checks`,
 `egf_checks`) run the `verify_*` calls of one check at one point of its
@@ -99,8 +102,13 @@ def _materialize(terms: list[tuple[int, dict[int, int]]]) -> RationalFunction:
     Each term is factored once, here: w(h) for h >= 1 is -1 times the
     cyclotomic monomial of `_w_factor_items(h)`, and w(-h) = -w(h).  The
     common denominator is read off the factored exponents; the lifted
-    numerator is summed at one Kronecker point (see `_cyclo_sum`), and the
-    final reduction is exact trial division by the denominator factors.
+    numerator is summed at one Kronecker point (see `_cyclo_sum`).  The
+    reduction first divides it once by the product of every denominator
+    factor Phi_d ** k with d > 1, which is exact on phi_n; where that
+    division is inexact (a single weight, whose factors stay), it falls back
+    to trial division factor by factor.  Phi_1 is always divided out one
+    factor at a time.  Both routes remove the same factors, so the result is
+    the same.
     """
     factored = []
     den_exp: dict[int, int] = {}
@@ -133,6 +141,14 @@ def _materialize(terms: list[tuple[int, dict[int, int]]]) -> RationalFunction:
     if not total:
         return RationalFunction.zero()
     remaining = dict(den_exp)
+    cancelling = {d: k for d, k in den_exp.items() if d > 1}
+    if cancelling:
+        try:
+            total = _int_divexact(total, _cyclo_sum([(1, cancelling)]))
+        except ArithmeticError:
+            pass  # some factor stays: the trial division below finds which
+        else:
+            remaining = {d: k for d, k in den_exp.items() if d == 1}
     for d in sorted(remaining):
         phi = list(_cyclotomic(d))
         while remaining[d] > 0:

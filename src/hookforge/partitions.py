@@ -14,6 +14,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
+from operator import add
 from typing import Iterator, NamedTuple
 
 
@@ -136,10 +137,43 @@ def hook_census(n: int) -> dict[tuple[int, ...], int]:
 
     A shape and its conjugate share one key.  Any summand that depends only
     on the hooks, such as f-lambda or a hook-weight product, is computed
-    once per key instead of once per shape.
+    once per key instead of once per shape.  The shapes come from
+    `_hooked_shapes`, which builds each one once per process by adding a
+    first row, so a sweep over n shares them.  Every hook must fit in a
+    byte, so n is at most 255.
     """
-    census = Counter(tuple(sorted(hooks(lam))) for lam in partitions_of(n))
-    return dict(sorted(census.items()))
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n > 255:
+        raise ValueError("hook_census needs n <= 255: each hook is stored in one byte")
+    census = Counter(sorted_hooks for _, sorted_hooks in _hooked_shapes(n))
+    # bytes order is the order of the int tuples: unsigned, then by length
+    return {tuple(key): count for key, count in sorted(census.items())}
+
+
+_PLUS_ONE = bytes(range(1, 256)) + b"\0"  # byte c -> c + 1, for c < 255
+
+
+@cache
+def _hooked_shapes(n: int) -> list[tuple[bytes, bytes]]:
+    """(conjugate, sorted hooks) of every shape of n, both as bytes.
+
+    A shape of n is a first row of length k on top of a shape of n - k whose
+    first row, the length of its conjugate c, is at most k.  The rows below
+    keep their hooks, the new row's cell j (0-based) has hook k - j + c[j]
+    with c padded by zeros to length k, and the new conjugate is c[j] + 1.
+    """
+    if n == 0:
+        return [(b"", b"")]
+    out = []
+    for k in range(1, n + 1):
+        arms = range(k, 0, -1)  # k - j
+        for conj, tail_hooks in _hooked_shapes(n - k):
+            if len(conj) <= k:
+                col = conj + bytes(k - len(conj))
+                row = bytes(map(add, arms, col))
+                out.append((col.translate(_PLUS_ONE), bytes(sorted(tail_hooks + row))))
+    return out
 
 
 def hook_quotient(n: int, hook_lengths) -> int:

@@ -501,6 +501,41 @@ def test_one_recursion_fault_fails_theorem1prime_and_egf(monkeypatch):
     assert egf.verdict == "fail"
 
 
+@pytest.mark.fails("theorem1prime")
+@pytest.mark.fails("theorem1")
+def test_a_census_fault_fails_theorem1prime_and_theorem1(monkeypatch):
+    # phi_n and hook_weight_sum read the same hook census, so one wrong hook
+    # of one shape fails both routes
+    from hookforge import cli, identity, partitions
+
+    real = partitions._hooked_shapes
+    # (3,2,1) is its own conjugate; one of its hooks 1 made 2 keeps 6!/90 exact
+    shape, wrong = b"\x03\x02\x01", b"\x01\x01\x02\x03\x03\x05"
+    assert (shape, b"\x01\x01\x01\x03\x03\x05") in real(6)
+
+    def bumped(n):
+        return [(c, wrong if c == shape else h) for c, h in real(n)] if n == 6 else real(n)
+
+    caches = (identity.phi_n, identity.hook_weight_sum, partitions._hooked_shapes)
+    for cached in caches:
+        cached.cache_clear()
+    try:
+        monkeypatch.setattr(partitions, "_hooked_shapes", bumped)
+        reports = [
+            cli.Unit("theorem1prime", {"n": 6})(),
+            cli.Unit("theorem1", {"order": 6})(),
+        ]
+    finally:
+        monkeypatch.undo()
+        for cached in caches:
+            cached.cache_clear()
+    for report in reports:
+        assert report.verdict == "fail"
+        assert report.witness.startswith("n=6: "), report.witness
+    assert cli.Unit("theorem1prime", {"n": 6})().verdict == "pass"
+    assert cli.Unit("theorem1", {"order": 6})().verdict == "pass"
+
+
 @pytest.mark.fails("prop3")
 def test_prop3_fails_on_wrong_parity(monkeypatch):
     from hookforge import cli, identity

@@ -450,6 +450,25 @@ def test_stored_format_property():
     one_format()
 
 
+def test_int_mul_matches_the_double_loop_product_property():
+    # digits of +-1 take the add and subtract rows, others the multiply row
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    digits = st.one_of(st.sampled_from((-1, 0, 1)), st.integers(-(2**80), 2**80))
+    lists = st.lists(digits, min_size=1, max_size=8)
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(lists, lists)
+    def product(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        assert _int_mul(a, b) == out
+
+    product()
+
+
 def cross_scaled_sum(a: Polynomial, b: Polynomial) -> Polynomial:
     """Reference sum: both numerators scaled to the product denominator."""
     x = [v * b._den for v in a._ints]

@@ -216,6 +216,67 @@ def test_factored_sums_match_independent_routes():
         assert_same(phi_n(n), psi_n(n))
 
 
+# -- the reduction: one division, or trial division factor by factor -----------
+
+
+def divisions(monkeypatch, terms) -> tuple[RationalFunction, list[tuple[list[int], bool]]]:
+    """`_materialize(terms)` and each exact division it made: (divisor,
+    whether it divided).  A first unspied run fills the cyclotomic table, so
+    that only the reduction's own divisions are seen."""
+    _materialize(terms)
+    calls = []
+    divexact = identity._int_divexact
+
+    def spy(a, b):
+        try:
+            quotient = divexact(a, b)
+        except ArithmeticError:
+            calls.append((list(b), False))
+            raise
+        calls.append((list(b), True))
+        return quotient
+
+    monkeypatch.setattr(identity, "_int_divexact", spy)
+    got = _materialize(terms)
+    monkeypatch.undo()
+    return got, calls
+
+
+PHI_1 = [-1, 1]
+
+
+def test_phi_n_cancels_every_factor_but_phi_1_in_one_division(monkeypatch):
+    for n in range(11):
+        terms = _phi_terms(n)
+        got, calls = divisions(monkeypatch, terms)
+        expected = sum((c * generic_value(p) for c, p in terms), RationalFunction.zero())
+        assert_same(got, expected)
+        # at most one division by anything but Phi_1, and it divided; from
+        # n = 3 on the shapes' weights have a factor Phi_d, d > 1, to cancel
+        others = [(b, ok) for b, ok in calls if b != PHI_1]
+        assert len(others) == (n >= 3)
+        assert all(ok for _, ok in others)
+        assert n == 0 or calls[-1] == (PHI_1, False)  # the Phi_1 loop runs last
+
+
+def test_one_weight_falls_back_to_trial_division(monkeypatch):
+    # a single term keeps its numerator factors, which are prime to its
+    # denominator, so nothing beyond Phi_1 cancels
+    lam = Partition((3, 1))  # w(4) w(2) w(1)^2 = Phi_8 / Phi_1^4: Phi_1 only
+    got, calls = divisions(monkeypatch, [(1, Counter(hooks(lam)))])
+    assert_same(got, generic_value(Counter(hooks(lam))))
+    assert calls == [(PHI_1, False)]
+    for parts, cancelling in (((2, 2, 1), {3: 1}), ((3, 2, 1), {3: 2, 5: 1})):
+        lam = Partition(parts)
+        got, calls = divisions(monkeypatch, [(1, Counter(hooks(lam)))])
+        assert_same(got, generic_value(Counter(hooks(lam))))
+        # the one division fails, then each factor is tried on its own
+        assert calls[0] == (_cyclo_sum([(1, cancelling)]), False)
+        tried = [b for b, _ in calls[1:]]
+        assert tried == [PHI_1] + [list(identity._cyclotomic(d)) for d in sorted(cancelling)]
+        assert not any(ok for _, ok in calls)
+
+
 def test_lemma1_terms_are_exact_weight_ratios():
     # the hooks a neighbour shares with the shape cancel inside the term;
     # every term must still be the full ratio of the two shape weights

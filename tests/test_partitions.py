@@ -1,10 +1,12 @@
 """Tests for partition shapes, hooks, corners, and counting."""
 
 import math
+from collections import Counter
 from functools import cache
 
 import pytest
 
+from hookforge import partitions
 from hookforge.partitions import (
     Cell,
     Partition,
@@ -142,6 +144,19 @@ def test_hook_census_counts_every_shape_under_its_sorted_key():
             key = tuple(sorted(hooks(lam)))
             assert key in census
             assert tuple(sorted(hooks(lam.conjugate()))) == key
+
+
+def test_hook_census_equals_the_census_of_the_enumerated_shapes(monkeypatch):
+    # the first-row census against hooks() over partitions_of(), key by key
+    for n in range(21):
+        expected = Counter(tuple(sorted(hooks(lam))) for lam in partitions_of(n))
+        assert list(hook_census(n).items()) == sorted(expected.items())
+    # a hook of 256 would not fit in a byte: refused before any level is built
+    built = []
+    monkeypatch.setattr(partitions, "_hooked_shapes", built.append)
+    with pytest.raises(ValueError, match="255"):
+        hook_census(256)
+    assert built == []
 
 
 def test_hook_quotients_count_involutions_and_permutations():
