@@ -28,14 +28,12 @@ import json
 import sys
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
 from . import identity, tableaux
 
 
-@dataclass
-class RunConfig:
+class _RunConfigFields(NamedTuple):
     check: str
     max_n: int = 10
     series_order: int = 10
@@ -44,7 +42,14 @@ class RunConfig:
     fmt: str = "text"
     out: str | None = None
 
-    def __post_init__(self):
+
+class RunConfig(_RunConfigFields):
+    """One run's options, validated on construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.check not in CHECKS:
             raise ValueError(f"unknown check selector: {self.check}")
         if self.fmt not in ("text", "json"):
@@ -53,6 +58,7 @@ class RunConfig:
             raise ValueError(
                 "max-n and order must be nonnegative and trials at least 1"
             )
+        return self
 
 
 class Check(NamedTuple):
@@ -94,8 +100,7 @@ REGISTRY = {
 CHECKS = ("all", *REGISTRY)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of one unit: its verdict (`pass`, `fail` or `error`), the
     witness of a failure or error, and its wall-clock milliseconds."""
 
@@ -110,8 +115,7 @@ class VerificationReport:
         return self.verdict == "pass"
 
 
-@dataclass(frozen=True)
-class Unit:
+class Unit(NamedTuple):
     """One check at one point of its sweep; calling it runs the check."""
 
     check: str

@@ -175,6 +175,11 @@ def _cyclo_sum(terms: list[tuple[int, dict[int, int]]]) -> list[int]:
     The terms are summed in a balanced tree, in descending-cofactor order:
     sorted by their indices d, largest first, so that neighbours share their
     largest factors.  The sum is exact, so the order changes only its cost.
+    Each merge of two nodes is one pass: over the left cofactor, then over
+    the right cofactor's keys the left lacks.  The powers of each side that
+    the other lacks (zero exponents skipped, each Phi_d ** k at the point
+    computed once per call) multiply into one factor per side, and the
+    node's value is a * ra + b * rb over the shared cofactor.
     """
     bound = 0
     length = 1
@@ -192,14 +197,12 @@ def _cyclo_sum(terms: list[tuple[int, dict[int, int]]]) -> list[int]:
     bits = 8 * width
     powers: dict[tuple[int, int], int] = {}
 
-    def at_point(cofactor: dict[int, int]) -> int:
-        value = 1
-        for d, k in cofactor.items():
-            if k:
-                if (d, k) not in powers:
-                    phi = sum(a << (i * bits) for i, a in enumerate(_cyclotomic(d)))
-                    powers[d, k] = phi**k
-                value *= powers[d, k]
+    def power(d: int, k: int) -> int:
+        """Phi_d ** k at the point, k >= 1."""
+        value = powers.get((d, k))
+        if value is None:
+            phi = sum(a << (i * bits) for i, a in enumerate(_cyclotomic(d)))
+            value = powers[d, k] = phi**k
         return value
 
     # Sum in a balanced tree.  A node (v, e) stands for v * prod(Phi_d ** e_d)
@@ -210,16 +213,30 @@ def _cyclo_sum(terms: list[tuple[int, dict[int, int]]]) -> list[int]:
     while len(nodes) > 1:
         merged = []
         for (a, ea), (b, eb) in zip(nodes[0::2], nodes[1::2]):
-            shared = {d: min(k, eb[d]) for d, k in ea.items() if d in eb}
-            merged.append((
-                a * at_point({d: k - shared.get(d, 0) for d, k in ea.items()})
-                + b * at_point({d: k - shared.get(d, 0) for d, k in eb.items()}),
-                shared,
-            ))
+            # one pass over the left cofactor, then the right one's other
+            # keys: each side's unshared powers go into one factor, ra or rb
+            shared = {}
+            ra = rb = 1
+            for d, k in ea.items():
+                j = eb.get(d, 0)
+                if k > j:
+                    ra *= power(d, k - j)
+                    k = j  # now min(k, j), the shared exponent
+                elif j > k:
+                    rb *= power(d, j - k)
+                if k:
+                    shared[d] = k
+            for d, j in eb.items():
+                if j and d not in ea:
+                    rb *= power(d, j)
+            merged.append((a * ra + b * rb, shared))
         if len(nodes) % 2:
             merged.append(nodes[-1])
         nodes = merged
-    total = nodes[0][0] * at_point(nodes[0][1])
+    total, cofactor = nodes[0]
+    for d, k in cofactor.items():
+        if k:
+            total *= power(d, k)
     # offsetting every digit by 2**(bits - 1) makes them all nonnegative
     half = 1 << (bits - 1)
     offset = half * (((1 << (length * bits)) - 1) // ((1 << bits) - 1))

@@ -20,11 +20,10 @@ a wrong image or a wrong relabelling changes the count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .exact import Polynomial, PowerSeries, RationalFunction
 
@@ -36,26 +35,30 @@ PSI_ENUMERATION_BOUND = 12
 MAX_POINTS = 255
 
 
-@dataclass(frozen=True)
-class Involution:
-    """A permutation equal to its own inverse, in one-line notation."""
-
+class _InvolutionFields(NamedTuple):
     images: tuple[int, ...]
 
-    def __post_init__(self):
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
+
+class Involution(_InvolutionFields):
+    """A permutation equal to its own inverse, in one-line notation.
+
+    An immutable named tuple, validated on construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, images: tuple[int, ...]):
+        n = len(images)
+        if sorted(images) != list(range(1, n + 1)):
             raise ValueError("images must be a permutation of 1..n")
-        for i, img in enumerate(self.images, start=1):
-            if self.images[img - 1] != i:
-                raise ValueError(f"not an involution: {self.images}")
+        for i, img in enumerate(images, start=1):
+            if images[img - 1] != i:
+                raise ValueError(f"not an involution: {images}")
+        return tuple.__new__(cls, (images,))
 
     @classmethod
     def _trusted(cls, images: tuple[int, ...]) -> "Involution":
         """Wrap images already known to form an involution, skipping validation."""
-        inv = object.__new__(cls)
-        object.__setattr__(inv, "images", images)
-        return inv
+        return tuple.__new__(cls, (images,))
 
     @property
     def n(self) -> int:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache
 from operator import add
 from typing import Iterator, NamedTuple
@@ -28,20 +27,26 @@ def content(c: Cell) -> int:
     return c.col - c.row
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Weakly decreasing positive parts; the empty tuple is the shape of 0."""
-
+class _PartitionFields(NamedTuple):
     parts: tuple[int, ...] = ()
 
-    def __post_init__(self):
+
+class Partition(_PartitionFields):
+    """Weakly decreasing positive parts; the empty tuple is the shape of 0.
+
+    An immutable named tuple, validated on construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, parts: tuple[int, ...] = ()):
         prev = None
-        for p in self.parts:
+        for p in parts:
             if not isinstance(p, int) or p < 1:
-                raise ValueError(f"parts must be positive integers: {self.parts}")
+                raise ValueError(f"parts must be positive integers: {parts}")
             if prev is not None and p > prev:
-                raise ValueError(f"parts must be weakly decreasing: {self.parts}")
+                raise ValueError(f"parts must be weakly decreasing: {parts}")
             prev = p
+        return tuple.__new__(cls, (parts,))
 
     @property
     def n(self) -> int:
@@ -192,8 +197,7 @@ def f_lambda(lam: Partition) -> int:
     return hook_quotient(lam.n, hooks(lam))
 
 
-@dataclass(frozen=True)
-class CornerProfile:
+class CornerProfile(NamedTuple):
     """Outer and inner corner cells with their contents, both ordered by
     strictly decreasing content (top-right to bottom-left).
 

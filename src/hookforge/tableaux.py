@@ -23,9 +23,8 @@ bijection, runs on this second form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import partitions
 from .partitions import Cell, Partition, partitions_of
@@ -36,12 +35,23 @@ WordsByShape = dict[Partition, list[bytes]]
 MAX_ROWS = 255  # a Yamanouchi word holds each row number in one byte
 
 
-@dataclass(frozen=True)
-class StandardTableau:
-    """Rows of entries forming a bijective filling of a partition shape by
-    1..n, strictly increasing along rows and down columns."""
-
+class _TableauFields(NamedTuple):
     rows: Rows = ()
+
+
+class StandardTableau(_TableauFields):
+    """Rows of entries forming a bijective filling of a partition shape by
+    1..n, strictly increasing along rows and down columns.
+
+    An immutable named tuple, validated on construction by `__post_init__`,
+    which the constructor calls through the class."""
+
+    __slots__ = ()
+
+    def __new__(cls, rows: Rows = ()):
+        self = tuple.__new__(cls, (rows,))
+        StandardTableau.__post_init__(self)
+        return self
 
     def __post_init__(self):
         rows = self.rows

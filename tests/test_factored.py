@@ -4,13 +4,15 @@ and perturbed term lists showing that the factored comparisons can fail."""
 
 from collections import Counter
 from functools import cache
+from itertools import zip_longest
 
 import pytest
 
 from hookforge import cli, identity
-from hookforge.exact import Polynomial, RationalFunction
+from hookforge.exact import Polynomial, RationalFunction, _int_mul
 from hookforge.identity import (
     _cyclo_sum,
+    _cyclotomic,
     _lemma1_terms,
     _materialize,
     _phi_terms,
@@ -194,6 +196,44 @@ def test_cyclo_sum_ignores_term_order_property():
         assert _cyclo_sum(shuffled) == expected
 
     check()
+
+
+def int_mul_cyclo_sum(terms) -> list[int]:
+    """sum(c * prod(Phi_d ** k)) by repeated `_int_mul` products of the
+    `_cyclotomic` rows, summed coefficient by coefficient: no Kronecker
+    point, no tree and no shared cofactors."""
+    total: list[int] = []
+    for c, cofactor in terms:
+        prod = [c]
+        for d, k in cofactor.items():
+            for _ in range(k):
+                prod = _int_mul(prod, _cyclotomic(d))
+        total = [x + y for x, y in zip_longest(total, prod, fillvalue=0)]
+    while total and total[-1] == 0:
+        total.pop()
+    return total
+
+
+def test_cyclo_sum_matches_the_int_mul_oracle_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    # zero exponents and empty maps included, as `_materialize` passes them
+    cofactors = st.dictionaries(st.integers(1, 12), st.integers(0, 3), max_size=4)
+    terms = st.lists(st.tuples(st.integers(-60, 60), cofactors), min_size=1, max_size=8)
+
+    @hypothesis.settings(max_examples=80, deadline=None)
+    @hypothesis.given(terms)
+    @hypothesis.example([(7, {})])  # a single term, empty cofactor
+    @hypothesis.example([(-3, {4: 0, 6: 2})])  # a single term, a zero exponent
+    @hypothesis.example([(2, {1: 1, 3: 0}), (5, {3: 2}), (-1, {})])
+    def check(terms):
+        assert _cyclo_sum(terms) == int_mul_cyclo_sum(terms)
+        # each term and its negation cancel to the zero polynomial
+        assert _cyclo_sum(terms + [(-c, e) for c, e in reversed(terms)]) == []
+
+    check()
+    assert _cyclo_sum([]) == int_mul_cyclo_sum([]) == []
 
 
 def test_factored_sums_match_independent_routes():

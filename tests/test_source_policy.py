@@ -10,9 +10,14 @@ module's checks return None or a witness string, and neither constructs a
 `VerificationReport` nor reads a clock.  The CLI imports package modules
 only, never a name from one, so each proof is reached through the module
 that owns it.
+
+Every run is a fresh process, so start-up counts: no module imports
+`dataclasses`, and importing the CLI loads neither it nor `inspect`.
 """
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -172,3 +177,40 @@ def test_the_cli_imports_package_modules_only():
     relative = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]
     assert relative
     assert [ast.unparse(node) for node in relative if node.module is not None] == []
+
+
+def imported_packages(tree: ast.AST) -> set[str]:
+    """The top-level package of every absolute import in the module."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    # records are named tuples: `dataclasses` loads `inspect` and generates
+    # code for each class, about half of the CLI's import time
+    assert "dataclasses" not in imported_packages(ast.parse(path.read_text(encoding="utf-8")))
+
+
+@pytest.mark.parametrize(
+    "code", ["import dataclasses", "from dataclasses import dataclass", "import dataclasses as dc"]
+)
+def test_dataclasses_policy_rejects(code):
+    assert "dataclasses" in imported_packages(ast.parse(code))
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    code = (
+        "import sys, hookforge.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "[]\n"
