@@ -10,10 +10,28 @@ functions of `identity`, `tableaux.verify_bijection`, and the sweeps
 (which ends in `involutions.verify_egf_kronecker`).  A runner here only
 adapts one of them to the signature (seed, **params).
 
-A `Unit` is one check at one point of its sweep, and calling it is the only
-place a `VerificationReport` is built and timed: the first witness fails the
-unit.  A unit whose runner raises reports the verdict `error`, with the
-exception as its witness, and the other units still run.
+A `Unit` is one check at one point of its sweep, and calling it times it and
+builds its `VerificationReport`: the first witness fails the unit.  A unit
+whose runner raises reports the verdict `error`, with the exception as its
+witness, and the other units still run.  Every report, wherever its unit ran,
+is built by `_report`.
+
+The units are independent, so `run` hands them to one forked worker per
+usable CPU (`_run_forked`), using only `os.fork`, `os.pipe` and `select`.  A
+worker takes one unit at a time as the JSON line of its `(check, params,
+seed)` record, rebuilds and calls the `Unit`, and answers with its report's
+verdict, witness and milliseconds as one JSON line.  Units are handed out
+from the end of the list, so each sweep's largest point starts first.  The
+parent prints each progress line as its report arrives, then sorts and writes
+the report as a serial run would, so only the order of the stderr lines
+varies.  A worker that dies while it holds a unit turns that unit into an
+`error` record whose witness starts `ChildProcessError:` and names the exit
+status or signal; a new worker takes its place while units remain.  Every
+worker leaves through `os._exit`, and the parent reaps every worker before
+`run` returns or raises.  The CLI process starts no thread, so forking it is
+safe, and a forked worker needs no imports of its own.  The units run in
+process instead with one usable CPU, a single unit, no `os.fork`, or a unit
+that is not a `Unit` record (a wrapped unit has no record to send).
 
 Exit status is 0 when every check passes, 1 when any check fails or errors,
 and 2 on usage errors.  With equal configuration (including the seed) the
@@ -25,12 +43,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from contextlib import nullcontext
 from typing import Callable, Iterable, NamedTuple
 
-from . import identity, tableaux
+from . import _records, identity, tableaux
 
 
 class _RunConfigFields(NamedTuple):
@@ -43,7 +62,7 @@ class _RunConfigFields(NamedTuple):
     out: str | None = None
 
 
-class RunConfig(_RunConfigFields):
+class RunConfig(_records.Validated, _RunConfigFields):
     """One run's options, validated on construction."""
 
     __slots__ = ()
@@ -138,10 +157,13 @@ class Unit(NamedTuple):
 
             traceback.print_exc()
             verdict, witness = "error", f"{type(exc).__name__}: {exc}"
-        return VerificationReport(
-            self.check, self.params, verdict, witness,
-            int((time.perf_counter() - started) * 1000),
-        )
+        return _report(self, verdict, witness, int((time.perf_counter() - started) * 1000))
+
+
+def _report(unit: Unit, verdict: str, witness: str | None, millis: int) -> VerificationReport:
+    """`unit`'s report: the one place a report is built, whether the unit ran
+    in process, in a worker, or died with its worker."""
+    return VerificationReport(unit.check, unit.params, verdict, witness, millis)
 
 
 def build_units(cfg: RunConfig) -> list[Unit]:
@@ -187,6 +209,148 @@ def _report_text(reports: list[VerificationReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _progress(rep: VerificationReport) -> VerificationReport:
+    """Print `rep`'s progress line to stderr; returns `rep`."""
+    print(
+        f"[{rep.check} {_params_key(rep.params)}] {rep.verdict} ({rep.millis} ms)",
+        file=sys.stderr,
+    )
+    return rep
+
+
+def _worker_count(units: list) -> int:
+    """How many forked workers run `units`: one per usable CPU, at most one
+    per unit.  1 means in process: without `os.fork`, or when a unit is not a
+    `Unit` record, which a worker could not rebuild."""
+    if not hasattr(os, "fork") or not all(isinstance(u, Unit) for u in units):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # a platform without CPU affinity
+        cpus = os.cpu_count() or 1
+    return min(cpus, len(units))
+
+
+class _Worker:
+    """A forked worker: its pid, the parent's ends of its task and result
+    pipes, and the unit it holds with the `perf_counter` reading when that
+    unit was sent."""
+
+    __slots__ = ("pid", "tasks", "results", "unit", "sent")
+
+    def __init__(self, pid: int, tasks: int, results: int):
+        self.pid, self.tasks, self.results = pid, tasks, open(results, "rb")
+        self.unit = self.sent = None
+
+    def dispatch(self, pending: list[Unit]) -> None:
+        """Send the last pending unit, or close the task pipe, which ends
+        the worker, when none is left."""
+        if not pending:
+            self.unit = None
+            self.close_tasks()
+            return
+        self.unit, self.sent = pending.pop(), time.perf_counter()
+        try:
+            os.write(self.tasks, json.dumps(self.unit).encode() + b"\n")
+        except BrokenPipeError:
+            pass  # the worker is gone; the end of its result pipe reports the unit
+
+    def close_tasks(self) -> None:
+        if self.tasks is not None:
+            os.close(self.tasks)
+            self.tasks = None
+
+    def reap(self, kill: bool = False) -> int:
+        """Close the parent's pipe ends, stop the worker if `kill`, and wait
+        for it to exit; returns its wait status."""
+        self.close_tasks()
+        self.results.close()
+        if kill:
+            import signal  # only on this path: the CLI needs it nowhere else
+
+            os.kill(self.pid, signal.SIGKILL)
+        return os.waitpid(self.pid, 0)[1]
+
+
+def _fork_worker(pool: dict[int, _Worker]) -> _Worker:
+    """Fork a worker and add it to `pool`, keyed by its result pipe."""
+    task_r, task_w = os.pipe()
+    result_r, result_w = os.pipe()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(task_w)
+            os.close(result_r)
+            # other workers' pipes stay open only in the parent, so each
+            # worker sees its own task pipe close
+            for other in pool.values():
+                other.close_tasks()
+                other.results.close()
+            _serve(task_r, result_w)
+            sys.stderr.flush()
+            status = 0
+        finally:
+            os._exit(status)  # never return into the CLI
+    os.close(task_r)
+    os.close(result_w)
+    worker = pool[result_r] = _Worker(pid, task_w, result_r)
+    return worker
+
+
+def _serve(task_fd: int, result_fd: int) -> None:
+    """A worker's loop: for each `(check, params, seed)` line, rebuild and
+    run the unit and write its verdict, witness and millis as one line;
+    returns when the task pipe closes."""
+    with open(task_fd, "rb") as tasks, open(result_fd, "wb") as results:
+        for line in tasks:
+            rep = Unit(*json.loads(line))()
+            results.write(json.dumps([rep.verdict, rep.witness, rep.millis]).encode() + b"\n")
+            results.flush()
+
+
+def _died(status: int) -> str:
+    code = os.waitstatus_to_exitcode(status)
+    how = f"exited with status {code}" if code >= 0 else f"was killed by signal {-code}"
+    return f"ChildProcessError: the worker running this unit {how}"
+
+
+def _run_forked(units: list[Unit], workers: int) -> list[VerificationReport]:
+    """The reports of `units`, run on `workers` forked workers; each
+    progress line is printed as its report arrives."""
+    import select  # only here: the in-process path never loads it
+
+    pending = list(units)
+    reports = []
+    pool: dict[int, _Worker] = {}
+    try:
+        for _ in range(workers):
+            _fork_worker(pool).dispatch(pending)
+        while pool:
+            for fd in select.select(list(pool), [], [])[0]:
+                worker = pool[fd]
+                line = worker.results.readline()
+                if line.endswith(b"\n"):
+                    verdict, witness, millis = json.loads(line)
+                    reports.append(_progress(_report(worker.unit, verdict, witness, millis)))
+                    worker.dispatch(pending)
+                    continue
+                # the result pipe ended, so the worker has exited
+                status = worker.reap()
+                del pool[fd]
+                if worker.unit is not None:
+                    millis = int((time.perf_counter() - worker.sent) * 1000)
+                    reports.append(_progress(_report(worker.unit, "error", _died(status), millis)))
+                    if pending:
+                        _fork_worker(pool).dispatch(pending)
+    finally:
+        for worker in pool.values():
+            worker.reap(kill=True)
+    return reports
+
+
 def run(cfg: RunConfig) -> int:
     """Execute the configured checks; returns the process exit status.
 
@@ -199,14 +363,12 @@ def run(cfg: RunConfig) -> int:
         print(f"error: cannot write report to {cfg.out}: {exc.strerror}", file=sys.stderr)
         return 2
     with sink as fh:
-        reports = []
-        for unit in build_units(cfg):
-            rep = unit()
-            print(
-                f"[{rep.check} {_params_key(rep.params)}] {rep.verdict} ({rep.millis} ms)",
-                file=sys.stderr,
-            )
-            reports.append(rep)
+        units = build_units(cfg)
+        workers = _worker_count(units)
+        if workers > 1:
+            reports = _run_forked(units, workers)
+        else:
+            reports = [_progress(unit()) for unit in units]
         # sorted on actual parameter values, so n=2 precedes n=10
         reports.sort(key=lambda r: (r.check, sorted(r.params.items())))
         fh.write(_report_json(reports) if cfg.fmt == "json" else _report_text(reports))

@@ -25,6 +25,7 @@ from functools import cache
 from math import comb, factorial
 from typing import Iterator, NamedTuple
 
+from . import _records
 from .exact import Polynomial, PowerSeries, RationalFunction
 
 # Largest n for which psi_n re-derives its value by brute enumeration as an
@@ -39,7 +40,7 @@ class _InvolutionFields(NamedTuple):
     images: tuple[int, ...]
 
 
-class Involution(_InvolutionFields):
+class Involution(_records.Validated, _InvolutionFields):
     """A permutation equal to its own inverse, in one-line notation.
 
     An immutable named tuple, validated on construction."""

@@ -16,6 +16,8 @@ from functools import cache
 from operator import add
 from typing import Iterator, NamedTuple
 
+from . import _records
+
 
 class Cell(NamedTuple):
     row: int
@@ -31,7 +33,7 @@ class _PartitionFields(NamedTuple):
     parts: tuple[int, ...] = ()
 
 
-class Partition(_PartitionFields):
+class Partition(_records.Validated, _PartitionFields):
     """Weakly decreasing positive parts; the empty tuple is the shape of 0.
 
     An immutable named tuple, validated on construction."""

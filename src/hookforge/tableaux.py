@@ -26,7 +26,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import NamedTuple, Sequence
 
-from . import partitions
+from . import _records, partitions
 from .partitions import Cell, Partition, partitions_of
 
 Rows = tuple[tuple[int, ...], ...]
@@ -39,7 +39,7 @@ class _TableauFields(NamedTuple):
     rows: Rows = ()
 
 
-class StandardTableau(_TableauFields):
+class StandardTableau(_records.Validated, _TableauFields):
     """Rows of entries forming a bijective filling of a partition shape by
     1..n, strictly increasing along rows and down columns.
 

@@ -764,3 +764,113 @@ def test_calling_a_unit_twice_runs_it_twice(monkeypatch):
     first, second = failing(), failing()
     assert (first.verdict, first.witness) == (second.verdict, second.witness)
     assert first.witness == "round trip failed at 1 2 3 corner (1, 3)"
+
+
+def forced_cpus(monkeypatch, cpus):
+    """Make the CLI see `cpus` usable CPUs, and record the pid of every
+    worker it forks."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    fork, forked = os.fork, []
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return forked
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_the_worker_count_does_not_change_the_report(monkeypatch, capsys, seed):
+    from collections import Counter
+
+    from hookforge import cli
+
+    argv = ["verify", "all", "--max-n", "6", "--seed", str(seed), "--format", "json"]
+    units = cli.build_units(cli.RunConfig("all", max_n=6, seed=seed))
+    expected = Counter(f"[{u.check} {json.dumps(u.params, sort_keys=True)}] pass" for u in units)
+    outs = set()
+    for cpus in (1, 2, 3):
+        forked = forced_cpus(monkeypatch, cpus)
+        assert cli.main(argv) == 0
+        captured = capsys.readouterr()
+        outs.add(captured.out)
+        assert len(forked) == (cpus if cpus > 1 else 0)
+        assert Counter(line.rsplit(" (", 1)[0] for line in captured.err.splitlines()) == expected
+        assert_no_child_left()
+    assert len(outs) == 1
+
+
+@pytest.mark.parametrize(
+    "die, named",
+    [(lambda: os._exit(3), "status 3"), (lambda: os.kill(os.getpid(), 9), "signal 9")],
+    ids=["exit", "kill"],
+)
+def test_a_worker_death_becomes_an_error_record(monkeypatch, capsys, die, named):
+    from hookforge import cli, identity
+
+    parent = os.getpid()
+    verify = identity.verify_weight_substitution
+
+    def dying_at_2(n):
+        if n == 2 and os.getpid() != parent:
+            die()
+        return verify(n)
+
+    monkeypatch.setattr(identity, "verify_weight_substitution", dying_at_2)
+    forked = forced_cpus(monkeypatch, 2)
+    status = cli.main(["verify", "all", "--max-n", "4", "--format", "json"])
+    assert status == 1
+    records = json.loads(capsys.readouterr().out)
+    assert len(records) == 29
+    [dead] = [r for r in records if r["verdict"] != "pass"]
+    assert (dead["check"], dead["params"], dead["verdict"]) == ("substitution", {"n": 2}, "error")
+    assert dead["witness"].startswith("ChildProcessError:") and named in dead["witness"]
+    assert len(forked) == 3  # the dead worker's place was taken
+    assert_no_child_left()
+
+
+def test_an_exception_in_the_parent_reaps_every_worker(monkeypatch, capsys):
+    from hookforge import cli
+
+    forked = forced_cpus(monkeypatch, 2)
+    progress, seen = cli._progress, []
+
+    def failing_on_the_third(rep):
+        seen.append(rep)
+        if len(seen) == 3:
+            raise RuntimeError("injected")
+        return progress(rep)
+
+    monkeypatch.setattr(cli, "_progress", failing_on_the_third)
+    with pytest.raises(RuntimeError, match="injected"):
+        cli.main(["verify", "lemma1", "--max-n", "8", "--format", "json"])
+    assert len(forked) == 2
+    assert_no_child_left()
+
+
+def test_wrapped_units_run_in_process(monkeypatch, capsys):
+    # perfbench/tracer.py wraps each unit in a closure, which no worker could
+    # rebuild: a traced run stays serial and keeps every span
+    from hookforge import cli
+
+    forked = forced_cpus(monkeypatch, 2)
+    build_units, pids = cli.build_units, []
+
+    def wrapped(cfg):
+        def wrap(unit):
+            return lambda: pids.append(os.getpid()) or unit()
+
+        return [wrap(u) for u in build_units(cfg)]
+
+    monkeypatch.setattr(cli, "build_units", wrapped)
+    assert cli.main(["verify", "substitution", "--max-n", "4", "--format", "json"]) == 0
+    assert pids == [os.getpid()] * 4 and forked == []
+    assert len(json.loads(capsys.readouterr().out)) == 4

@@ -4,7 +4,7 @@
 `RunConfig`, `VerificationReport` and `Unit` are immutable records with
 equality and hashing by field, and they survive `copy`, `deepcopy` and
 `pickle`.  The four validated ones raise the same `ValueError` texts as
-before.  Being tuples, they are also iterable and equal to a plain tuple of
+before, also when a record is built through `_make` or `_replace`.  Being tuples, they are also iterable and equal to a plain tuple of
 the same fields; no code under `src/` relies on that.
 """
 
@@ -120,3 +120,50 @@ def test_tableaux_are_validated_once_through_the_class_attribute(monkeypatch):
     with pytest.raises(ValueError, match="rows must strictly increase"):
         StandardTableau(((2, 1),))
     assert len(seen) == 2
+
+
+# name: (a record, a valid change of fields, an invalid one, its exact error text)
+HELPERS = {
+    "Partition": (
+        lambda: Partition((3, 1)),
+        {"parts": (2, 2)},
+        {"parts": (1, 2)},
+        "parts must be weakly decreasing: (1, 2)",
+    ),
+    "StandardTableau": (
+        lambda: StandardTableau(((1, 3), (2,))),
+        {"rows": ((1, 2), (3,))},
+        {"rows": ((2, 3), (1,))},
+        "columns must strictly increase",
+    ),
+    "Involution": (
+        lambda: Involution((2, 1, 3)),
+        {"images": (1, 3, 2)},
+        {"images": (2, 3, 1)},
+        "not an involution: (2, 3, 1)",
+    ),
+    "RunConfig": (
+        lambda: cli.RunConfig("all"),
+        {"check": "prop3", "max_n": 3},
+        {"check": "bogus"},
+        "unknown check selector: bogus",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", HELPERS)
+def test_make_and_replace_validate_like_the_constructor(name):
+    make, valid, invalid, text = HELPERS[name]
+    record = make()
+    cls = type(record)
+    for change, fails in ((valid, False), (invalid, True)):
+        fields = {**record._asdict(), **change}
+        routes = (lambda: record._replace(**change), lambda: cls._make(fields.values()))
+        for route in routes:
+            if fails:
+                with pytest.raises(ValueError) as exc:
+                    route()
+                assert str(exc.value) == text
+            else:
+                built = route()
+                assert type(built) is cls and built == cls(**fields)

@@ -5,14 +5,15 @@ may contain no floating-point or complex arithmetic and may import only the
 standard library.  Timing through `time.perf_counter` (in `cli.py` only, see
 below) and type annotations are allowed: neither feeds a verdict.
 
-A report is built and timed in one place, `cli.Unit.__call__`: every other
-module's checks return None or a witness string, and neither constructs a
+A report is built in one place, `cli._report`, and a check is timed in
+`cli.Unit.__call__`: every other module's checks return None or a witness string, and neither constructs a
 `VerificationReport` nor reads a clock.  The CLI imports package modules
 only, never a name from one, so each proof is reached through the module
 that owns it.
 
 Every run is a fresh process, so start-up counts: no module imports
-`dataclasses`, and importing the CLI loads neither it nor `inspect`.
+`dataclasses`, and importing the CLI loads neither it nor `inspect`, nor a
+process-pool module: the CLI's dispatcher forks through `os`.
 """
 
 import ast
@@ -208,6 +209,21 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     code = (
         "import sys, hookforge.cli\n"
         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "[]\n"
+
+
+def test_importing_the_cli_loads_no_process_pool_module():
+    # the dispatcher forks through `os` and imports `select` only when it
+    # runs; the pool modules cost more start-up time than a sweep's units
+    code = (
+        "import sys, hookforge.cli\n"
+        "pools = {'select', 'selectors', 'multiprocessing', 'concurrent'}\n"
+        "print(sorted(pools & {name.split('.')[0] for name in sys.modules}))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     out = subprocess.run(
