@@ -8,9 +8,9 @@ plain representation comparison.  A polynomial is stored in one format:
 a tuple of integer numerators over one positive integer denominator, in
 lowest terms, so that equal polynomials have equal parts.  Products, GCDs
 and canonicalisation run on those integers, and one exact integer division,
-``_int_divexact``, serves canonicalisation, the GCD's acceptance test and
-the factored path's trial division; ``Polynomial.coeffs`` rebuilds the
-``Fraction`` coefficients on demand.  No floating point is used anywhere.
+``_int_divexact``, serves the factored path's trial division and the GCD's
+acceptance test, whose quotients are the canonical parts; ``Polynomial.coeffs``
+rebuilds the ``Fraction`` coefficients on demand.  No floating point is used.
 """
 
 from __future__ import annotations
@@ -320,15 +320,16 @@ def _int_divexact(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return quot
 
 
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic greatest common divisor over the rationals: the heuristic GCD
-    of Char, Geddes & Gonnet (GCDHEU, J. Symbolic Comput. 7, 1989).
+def _heu_gcd(a: Sequence[int], b: Sequence[int]) -> tuple[Sequence[int], list[int], list[int]]:
+    """GCDHEU, the heuristic GCD of Char, Geddes & Gonnet (J. Symbolic Comput.
+    7, 1989), of nonzero integer polynomials a and b: (G, a / G, b / G), G
+    their primitive gcd, with the quotients its acceptance test computes.
 
     The primitive parts A and B are packed as integers at xi = 2^k, with k
     one more than the bit length of 2 min(|A|, |B|) + 2 (|.| the largest
     absolute coefficient).  The primitive part of the signed base-xi digits
-    of gcd(A(xi), B(xi)) is returned, made monic, once exact division shows
-    that it divides both A and B; otherwise k doubles.
+    of gcd(A(xi), B(xi)) is accepted once exact division shows that it
+    divides a and b (as it divides A and B, by Gauss's lemma); else k doubles.
 
     Correctness: for xi >= 2 min(|A|, |B|) + 2, a candidate that divides A
     and B is their gcd (CGG, Theorem 1).  Termination: with A = G A' and
@@ -336,13 +337,7 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     once xi > 2 |res(A', B')| |G|, the digits are +-s G, whose primitive
     part is G, so doubling k needs no fallback.
     """
-    if a.is_zero and b.is_zero:
-        raise ValueError("gcd(0, 0) is undefined")
-    if a.is_zero:
-        return b.monic()
-    if b.is_zero:
-        return a.monic()
-    pa, pb = _primitive(a._ints), _primitive(b._ints)
+    pa, pb = _primitive(a), _primitive(b)
     k = (2 * min(max(map(abs, pa)), max(map(abs, pb))) + 2).bit_length() + 1
     while True:
         h = math.gcd(*(sum(v << k * i for i, v in enumerate(p)) for p in (pa, pb)))
@@ -352,12 +347,21 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
             h = (h - digits[-1]) >> k
         g = _primitive(digits)
         try:
-            _int_divexact(pa, g)
-            _int_divexact(pb, g)
+            return g, _int_divexact(a, g), _int_divexact(b, g)
         except ArithmeticError:
             k *= 2
-        else:
-            return Polynomial._over(g, g[-1])
+
+
+def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Monic greatest common divisor over the rationals, by `_heu_gcd`."""
+    if a.is_zero and b.is_zero:
+        raise ValueError("gcd(0, 0) is undefined")
+    if a.is_zero:
+        return b.monic()
+    if b.is_zero:
+        return a.monic()
+    g = _heu_gcd(a._ints, b._ints)[0]
+    return Polynomial._over(g, g[-1])
 
 
 class RationalFunction:
@@ -383,19 +387,13 @@ class RationalFunction:
             object.__setattr__(self, "num", Polynomial())
             object.__setattr__(self, "den", Polynomial.one())
             return
-        # num / den = (pn * den._den) / (pd * num._den) for the stored
-        # numerators; a monic gcd stores the primitive gcd as its numerators,
-        # which divides pn and pd exactly, by Gauss's lemma, and dividing by
-        # pd's leading entry makes the denominator monic
-        pn, pd = num._ints, den._ints
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            pn = _int_divexact(pn, g._ints)
-            pd = _int_divexact(pd, g._ints)
-        lead = pd[-1]
-        num = Polynomial._over([v * den._den for v in pn], num._den * lead)
+        # num / den = (qn * den._den) / (qd * num._den) for qn, qd the stored
+        # numerators over their gcd; qd's leading entry makes den monic
+        _, qn, qd = _heu_gcd(num._ints, den._ints)
+        lead = qd[-1]
+        num = Polynomial._over([v * den._den for v in qn], num._den * lead)
         object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", Polynomial._over(pd, lead))
+        object.__setattr__(self, "den", Polynomial._over(qd, lead))
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")

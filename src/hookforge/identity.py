@@ -305,14 +305,16 @@ def rho(n: int) -> RationalFunction:
 
 @cache
 def hook_weight_sum(n: int) -> RationalFunction:
-    """Sum over all shapes of n of the product of rho over their hooks (a
-    rational function of z that in fact reduces to a polynomial)."""
+    """Sum over all shapes of n of the product of rho over their hooks, a
+    rational function of z that reduces to a polynomial; one canonical form
+    per hook multiset, whose product is taken on rho's parts."""
     total = RationalFunction.zero()
     for key, count in hook_census(n).items():
-        prod = RationalFunction.one()
+        num = den = Polynomial.one()
         for h in key:
-            prod = prod * rho(h)
-        total = total + count * prod
+            r = rho(h)
+            num, den = num * r.num, den * r.den
+        total = total + RationalFunction(count * num, den)
     return total
 
 

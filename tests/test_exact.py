@@ -14,6 +14,7 @@ from hookforge.exact import (
     PowerSeries,
     RationalFunction,
     poly_gcd,
+    _heu_gcd,
     _int_divexact,
     _int_mul,
     series_exp,
@@ -534,6 +535,8 @@ def test_kernel_properties():
         r = RationalFunction(n, d)
         assert r.den.is_monic()
         assert poly_gcd(r.num, r.den) == Polynomial.one()
+        # poly_gcd and the canonical form share `_heu_gcd`: check the reference
+        assert prs_gcd(r.num, r.den) == Polynomial.one()
         assert r.num * d == n * r.den  # cross-equal to the unreduced n/d
         scaled = RationalFunction(n * c, d * c)
         assert (scaled.num.coeffs, scaled.den.coeffs) == (r.num.coeffs, r.den.coeffs)
@@ -575,5 +578,12 @@ def test_poly_gcd_matches_the_pseudo_remainder_sequence_property():
         assert g == prs_gcd(a * c, b * c)
         # RationalFunction divides by these numerators as the primitive gcd
         assert math.gcd(*g._ints) == 1
+        if not (a.is_zero or b.is_zero):
+            # the canonical form's parts are `_heu_gcd`'s quotients: times the
+            # reference gcd's primitive numerators, they give back the inputs
+            pa, pb = (_primitive((p * c)._ints) for p in (a, b))
+            _, qa, qb = _heu_gcd(pa, pb)
+            ref = list(prs_gcd(a * c, b * c)._ints)
+            assert (_int_mul(qa, ref), _int_mul(qb, ref)) == (pa, pb)
 
     same_gcd()

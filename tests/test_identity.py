@@ -537,6 +537,50 @@ def test_theorem1_fails_on_an_off_by_one_interpolating_weight(monkeypatch):
     assert verify_theorem1(4) is None
 
 
+@pytest.mark.fails("theorem1")
+def test_theorem1_fails_when_canonicalisation_does_not_reduce(monkeypatch):
+    from hookforge import exact
+
+    real = exact._heu_gcd
+    rho.cache_clear()
+    hook_weight_sum.cache_clear()
+    try:
+        # the gcd is found, but the "quotients" are the undivided parts
+        monkeypatch.setattr(exact, "_heu_gcd", lambda a, b: (real(a, b)[0], list(a), list(b)))
+        witness = verify_theorem1(4)
+    finally:
+        monkeypatch.undo()
+        rho.cache_clear()
+        hook_weight_sum.cache_clear()
+    # rho(3) = (1 + 3z)/(9 + 3z) is the first weight with a nonconstant
+    # denominator, so n = 3 is the first sum that has to cancel one
+    assert witness is not None
+    assert witness.startswith("n=3: shape sum is not polynomial: ")
+    assert verify_theorem1(4) is None
+
+
+def test_the_z_route_reads_no_factored_code(monkeypatch):
+    from hookforge import identity, involutions
+
+    expected = [hook_weight_sum(n) for n in range(8)]
+
+    def poisoned(*args):
+        raise AssertionError("the z-route reached the factored path")
+
+    rho.cache_clear()
+    hook_weight_sum.cache_clear()
+    for name in ("_materialize", "_cyclo_sum", "_w_factor_items", "_cyclotomic", "phi_n", "weight_lambda"):
+        monkeypatch.setattr(identity, name, poisoned)
+    monkeypatch.setattr(involutions, "psi_n", poisoned)
+    try:
+        assert [hook_weight_sum(n) for n in range(8)] == expected
+        assert verify_theorem1(8) is None
+    finally:
+        monkeypatch.undo()
+        rho.cache_clear()
+        hook_weight_sum.cache_clear()
+
+
 @pytest.mark.fails("prop2")
 def test_prop2_fails_on_a_perturbed_factored_term(monkeypatch):
     from hookforge import identity
