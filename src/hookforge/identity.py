@@ -306,16 +306,21 @@ def rho(n: int) -> RationalFunction:
 @cache
 def hook_weight_sum(n: int) -> RationalFunction:
     """Sum over all shapes of n of the product of rho over their hooks, a
-    rational function of z that reduces to a polynomial; one canonical form
-    per hook multiset, whose product is taken on rho's parts."""
-    total = RationalFunction.zero()
-    for key, count in hook_census(n).items():
-        num = den = Polynomial.one()
-        for h in key:
-            r = rho(h)
-            num, den = num * r.num, den * r.den
-        total = total + RationalFunction(count * num, den)
-    return total
+    rational function of z that reduces to a polynomial.  The hook multisets'
+    products are added over one common denominator, each rho(h).den to the
+    largest multiplicity of h, and the sum is canonicalised once."""
+    census, most = hook_census(n), Counter()
+    for key in census:
+        most |= Counter(key)
+    num, den = Polynomial.zero(), Polynomial.one()
+    for key, count in census.items():
+        held, term = Counter(key), Polynomial((count,))
+        for h, e in most.items():
+            term = term * rho(h).num ** held[h] * rho(h).den ** (e - held[h])
+        num = num + term
+    for h, e in most.items():
+        den = den * rho(h).den ** e
+    return RationalFunction(num, den)
 
 
 # ---------------------------------------------------------------------------

@@ -7,23 +7,27 @@ the value pushed out of row 1 is the ejected letter.  Forward row-insertion
 is the exact inverse.
 
 Both insertions run on the tableau's Yamanouchi word, one byte per entry
-holding its row, so that each bump is one bytes search and relabelling the
-entries is one byte inserted or deleted (Knuth, TAOCP vol. 3, 5.1.4).  The
-two kernels, `reverse_row_insert_words` and `forward_row_insert_words`, take
-a list of words at once, so that the bijection check makes one call per
-shape and corner; the per-word forms are one-word calls of them.
+holding its row (Knuth, TAOCP vol. 3, 5.1.4).  The two kernels,
+`reverse_row_insert_words` and `forward_row_insert_words`, take a list of
+words at once and read it as byte columns, one byte per word: a bump is a
+scan with one state byte per word, the row searched for, so each position
+of all the words is a few `bytes.translate` and big-integer steps.  The
+per-word forms are one-word calls of them.
 
 Tableaux come in two forms.  `enumerate_syt` builds `StandardTableau` rows,
 each checked by the validating constructor.  `lattice_words` builds the
 Yamanouchi words of two consecutive sizes directly, letter by letter, and
-`validate_word` checks a word against its shape with no code shared with
-that enumerator.  `verify_bijection`, the proof that corner deletion is a
-bijection, runs on this second form.
+`validate_words` checks all the words of a shape at once, with no code shared
+with that enumerator; `validate_word` checks one and names what is wrong.
+`verify_bijection`, the proof that corner deletion is a bijection, runs on
+this second form.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+import struct
+from itertools import chain, groupby
+from operator import add
 from typing import NamedTuple, Sequence
 
 from . import _records, partitions
@@ -146,7 +150,7 @@ def lattice_words(n: int) -> tuple[WordsByShape, WordsByShape]:
     lam takes the letter r where row r of lam may grow by one cell.  The
     words of size n are the words of size n-1 extended once more, so each
     size is built once.  The words are not validated here: see
-    `validate_word`.
+    `validate_words`.
     """
     if n < 1:
         raise ValueError("lattice_words needs n >= 1: it also builds size n-1")
@@ -194,6 +198,55 @@ def validate_word(word: bytes, shape: Partition) -> None:
         counts[r - 1] += 1
     if tuple(counts) != parts:
         raise ValueError(f"row lengths {tuple(counts)} do not match the shape {shape}")
+
+
+def _eq(v: int) -> bytes:  # the `bytes.translate` table of byte == v (none past 255)
+    return (bytes(v) + b"\x01" + bytes(255))[:256]
+
+
+def _int(column: bytes) -> int:  # a byte column as an integer: digit i is word i's byte
+    return int.from_bytes(column, "little")
+
+
+def _sums(flags: list[int], size: int) -> list[int]:
+    """Per word, its sum over the columns `flags` of 0/1 digits, added 255
+    columns at a time so that no digit carries."""
+    for start in range(0, len(flags), 255):
+        part = sum(flags[start : start + 255]).to_bytes(size, "little")
+        sums = list(map(add, sums, part)) if start else list(part)
+    return sums
+
+
+def validate_words(words: Sequence[bytes], shape: Partition) -> int | None:
+    """The index of the first word that `validate_word` rejects for `shape`,
+    or None.  The words are read as byte columns, and row r keeps one digit
+    per word: a guard bit plus the count of row r-1 less that of row r, row 0
+    counting every entry.  A prefix with more of row r than of row r-1 clears
+    the guard bit, and a 0 byte or a row beyond the shape leaves a final count
+    short of its part."""
+    parts, n, sizes = shape.parts, shape.n, list(map(len, words))
+    stop = len(words)
+    if sizes.count(n) < stop:
+        stop = next(i for i, size in enumerate(sizes) if size != n)
+    k = n.bit_length() // 8 + 1  # digits of k bytes keep a guard bit above n
+    ones, guard = _int(b"\x01".ljust(k, b"\0") * stop), _int((bytes(k - 1) + b"\x80") * stop)
+    joined, wide = b"".join(words[:stop]), bytearray(k * stop)
+    tables = [_eq(r) for r in range(1, len(parts) + 1)]
+    diffs, floor = [guard] * len(parts), -1  # floor: every prefix's digits ANDed
+    for p in range(n):
+        wide[::k] = joined[p::n]
+        above = ones
+        for r, table in enumerate(tables):
+            below = _int(wide.translate(table))
+            diffs[r] += above - below
+            floor &= diffs[r]
+            above = below
+    bad = guard & ~floor
+    for diff, more, part in zip(diffs, (n, *parts), parts):  # the counts are the parts
+        bad |= diff ^ guard + (more - part) * ones
+    if bad:
+        stop = min(stop, ((bad & -bad).bit_length() - 1) // (8 * k))
+    return stop if stop < len(words) else None
 
 
 def yamanouchi_word(rows: Rows) -> bytes:
@@ -251,36 +304,47 @@ def reverse_row_insert_words(
     words: Sequence[bytes], cell: Cell
 ) -> tuple[list[bytes], list[int]]:
     """reverse_row_insert on each of a shape's Yamanouchi words, deleting the
-    same corner from every one; the results are not validated.
-
-    Returns the reduced words and the ejected letters as parallel lists.  In
-    a word, the mover displaces the last entry of the row above that precedes
-    it, and deleting the ejected letter's byte is the relabelling.  Every
-    word is checked on its own: the cell must be one of its corners, and each
-    row above must hold an entry below the mover.
-    """
+    same corner from every one; the results are not validated.  Returns the
+    reduced words and the ejected letters.  Each run of words of one length
+    is scanned from its last column, the state starting at the corner's row:
+    a byte equal to it moves up a row, the state falls by one, and row 1
+    ejects the letter.  Every word is checked: the cell must be its corner,
+    and each row above must hold an entry below the mover."""
     r, c = cell
     if not 1 <= r <= MAX_ROWS:
         raise ValueError(f"cell {tuple(cell)} is not a removable corner")
-    above = range(r - 1, 0, -1)
     reduced: list[bytes] = []
     letters: list[int] = []
-    for word in words:
-        if not 1 <= c == word.count(r) or (r < MAX_ROWS and word.count(r + 1) >= c):
+    for n, run in groupby(words, len):
+        if not 1 <= c <= n:
             raise ValueError(f"cell {tuple(cell)} is not a removable corner")
-        out = bytearray(word)
-        moving = out.rfind(r)  # the corner holds the largest entry of its row
-        for row in above:
-            x = out.rfind(row, 0, moving)
-            if x < 0:
-                raise ValueError(
-                    f"not a lattice word: row {row} has no entry below {moving + 1}"
-                )
-            out[moving] = row
-            moving = x
-        del out[moving]
-        reduced.append(bytes(out))
-        letters.append(moving + 1)
+        run = list(run)
+        size, joined = len(run), b"".join(run)
+        cols = [joined[p::n] for p in range(n)]
+        own, below = ([_int(col.translate(eq)) for col in cols] for eq in (_eq(r), _eq(r + 1)))
+        own, below, corner = _sums(own, size), _sums(below, size), size
+        if not c == min(own) == max(own) > max(below):
+            corner = next(i for i, (a, b) in enumerate(zip(own, below)) if not c == a > b)
+        state, done, after, dones, zero = _int(bytes((r,)) * size), 0, 0, [], _eq(0)
+        left = bytearray(size * (n - 1))
+        for p in reversed(range(n)):
+            col = _int(cols[p])
+            hit = _int((col ^ state).to_bytes(size, "little").translate(zero)) & ~done
+            out, state = col - hit, state - hit
+            if p < n - 1:  # a word done right of p keeps byte p, the others p + 1
+                left[p :: n - 1] = (after ^ (out ^ after) & done * 255).to_bytes(size, "little")
+            done, after = _int(state.to_bytes(size, "little").translate(zero)), out
+            dones.append(done)  # done from the ejected letter's byte leftward
+        stuck = (done.to_bytes(size, "little") + b"\0").find(0)  # never reached row 1
+        if corner <= stuck and corner < size:
+            raise ValueError(f"cell {tuple(cell)} is not a removable corner")
+        if stuck < size:
+            bumped = after.to_bytes(size, "little")[stuck:][:1] + left[stuck * (n - 1) :]
+            moving = next(p for p, (a, b) in enumerate(zip(run[stuck], bumped)) if a != b)
+            row = state.to_bytes(size, "little")[stuck]
+            raise ValueError(f"not a lattice word: row {row} has no entry below {moving + 1}")
+        reduced += struct.unpack(f"{n - 1}s" * size, left)
+        letters += _sums(dones, size)
     return reduced, letters
 
 
@@ -288,35 +352,50 @@ def forward_row_insert_words(
     words: Sequence[bytes], values: Sequence[int]
 ) -> tuple[list[bytes], list[tuple[int, int]]]:
     """forward_row_insert of values[k] into words[k], for every k; the
-    results are not validated.
-
-    Returns the grown words and the new cells, as (row, col) tuples, in
-    parallel lists.  Inserting a placeholder byte at value-1 shifts the
-    larger entries up by one; in each row the mover displaces the first
-    entry that follows it.
-    """
-    row_numbers = range(1, MAX_ROWS + 1)
+    results are not validated.  Returns the grown words and the new cells,
+    as (row, col) tuples.  Each run of words of one length is scanned from
+    its first column with a 0 byte at value-1, the state 0 before it and then
+    the mover's row: a byte equal to the state moves down a row and the state
+    rises by one."""
     grown: list[bytes] = []
     cells: list[tuple[int, int]] = []
-    for word, value in zip(words, values, strict=True):
-        if not 1 <= value <= len(word) + 1:
-            raise ValueError(f"insertion value must lie in 1..{len(word) + 1}")
-        out = bytearray(word)
-        out.insert(value - 1, 0)
-        moving = value - 1
-        for row in row_numbers:
-            x = out.find(row, moving + 1)
-            out[moving] = row
-            if x < 0:
-                break
-            moving = x
-        else:
-            raise ValueError(
-                f"insertion needs row {MAX_ROWS + 1}: a row number takes one byte, "
-                f"so at most {MAX_ROWS} rows"
-            )
-        grown.append(bytes(out))
-        cells.append((row, out.count(row)))
+    for m, run in groupby(words[: len(values)], len):
+        run = list(run)
+        n, run_values = m + 1, values[len(grown) : len(grown) + len(run)]
+        size = len(run)  # the words before the first value out of range
+        if not 1 <= min(run_values) <= max(run_values) <= n:
+            size = next(k for k, v in enumerate(run_values) if not 1 <= v <= n)
+        code = next(code for code in "BHIQ" if n >> 8 * struct.calcsize(code) == 0)
+        k, joined = struct.calcsize(code), b"".join(run[:size])
+        packed = struct.pack(f"<{size}{code}", *run_values[:size])
+        every = _int(b"\xff" * size)
+        state = upto = prev = 0
+        out_cols, outs, zero = bytearray(size * n), [], _eq(0)
+        for q in range(n):
+            at = -1  # the words whose value is q + 1, compared byte by byte
+            for t in range(k):
+                at &= _int(packed[t::k].translate(_eq((q + 1) >> 8 * t & 255)))
+            col = _int(joined[q::m]) if q < m else 0
+            after, upto = upto, upto + at * 255  # all-ones bytes past the 0 byte, and at it
+            g = (col & every - upto) | (prev & after)  # the 0 byte at value-1
+            hit = _int((g ^ state).to_bytes(size, "little").translate(zero)) & after
+            # the state reaches MAX_ROWS only after the placeholder and 254 bumps
+            if q >= MAX_ROWS and _int(g.to_bytes(size, "little").translate(_eq(MAX_ROWS))) & hit:
+                raise ValueError(
+                    f"insertion needs row {MAX_ROWS + 1}: a row number takes one byte, "
+                    f"so at most {MAX_ROWS} rows"
+                )
+            out, state, prev = g + hit + at, state + hit + at, col
+            out_cols[q::n] = out.to_bytes(size, "little")
+            outs.append(out)
+        if size < len(run):
+            raise ValueError(f"insertion value must lie in 1..{n}")
+        same = [_int((out ^ state).to_bytes(size, "little").translate(zero)) for out in outs]
+        grown += struct.unpack(f"{n}s" * size, out_cols)
+        cells += zip(state.to_bytes(size, "little"), _sums(same, size))  # col: row's bytes
+    if len(values) != len(words):  # as zip(..., strict=True) reports it
+        longer = "longer" if len(values) > len(words) else "shorter"
+        raise ValueError(f"zip() argument 2 is {longer} than argument 1")
     return grown, cells
 
 
@@ -359,11 +438,9 @@ def verify_bijection(n: int) -> str | None:
     smaller, larger = lattice_words(n)
     for groups in (smaller, larger):
         for lam, words in groups.items():
-            for word in words:
-                try:
-                    validate_word(word, lam)
-                except ValueError as exc:
-                    return _invalid_word_witness(word, lam, exc)
+            bad = validate_words(words, lam)
+            if bad is not None:
+                return _invalid_word_witness(words[bad], lam)
     flat = list(chain.from_iterable(smaller.values()))
     index = {word: i for i, word in enumerate(flat)}
     size = len(flat)
@@ -395,13 +472,19 @@ def verify_bijection(n: int) -> str | None:
     return None
 
 
-def _invalid_word_witness(word: bytes, lam: Partition, exc: ValueError) -> str:
-    """Why an enumerated word is not the word of a standard tableau of lam."""
+def _invalid_word_witness(word: bytes, lam: Partition) -> str:
+    """Why an enumerated word is not the word of a standard tableau of lam,
+    in `validate_word`'s terms."""
+    reason = "validate_word accepts it, validate_words does not"
+    try:
+        validate_word(word, lam)
+    except ValueError as exc:
+        reason = str(exc)
     try:
         shown = repr(serialize_rows(rows_of_word(word)))
     except ValueError:  # a 0 byte names no row
         shown = f"bytes {list(word)}"
-    return f"enumerated rows {shown} are not a standard tableau of shape {lam}: {exc}"
+    return f"enumerated rows {shown} are not a standard tableau of shape {lam}: {reason}"
 
 
 def _unenumerated_witness(word: bytes, cell: Cell, reduced: bytes) -> str:

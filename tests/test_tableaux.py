@@ -22,8 +22,12 @@ from hookforge.tableaux import (
     reverse_row_insert_words,
     rows_of_word,
     validate_word,
+    validate_words,
+    verify_bijection,
     yamanouchi_word,
 )
+
+from support import forward_row_insert_oracle, reverse_row_insert_oracle
 
 
 def T(text):
@@ -327,3 +331,138 @@ def test_validate_word_names_what_is_wrong():
     with pytest.raises(ValueError, match="start at 1"):
         validate_word(b"\x01\x00", Partition((2,)))
     validate_word(b"", Partition(()))
+
+
+def outcome(kernel, *args):
+    """A kernel's results, or the text of the ValueError it raises."""
+    try:
+        return tuple(map(list, kernel(*args)))
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_column_kernels_match_the_per_word_oracles_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    by_shape = {Partition(()): [b""]}
+    for m in range(1, 13):
+        by_shape.update(lattice_words(m)[1])
+    shapes = sorted(by_shape, key=lambda lam: (lam.n, lam.parts))
+    # arbitrary bytes (0 bytes, rows that skip, the top rows) reach every failure
+    noise = st.one_of(
+        st.binary(max_size=12),
+        st.lists(st.sampled_from((0, 1, 2, 3, 254, 255)), max_size=12).map(bytes),
+        st.just(bytes(range(1, MAX_ROWS + 1))),
+    )
+    cells = st.builds(Cell, st.sampled_from((0, 1, 2, 3, 4, 254, 255, 256)), st.integers(0, 13))
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(st.sampled_from(shapes), st.data())
+    def agree(lam, data):
+        words = data.draw(st.lists(st.sampled_from(by_shape[lam]), min_size=1, max_size=30))
+        if data.draw(st.booleans()):  # a mixed batch: other lengths, other shapes, noise
+            other = st.sampled_from(shapes).flatmap(lambda mu: st.sampled_from(by_shape[mu]))
+            extra = st.one_of(noise, other)
+            for _ in range(data.draw(st.integers(1, 4))):
+                words.insert(data.draw(st.integers(0, len(words))), data.draw(extra))
+        for cell in [*removable_cells(lam), data.draw(cells)]:
+            assert outcome(reverse_row_insert_words, words, cell) == outcome(
+                reverse_row_insert_oracle, words, cell
+            )
+        inside = [data.draw(st.integers(1, len(w) + 1)) for w in words]
+        anywhere = [data.draw(st.integers(-1, len(w) + 2)) for w in words]
+        count = data.draw(st.sampled_from((0, len(words), len(words) + 1)))
+        for values in (inside, anywhere, anywhere[:count] + [1] * (count - len(words))):
+            assert outcome(forward_row_insert_words, words, values) == outcome(
+                forward_row_insert_oracle, words, values
+            )
+
+    agree()
+
+
+def test_column_kernels_match_the_oracles_on_every_corner_and_value():
+    for m in range(1, 8):
+        smaller, larger = lattice_words(m)
+        for lam, words in larger.items():
+            for cell in removable_cells(lam):
+                assert outcome(reverse_row_insert_words, words, cell) == outcome(
+                    reverse_row_insert_oracle, words, cell
+                )
+        words = [w for ws in smaller.values() for w in ws]
+        for value in range(1, m + 1):
+            values = [value] * len(words)
+            assert outcome(forward_row_insert_words, words, values) == outcome(
+                forward_row_insert_oracle, words, values
+            )
+
+
+def test_column_kernels_hold_words_longer_than_a_byte():
+    # counts, letters, values and columns above 255 need digits wider than a byte
+    row = b"\x01" * 300
+    two_rows = b"\x01" * 280 + b"\x02" * 10
+    for words, cell in (([row], Cell(1, 300)), ([two_rows, two_rows], Cell(2, 10))):
+        assert outcome(reverse_row_insert_words, words, cell) == outcome(
+            reverse_row_insert_oracle, words, cell
+        )
+    for words, values in (([row], [300]), ([row], [301]), ([two_rows], [290]), ([row], [302])):
+        assert outcome(forward_row_insert_words, words, values) == outcome(
+            forward_row_insert_oracle, words, values
+        )
+    assert reverse_row_insert_words([row], Cell(1, 300)) == ([row[1:]], [300])
+    assert validate_words([row, two_rows], Partition((300,))) == 1
+    assert validate_words([two_rows], Partition((280, 10))) is None
+
+
+def first_rejected(words, shape):
+    """The index of the first word validate_word rejects, or None."""
+    for i, word in enumerate(words):
+        try:
+            validate_word(word, shape)
+        except ValueError:
+            return i
+    return None
+
+
+def test_validate_words_finds_the_first_bad_word_of_each_kind():
+    lam = Partition((4, 3, 2, 1))
+    _, larger = lattice_words(10)
+    good = larger[lam]
+    cases = {
+        "a 0 byte": good[7][:3] + b"\x00" + good[7][4:],
+        "a row beyond the shape": good[7][:9] + b"\x05",
+        # the right row counts, but entry 8 puts row 4 ahead of row 3
+        "a late lattice break": bytes((1, 1, 1, 1, 2, 2, 2, 4, 3, 3)),
+        "row counts": b"\x01" * 4 + b"\x02" * 4 + b"\x03\x04",
+        "a short word": good[7][:9],
+        "a long word": good[7] + b"\x01",
+    }
+    for kind, bad in cases.items():
+        with pytest.raises(ValueError):
+            validate_word(bad, lam)
+        for at in (0, 5, len(good) - 1):
+            words = good[:at] + [bad] + good[at:] + [b"\x00"]
+            assert validate_words(words, lam) == first_rejected(words, lam) == at, kind
+    assert validate_words(good, lam) is None
+    assert validate_words([], lam) is None
+    assert validate_words([b""], Partition(())) is None
+    assert validate_words([b"\x01"], Partition(())) == 0
+    assert validate_words([b"\x01\x02"], Partition((1, 1))) is None
+
+
+def test_bijection_witness_is_validate_word_text(monkeypatch):
+    from hookforge import tableaux
+
+    bad = b"\x01\x02\x02"
+
+    def with_bad_word(n):
+        smaller, larger = lattice_words(n)
+        larger[Partition((1, 1, 1))] = [b"\x01\x02\x03"]
+        larger[Partition((2, 1))] = [*larger[Partition((2, 1))], bad]
+        return smaller, larger
+
+    monkeypatch.setattr(tableaux, "lattice_words", with_bad_word)
+    with pytest.raises(ValueError) as raised:
+        validate_word(bad, Partition((2, 1)))
+    assert verify_bijection(3) == (
+        f"enumerated rows '1/2 3' are not a standard tableau of shape 2,1: {raised.value}"
+    )
