@@ -6,15 +6,24 @@ written as terms (coeff, {h: p}), a map from hook length to power, and are
 evaluated by `_materialize` in a factored form: since 1 - q^h is (up to sign)
 the product of the cyclotomic polynomials indexed by the divisors of h, and
 1 + q^h the product over divisors of 2h that miss h, every term is a signed
-monomial in cyclotomic polynomials.  `_materialize` factors each term once,
-brings the monomials over a common denominator, sums their numerator as one
-integer at a Kronecker point q = 2^B and unpacks it once, and reduces the
-result by exact division, which sidesteps large rational GCDs: one division
-by every denominator factor but Phi_1 together (in phi_n they all cancel),
-and trial division factor by factor only where that one is inexact.  The
-factored path is cross-checked against generic rational-function arithmetic
-in the test suite.  The shapes of n come from `hook_census`, which builds
-each shape once per process by adding a first row to a smaller shape.
+monomial in cyclotomic polynomials.  `_factor_terms` factors each term once
+and brings the monomials over a common denominator; `_reduced_sum` sums
+their numerator as one integer at a Kronecker point q = 2^B, unpacks it
+once, and reduces the result by exact division, which sidesteps large
+rational GCDs: one division by every denominator factor but Phi_1 together
+(in phi_n they all cancel), and trial division factor by factor only where
+that one is inexact.  The factored path is cross-checked against generic
+rational-function arithmetic in the test suite.
+
+phi_n factors all its terms at once instead, one per hook multiset of n
+(`_phi_columns`), by counts of multiples: with c_m the number of a
+multiset's hooks that m divides, the exponent of Phi_d in its product of
+w(h) is -c_d for odd d and c_{d/2} - 2 c_d for even d, and the sign is
+(-1)^n.  The multisets come from `hook_census_bytes`, one n-byte key each,
+so the n byte columns `joined[p::n]`, each marked by one `bytes.translate`
+per m and added as base-256 integers, give c_m for every multiset at once,
+one digit each.  The census builds each shape once per process by adding a
+first row to a smaller shape.
 
 The sweeps at the end (`lemma1_checks`, `prop2_checks`, `prop3_checks`,
 `egf_checks`) run the `verify_*` calls of one check at one point of its
@@ -42,6 +51,7 @@ from .partitions import (
     addable_cells,
     corner_profile,
     hook_census,
+    hook_census_bytes,
     hook_length,
     hook_quotient,
     hooks,
@@ -97,18 +107,22 @@ def _w_factor_items(h: int) -> tuple[tuple[int, int], ...]:
 def _materialize(terms: list[tuple[int, dict[int, int]]]) -> RationalFunction:
     """Canonical rational function of sum(coeff * prod(w(h) ** p)) over the
     terms (coeff, {h: p}): each a map from nonzero hook length to a power of
-    any sign, zero powers contributing nothing.
+    any sign, zero powers contributing nothing.  The terms are factored by
+    `_factor_terms` and summed and reduced by `_reduced_sum`."""
+    return _reduced_sum(*_factor_terms(terms))
+
+
+def _factor_terms(
+    terms: list[tuple[int, dict[int, int]]],
+) -> tuple[list[tuple[int, dict[int, int]]], dict[int, int]]:
+    """The terms (coeff, {h: p}) over their common denominator: the lifted
+    terms (signed coeff, {d: k}), one per nonzero coeff, and the
+    denominator's cyclotomic exponents {d: k}, all k positive.
 
     Each term is factored once, here: w(h) for h >= 1 is -1 times the
     cyclotomic monomial of `_w_factor_items(h)`, and w(-h) = -w(h).  The
-    common denominator is read off the factored exponents; the lifted
-    numerator is summed at one Kronecker point (see `_cyclo_sum`).  The
-    reduction first divides it once by the product of every denominator
-    factor Phi_d ** k with d > 1, which is exact on phi_n; where that
-    division is inexact (a single weight, whose factors stay), it falls back
-    to trial division factor by factor.  Phi_1 is always divided out one
-    factor at a time.  Both routes remove the same factors, so the result is
-    the same.
+    common denominator is read off the factored exponents, and each term is
+    lifted to it.
     """
     factored = []
     den_exp: dict[int, int] = {}
@@ -136,7 +150,23 @@ def _materialize(terms: list[tuple[int, dict[int, int]]]) -> RationalFunction:
             if k > 0:
                 cofactor[d] = k
         lifted.append((coeff, cofactor))
-    del factored  # the exponents are lifted; free them before the big sum
+    return lifted, den_exp
+
+
+def _reduced_sum(
+    lifted: list[tuple[int, dict[int, int]]], den_exp: dict[int, int]
+) -> RationalFunction:
+    """Canonical form of sum(c * prod(Phi_d ** k)) over the lifted terms
+    (c, {d: k}), divided by prod(Phi_d ** den_exp[d]).
+
+    The numerator is summed at one Kronecker point (see `_cyclo_sum`).  The
+    reduction first divides it once by the product of every denominator
+    factor Phi_d ** k with d > 1, which is exact on phi_n; where that
+    division is inexact (a single weight, whose factors stay), it falls back
+    to trial division factor by factor.  Phi_1 is always divided out one
+    factor at a time.  Both routes remove the same factors, so the result is
+    the same.
+    """
     total = _cyclo_sum(lifted)
     if not total:
         return RationalFunction.zero()
@@ -269,18 +299,88 @@ def weight_lambda(lam: Partition) -> RationalFunction:
 
 @cache
 def phi_n(n: int) -> RationalFunction:
-    """Tableau-side sum: f-lambda times the shape weight over all shapes."""
-    return _materialize(_phi_terms(n))
+    """Tableau-side sum: f-lambda times the shape weight over all shapes,
+    one term per hook multiset (the shapes sharing one, conjugate pairs in
+    particular, are pooled), factored from byte columns by `_phi_columns`."""
+    return _reduced_sum(*_phi_columns(n))
 
 
-def _phi_terms(n: int) -> list[tuple[int, Counter]]:
-    """The terms of phi_n as (count, hook powers), one per hook multiset:
-    f-lambda and the weight depend only on the hooks, so the shapes sharing
-    a multiset (conjugate pairs, in particular) are pooled."""
-    return [
-        (count * hook_quotient(n, key), Counter(key))
-        for key, count in hook_census(n).items()
+def _phi_columns(n: int) -> tuple[list[tuple[int, dict[int, int]]], dict[int, int]]:
+    """`_factor_terms` of phi_n's terms, one per key of `hook_census_bytes(n)`
+    with its shape count times `hook_quotient` as the coefficient."""
+    census = hook_census_bytes(n)
+    coeffs = [count * hook_quotient(n, key) for key, count in census.items()]
+    return _factor_columns(list(census), coeffs)
+
+
+@cache
+def _multiples(m: int) -> bytes:
+    """`bytes.translate` table: byte h to 1 where m divides h >= 1, else 0."""
+    return bytes(int(h > 0 and h % m == 0) for h in range(256))
+
+
+def _factor_columns(
+    keys: list[bytes], coeffs: list[int]
+) -> tuple[list[tuple[int, dict[int, int]]], dict[int, int]]:
+    """`_factor_terms` of the terms (coeff, prod of w(h) over the bytes h of
+    key), for keys of one length n <= 255 and hooks h >= 1, computed for all
+    the keys at once from byte columns.
+
+    The exponent of each Phi_d depends only on the counts c_m, per key, of
+    the hooks that m divides (see `_w_exponents`).  For each m up to the
+    largest hook, one `translate` per column `joined[p::n]` of the joined
+    keys marks the hooks m divides, and the n marked columns, read as
+    base-256 integers and added, hold c_m of every key as one digit:
+    c_m <= n <= 255, so no digit carries.  The common denominator holds
+    each Phi_d to the largest power that any key has in its denominator,
+    each key's cofactor exponent is its own exponent plus that power, and
+    one zip over these columns builds the cofactors.  Every w(h), h >= 1,
+    carries a sign -1, so the coefficients take (-1)^n.
+    """
+    joined = b"".join(keys)
+    n = len(keys[0])
+    columns_of_keys = [joined[p::n] for p in range(n)]
+    top = max(joined, default=0)
+    # counts[m] for 1 <= m <= 2 * top, zero beyond the largest hook
+    counts = [b""] * (top + 1) + [bytes(len(keys))] * top
+    for m in range(1, top + 1):
+        marked = (col.translate(_multiples(m)) for col in columns_of_keys)
+        total = sum(int.from_bytes(col, "little") for col in marked)
+        counts[m] = total.to_bytes(len(keys), "little")
+    indices, columns, den_exp = [], [], {}
+    # Phi_d for odd d beyond the largest hook divides no 1 - q^h or 1 + q^h
+    for d in (d for d in range(1, 2 * top + 1) if d <= top or d % 2 == 0):
+        expo = _w_exponents(d, counts)
+        lift = max(-min(expo), 0)
+        if lift:
+            den_exp[d] = lift
+            expo = [e + lift for e in expo]
+        if any(expo):
+            indices.append(d)
+            columns.append(expo)
+    rows = zip(*columns) if columns else [()] * len(keys)
+    sign = -1 if n % 2 else 1
+    lifted = [
+        (sign * coeff, {d: k for d, k in zip(indices, row) if k})
+        for coeff, row in zip(coeffs, rows)
     ]
+    return lifted, den_exp
+
+
+def _w_exponents(d: int, counts: list[bytes]) -> list[int]:
+    """The exponent of Phi_d in each key's product of w(h), sign aside, from
+    `counts[m]`, which holds one byte per key: the number c_m of its hooks
+    that m divides.
+
+    Phi_d divides 1 - q^h where d divides h, and 1 + q^h where d divides 2h
+    but not h: for even d, where d/2 divides h and d does not.  A hook that
+    d divides is also among the c_{d/2} that d/2 divides, so the exponent is
+    -c_d for odd d and c_{d/2} - 2 c_d for even d (`_w_factor_items` for
+    one hook).
+    """
+    if d % 2:
+        return [-c for c in counts[d]]
+    return [h - 2 * c for h, c in zip(counts[d // 2], counts[d])]
 
 
 def _substitution_binomials(n: int) -> tuple[list[int], list[int]]:

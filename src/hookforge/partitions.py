@@ -140,14 +140,22 @@ def hooks(lam: Partition) -> list[int]:
 
 def hook_census(n: int) -> dict[tuple[int, ...], int]:
     """Each sorted hook multiset of the shapes of n, mapped to its number of
-    shapes, in sorted key order.
+    shapes, in sorted key order: `hook_census_bytes` with tuple keys.
 
     A shape and its conjugate share one key.  Any summand that depends only
     on the hooks, such as f-lambda or a hook-weight product, is computed
-    once per key instead of once per shape.  The shapes come from
-    `_hooked_shapes`, which builds each one once per process by adding a
-    first row, so a sweep over n shares them.  Every hook must fit in a
-    byte, so n is at most 255.
+    once per key instead of once per shape.
+    """
+    return {tuple(key): count for key, count in hook_census_bytes(n).items()}
+
+
+def hook_census_bytes(n: int) -> dict[bytes, int]:
+    """`hook_census` with each key an n-byte string, byte i the (i+1)-th
+    smallest hook, in sorted key order.
+
+    The shapes come from `_hooked_shapes`, which builds each one once per
+    process by adding a first row, so a sweep over n shares them.  Every
+    hook must fit in a byte, so n is at most 255.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -155,7 +163,7 @@ def hook_census(n: int) -> dict[tuple[int, ...], int]:
         raise ValueError("hook_census needs n <= 255: each hook is stored in one byte")
     census = Counter(sorted_hooks for _, sorted_hooks in _hooked_shapes(n))
     # bytes order is the order of the int tuples: unsigned, then by length
-    return {tuple(key): count for key, count in sorted(census.items())}
+    return dict(sorted(census.items()))
 
 
 _PLUS_ONE = bytes(range(1, 256)) + b"\0"  # byte c -> c + 1, for c < 255

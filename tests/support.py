@@ -6,15 +6,19 @@ its images; the tests use it as the oracle for the fixed-point histogram of
 packed-monomial kernel in `hookforge._multipoly`.  `reverse_row_insert_oracle`
 and `forward_row_insert_oracle` run the row insertions on Yamanouchi words
 one word at a time, with one bytes search per bump; the tests use them as the
-oracles of the byte-column kernels in `hookforge.tableaux`.
+oracles of the byte-column kernels in `hookforge.tableaux`.  `phi_terms`
+lists phi_n's terms as hook-power maps, the input of
+`hookforge.identity._materialize`; the tests use it as the oracle of the
+byte-column factoring `hookforge.identity._phi_columns`.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
 from hookforge._multipoly import MPoly
 from hookforge.involutions import Involution
-from hookforge.partitions import Cell
+from hookforge.partitions import Cell, hook_census, hook_quotient
 from hookforge.tableaux import MAX_ROWS
 
 
@@ -29,6 +33,16 @@ class CycleStats:
 def cycle_stats(inv: Involution) -> CycleStats:
     fixed = sum(1 for i, img in enumerate(inv.images, start=1) if img == i)
     return CycleStats(alpha1=fixed, alpha2=(inv.n - fixed) // 2)
+
+
+def phi_terms(n: int) -> list[tuple[int, Counter]]:
+    """The terms of phi_n as (count, hook powers), one per hook multiset:
+    f-lambda and the weight depend only on the hooks, so the shapes sharing
+    a multiset (conjugate pairs, in particular) are pooled."""
+    return [
+        (count * hook_quotient(n, key), Counter(key))
+        for key, count in hook_census(n).items()
+    ]
 
 
 def mp_const(nvars: int, value: int) -> MPoly:

@@ -146,6 +146,82 @@ def test_progress_goes_to_stderr():
     json.loads(result.stdout)  # stdout must stay pure JSON
 
 
+def buffered_env() -> dict:
+    """The environment of `run_cli`, without PYTHONUNBUFFERED: the child's
+    stdout is then block-buffered on a pipe, so a missing flush would lose
+    the report."""
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_main(code_before: str, *args):
+    """`python -m hookforge verify ARGS` through `runpy`, in a buffered child
+    that first runs `code_before`."""
+    code = (
+        "import runpy, sys\n"
+        + code_before
+        + f"sys.argv = ['hookforge', 'verify', *{list(args)!r}]\n"
+        + "runpy.run_module('hookforge', run_name='__main__')\n"
+    )
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=buffered_env(), timeout=600
+    )
+
+
+def test_python_m_hookforge_flushes_its_report_before_it_exits(tmp_path):
+    # `__main__` leaves through os._exit, which skips the interpreter's own
+    # flush: the report and every progress line must still arrive whole
+    args = ["theorem1prime", "--max-n", "12", "--format", "json"]
+    piped = subprocess.run(
+        BASE + args, capture_output=True, text=True, env=buffered_env(), timeout=600
+    )
+    assert piped.returncode == 0
+    assert [r["params"]["n"] for r in json.loads(piped.stdout)] == list(range(13))
+    progress = piped.stderr.splitlines()
+    assert sorted(line.split("]")[0] for line in progress) == sorted(
+        f'[theorem1prime {{"n": {n}}}' for n in range(13)
+    )
+    assert all("] pass (" in line for line in progress)
+    out = tmp_path / "report.json"
+    written = subprocess.run(
+        BASE + args + ["--out", str(out)], capture_output=True, text=True, env=buffered_env(),
+        timeout=600,
+    )
+    assert written.returncode == 0 and written.stdout == ""
+    assert out.read_text(encoding="utf-8") == piped.stdout
+    assert len(written.stderr.splitlines()) == 13
+    # a text report to a pipe, and the exit status of a forced failure
+    text = run_main("", "substitution", "--max-n", "3")
+    assert text.returncode == 0 and text.stdout.endswith("3/3 checks passed\n")
+    forced = run_main(
+        "from hookforge import identity\n"
+        "identity.verify_theorem1prime = lambda n: f'n={n}: forced' if n == 3 else None\n",
+        "theorem1prime", "--max-n", "5", "--format", "json",
+    )
+    assert forced.returncode == 1
+    records = json.loads(forced.stdout)
+    assert [r["verdict"] for r in records] == ["pass"] * 3 + ["fail"] + ["pass"] * 2
+    assert records[3]["witness"] == "n=3: forced"
+    assert '[theorem1prime {"n": 3}] fail (' in forced.stderr
+
+
+def test_python_m_hookforge_reports_a_flush_that_raises():
+    # a flush that raises leaves through the interpreter's normal exit,
+    # whose own flush reports the failure (status 120), not through os._exit
+    failing = run_main(
+        "import io\n"
+        "class Failing(io.StringIO):\n"
+        "    def flush(self):\n"
+        "        raise OSError('flush failed')\n"
+        "sys.stdout = Failing()\n",
+        "substitution", "--max-n", "1",  # one unit: no fork, so no flush before the report
+    )
+    assert failing.returncode == 120
+    assert "OSError: flush failed" in failing.stderr
+
+
 def test_failing_check_yields_exit_1_and_witness(monkeypatch, capsys):
     from hookforge import cli, identity
 

@@ -2,6 +2,7 @@
 behind `_materialize`, checked against generic rational-function arithmetic,
 and perturbed term lists showing that the factored comparisons can fail."""
 
+import random
 from collections import Counter
 from functools import cache
 from itertools import zip_longest
@@ -13,9 +14,13 @@ from hookforge.exact import Polynomial, RationalFunction, _int_mul
 from hookforge.identity import (
     _cyclo_sum,
     _cyclotomic,
+    _factor_columns,
+    _factor_terms,
     _lemma1_terms,
     _materialize,
-    _phi_terms,
+    _phi_columns,
+    _w_exponents,
+    _w_factor_items,
     phi_n,
     verify_lemma1,
     verify_prop2,
@@ -34,6 +39,7 @@ from hookforge.partitions import (
     remove_cell,
     removable_cells,
 )
+from support import phi_terms
 
 
 @cache
@@ -256,6 +262,89 @@ def test_factored_sums_match_independent_routes():
         assert_same(phi_n(n), psi_n(n))
 
 
+# -- the byte-column factoring of phi_n against the dict factoring ---------------
+
+
+def test_phi_columns_equal_the_dict_factoring_term_by_term():
+    # the lifted terms in census order, then the common denominator
+    for n in range(21):
+        terms = phi_terms(n)
+        lifted, den_exp = _phi_columns(n)
+        expected_lifted, expected_den = _factor_terms(terms)
+        assert len(lifted) == len(expected_lifted) == len(terms)
+        for got, expected in zip(lifted, expected_lifted):
+            assert got == expected, n
+        assert den_exp == expected_den, n
+
+
+def test_phi_n_equals_materialize_of_the_oracle_terms():
+    for n in range(29):
+        assert_same(phi_n(n), _materialize(phi_terms(n)))
+
+
+def test_phi_n_at_zero_and_out_of_range():
+    # one empty multiset and no columns: the empty product, with coefficient 1
+    assert _phi_columns(0) == ([(1, {})], {})
+    assert_same(phi_n(0), RationalFunction.one())
+    with pytest.raises(ValueError, match="^n must be nonnegative$"):
+        phi_n(-1)
+    with pytest.raises(
+        ValueError, match="^hook_census needs n <= 255: each hook is stored in one byte$"
+    ):
+        phi_n(256)
+
+
+def test_exponent_rule_equals_w_factor_items_for_every_byte():
+    # one key holding the single hook h: c_m is 1 where m divides h
+    for h in range(1, 256):
+        counts = [b""] + [bytes([h % m == 0]) for m in range(1, 2 * h + 1)]
+        exponents = [(d, _w_exponents(d, counts)[0]) for d in range(1, 2 * h + 1)]
+        assert tuple((d, e) for d, e in exponents if e) == _w_factor_items(h), h
+        assert _factor_columns([bytes([h])], [1]) == _factor_terms([(1, {h: 1})]), h
+
+
+def test_factor_columns_match_the_dict_factoring_on_any_hooks():
+    # keys that are no shape's hooks: unsorted, repeated, beyond their length
+    rng = random.Random("factor columns")
+    for width in (1, 2, 3, 5, 8):
+        for _ in range(10):
+            keys = [bytes(rng.choices(range(1, 40), k=width)) for _ in range(rng.randint(1, 6))]
+            coeffs = [rng.randint(-50, 50) or 1 for _ in keys]
+            terms = [(c, Counter(key)) for c, key in zip(coeffs, keys)]
+            assert _factor_columns(keys, coeffs) == _factor_terms(terms)
+    keys = [bytes([255, 254, 128]), bytes([1, 2, 3])]
+    terms = [(3, Counter(keys[0])), (-4, Counter(keys[1]))]
+    assert _factor_columns(keys, [3, -4]) == _factor_terms(terms)
+
+
+@pytest.mark.fails("theorem1prime")
+def test_a_misset_even_exponent_rule_fails_theorem1prime(monkeypatch):
+    # c_{d/2} - c_d for even d raises the exponent of Phi_d by one per hook
+    # that d divides: phi_1's hook 1 has no even divisor, and phi_2's hook 2
+    # is the first such hook
+    real = identity._w_exponents
+
+    def misset(d, counts):
+        if d % 2:
+            return real(d, counts)
+        return [h - c for h, c in zip(counts[d // 2], counts[d])]
+
+    phi_n.cache_clear()
+    try:
+        monkeypatch.setattr(identity, "_w_exponents", misset)
+        witnesses = [verify_theorem1prime(n) for n in range(5)]
+        wrong = phi_n(2)
+    finally:
+        monkeypatch.undo()
+        phi_n.cache_clear()
+    assert witnesses[:2] == [None, None]
+    assert witnesses[2] == (
+        f"n=2: involution side {psi_n(2).format()} != tableau side {wrong.format()}"
+    )
+    assert all(witnesses[2:])
+    assert verify_theorem1prime(2) is None
+
+
 # -- the reduction: one division, or trial division factor by factor -----------
 
 
@@ -287,7 +376,7 @@ PHI_1 = [-1, 1]
 
 def test_phi_n_cancels_every_factor_but_phi_1_in_one_division(monkeypatch):
     for n in range(11):
-        terms = _phi_terms(n)
+        terms = phi_terms(n)
         got, calls = divisions(monkeypatch, terms)
         expected = sum((c * generic_value(p) for c, p in terms), RationalFunction.zero())
         assert_same(got, expected)
@@ -351,7 +440,7 @@ def _shift_hook_one(powers: Counter) -> Counter:
 @pytest.mark.fails("theorem1prime")
 def test_perturbed_phi_terms_fail_theorem1prime(monkeypatch, perturbation):
     n = 7
-    terms = _phi_terms(n)
+    terms = phi_terms(n)
     assert _materialize(terms) == psi_n(n)
     coeff, powers = terms[3]
     if perturbation == "count":

@@ -569,7 +569,11 @@ def test_the_z_route_reads_no_factored_code(monkeypatch):
 
     rho.cache_clear()
     hook_weight_sum.cache_clear()
-    for name in ("_materialize", "_cyclo_sum", "_w_factor_items", "_cyclotomic", "phi_n", "weight_lambda"):
+    factored = (
+        "_materialize", "_factor_terms", "_reduced_sum", "_cyclo_sum", "_w_factor_items",
+        "_cyclotomic", "_phi_columns", "_factor_columns", "_w_exponents", "phi_n", "weight_lambda",
+    )
+    for name in factored:
         monkeypatch.setattr(identity, name, poisoned)
     monkeypatch.setattr(involutions, "psi_n", poisoned)
     try:
@@ -579,6 +583,40 @@ def test_the_z_route_reads_no_factored_code(monkeypatch):
         monkeypatch.undo()
         rho.cache_clear()
         hook_weight_sum.cache_clear()
+
+
+def test_phi_n_and_psi_n_read_no_code_of_each_other(monkeypatch):
+    # theorem1prime compares two routes: each still gives its values for
+    # n <= 12 with every function of the other route poisoned
+    from hookforge import identity, involutions
+
+    phi_n, psi_n = identity.phi_n, involutions.psi_n
+    expected_phi = [phi_n(n) for n in range(13)]
+    expected_psi = [psi_n(n) for n in range(13)]
+
+    def poisoned(*args):
+        raise AssertionError("one side of theorem1prime reached the other")
+
+    involution_side = (
+        "psi_n", "g_poly", "g_poly_oracle", "_psi_by_recursion", "_fixed_point_histogram",
+    )
+    tableau_side = (
+        "_materialize", "_factor_terms", "_reduced_sum", "_cyclo_sum",
+        "_phi_columns", "_factor_columns", "_w_exponents", "phi_n",
+    )
+    routes = (
+        (phi_n, involutions, involution_side, expected_phi),
+        (psi_n, identity, tableau_side, expected_psi),
+    )
+    for route, other, names, expected in routes:
+        route.cache_clear()
+        for name in names:
+            monkeypatch.setattr(other, name, poisoned)
+        try:
+            assert [route(n) for n in range(13)] == expected
+        finally:
+            monkeypatch.undo()
+            route.cache_clear()
 
 
 @pytest.mark.fails("prop2")

@@ -14,6 +14,10 @@ that owns it.
 Every run is a fresh process, so start-up counts: no module imports
 `dataclasses`, and importing the CLI loads neither it nor `inspect`, nor a
 process-pool module: the CLI's dispatcher forks through `os`.
+
+`os._exit` skips every `finally`, `atexit` handler and buffer flush, so only
+the forked workers (`cli.py`) and `python -m hookforge` (`__main__.py`, after
+flushing) may leave through it.
 """
 
 import ast
@@ -230,3 +234,37 @@ def test_importing_the_cli_loads_no_process_pool_module():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout == "[]\n"
+
+
+EXIT_ALLOWED = {"cli.py", "__main__.py"}
+
+
+def exit_violations(tree: ast.AST) -> list[str]:
+    """Each node that refers to `os._exit` or imports it by name."""
+    found = []
+    for node in ast.walk(tree):
+        where = f"line {getattr(node, 'lineno', '?')}"
+        if isinstance(node, ast.Attribute) and node.attr == "_exit":
+            found.append(f"{where}: ._exit")
+        elif isinstance(node, ast.ImportFrom) and any(a.name == "_exit" for a in node.names):
+            found.append(f"{where}: import of _exit")
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name not in EXIT_ALLOWED], ids=lambda p: p.name
+)
+def test_only_the_workers_and_main_call_os_exit(path):
+    assert exit_violations(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+@pytest.mark.parametrize(
+    "code", ["import os\nos._exit(0)", "import os as o\no._exit(1)", "from os import _exit"]
+)
+def test_exit_policy_rejects(code):
+    assert exit_violations(ast.parse(code))
+
+
+def test_the_workers_and_main_leave_through_os_exit():
+    for name in sorted(EXIT_ALLOWED):
+        assert exit_violations(ast.parse((SRC / name).read_text(encoding="utf-8"))), name
