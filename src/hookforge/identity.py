@@ -19,7 +19,7 @@ phi_n factors all its terms at once instead, one per hook multiset of n
 (`_phi_columns`), by counts of multiples: with c_m the number of a
 multiset's hooks that m divides, the exponent of Phi_d in its product of
 w(h) is -c_d for odd d and c_{d/2} - 2 c_d for even d, and the sign is
-(-1)^n.  The multisets come from `hook_census_bytes`, one n-byte key each,
+(-1)^n.  The multisets come from `hook_census`, one n-byte key each,
 so the n byte columns `joined[p::n]`, each marked by one `bytes.translate`
 per m and added as base-256 integers, give c_m for every multiset at once,
 one digit each.  The census builds each shape once per process by adding a
@@ -51,7 +51,6 @@ from .partitions import (
     addable_cells,
     corner_profile,
     hook_census,
-    hook_census_bytes,
     hook_length,
     hook_quotient,
     hooks,
@@ -306,9 +305,9 @@ def phi_n(n: int) -> RationalFunction:
 
 
 def _phi_columns(n: int) -> tuple[list[tuple[int, dict[int, int]]], dict[int, int]]:
-    """`_factor_terms` of phi_n's terms, one per key of `hook_census_bytes(n)`
+    """`_factor_terms` of phi_n's terms, one per key of `hook_census(n)`
     with its shape count times `hook_quotient` as the coefficient."""
-    census = hook_census_bytes(n)
+    census = hook_census(n)
     coeffs = [count * hook_quotient(n, key) for key, count in census.items()]
     return _factor_columns(list(census), coeffs)
 

@@ -9,10 +9,12 @@ is the exact inverse.
 Both insertions run on the tableau's Yamanouchi word, one byte per entry
 holding its row (Knuth, TAOCP vol. 3, 5.1.4).  The two kernels,
 `reverse_row_insert_words` and `forward_row_insert_words`, take a list of
-words at once and read it as byte columns, one byte per word: a bump is a
-scan with one state byte per word, the row searched for, so each position
-of all the words is a few `bytes.translate` and big-integer steps.  The
-per-word forms are one-word calls of them.
+words of one length at once and read it as byte columns, one byte per word:
+a bump is a scan with one state byte per word, the row searched for, so
+each position of all the words is a few `bytes.translate` and big-integer
+steps.  Each count of a word is one byte digit, so reverse insertion takes
+at most 255 letters and forward insertion 254; the per-word forms are
+one-word calls of them.
 
 Tableaux come in two forms.  `enumerate_syt` builds `StandardTableau` rows,
 each checked by the validating constructor.  `lattice_words` builds the
@@ -26,8 +28,7 @@ this second form.
 from __future__ import annotations
 
 import struct
-from itertools import chain, groupby
-from operator import add
+from itertools import chain
 from typing import NamedTuple, Sequence
 
 from . import _records, partitions
@@ -208,15 +209,6 @@ def _int(column: bytes) -> int:  # a byte column as an integer: digit i is word 
     return int.from_bytes(column, "little")
 
 
-def _sums(flags: list[int], size: int) -> list[int]:
-    """Per word, its sum over the columns `flags` of 0/1 digits, added 255
-    columns at a time so that no digit carries."""
-    for start in range(0, len(flags), 255):
-        part = sum(flags[start : start + 255]).to_bytes(size, "little")
-        sums = list(map(add, sums, part)) if start else list(part)
-    return sums
-
-
 def validate_words(words: Sequence[bytes], shape: Partition) -> int | None:
     """The index of the first word that `validate_word` rejects for `shape`,
     or None.  The words are read as byte columns, and row r keeps one digit
@@ -300,52 +292,60 @@ def forward_row_insert(tab: StandardTableau, value: int) -> tuple[StandardTablea
     return StandardTableau(rows_of_word(word)), cell
 
 
+def _one_length(words: Sequence[bytes], most: int) -> int:
+    """The one length of a batch's words, at most `most` letters so that each
+    count of a word fits a byte; else ValueError, before any word is read."""
+    n = len(words[0]) if words else 0
+    if list(map(len, words)).count(n) < len(words):
+        raise ValueError("the words of a batch must share one length")
+    if n > most:
+        raise ValueError(f"a batch takes words of at most {most} letters: a count takes one byte")
+    return n
+
+
 def reverse_row_insert_words(
     words: Sequence[bytes], cell: Cell
 ) -> tuple[list[bytes], list[int]]:
     """reverse_row_insert on each of a shape's Yamanouchi words, deleting the
     same corner from every one; the results are not validated.  Returns the
-    reduced words and the ejected letters.  Each run of words of one length
-    is scanned from its last column, the state starting at the corner's row:
-    a byte equal to it moves up a row, the state falls by one, and row 1
-    ejects the letter.  Every word is checked: the cell must be its corner,
-    and each row above must hold an entry below the mover."""
+    reduced words and the ejected letters.  The words, of one length up to
+    MAX_ROWS, are scanned from the last column, the state starting at the
+    corner's row: a byte equal to it moves up a row, the state falls by one,
+    and row 1 ejects the letter.  Every word is checked: the cell must be
+    its corner, and each row above must hold an entry below the mover."""
+    n = _one_length(words, MAX_ROWS)
     r, c = cell
-    if not 1 <= r <= MAX_ROWS:
+    if not 1 <= r <= MAX_ROWS or words and not 1 <= c <= n:
         raise ValueError(f"cell {tuple(cell)} is not a removable corner")
-    reduced: list[bytes] = []
-    letters: list[int] = []
-    for n, run in groupby(words, len):
-        if not 1 <= c <= n:
-            raise ValueError(f"cell {tuple(cell)} is not a removable corner")
-        run = list(run)
-        size, joined = len(run), b"".join(run)
-        cols = [joined[p::n] for p in range(n)]
-        own, below = ([_int(col.translate(eq)) for col in cols] for eq in (_eq(r), _eq(r + 1)))
-        own, below, corner = _sums(own, size), _sums(below, size), size
-        if not c == min(own) == max(own) > max(below):
-            corner = next(i for i, (a, b) in enumerate(zip(own, below)) if not c == a > b)
-        state, done, after, dones, zero = _int(bytes((r,)) * size), 0, 0, [], _eq(0)
-        left = bytearray(size * (n - 1))
-        for p in reversed(range(n)):
-            col = _int(cols[p])
-            hit = _int((col ^ state).to_bytes(size, "little").translate(zero)) & ~done
-            out, state = col - hit, state - hit
-            if p < n - 1:  # a word done right of p keeps byte p, the others p + 1
-                left[p :: n - 1] = (after ^ (out ^ after) & done * 255).to_bytes(size, "little")
-            done, after = _int(state.to_bytes(size, "little").translate(zero)), out
-            dones.append(done)  # done from the ejected letter's byte leftward
-        stuck = (done.to_bytes(size, "little") + b"\0").find(0)  # never reached row 1
-        if corner <= stuck and corner < size:
-            raise ValueError(f"cell {tuple(cell)} is not a removable corner")
-        if stuck < size:
-            bumped = after.to_bytes(size, "little")[stuck:][:1] + left[stuck * (n - 1) :]
-            moving = next(p for p, (a, b) in enumerate(zip(run[stuck], bumped)) if a != b)
-            row = state.to_bytes(size, "little")[stuck]
-            raise ValueError(f"not a lattice word: row {row} has no entry below {moving + 1}")
-        reduced += struct.unpack(f"{n - 1}s" * size, left)
-        letters += _sums(dones, size)
-    return reduced, letters
+    if not words:
+        return [], []
+    size, joined = len(words), b"".join(words)
+    cols = [joined[p::n] for p in range(n)]
+    counts = [sum(_int(col.translate(_eq(row))) for col in cols) for row in (r, r + 1)]
+    own, below = (count.to_bytes(size, "little") for count in counts)  # rows r and r + 1
+    corner = size
+    if not c == min(own) == max(own) > max(below):
+        corner = next(i for i, (a, b) in enumerate(zip(own, below)) if not c == a > b)
+    state, done, after, letters, zero = _int(bytes((r,)) * size), 0, 0, 0, _eq(0)
+    left = bytearray(size * (n - 1))
+    for p in reversed(range(n)):
+        col = _int(cols[p])
+        hit = _int((col ^ state).to_bytes(size, "little").translate(zero)) & ~done
+        out, state = col - hit, state - hit
+        if p < n - 1:  # a word done right of p keeps byte p, the others p + 1
+            left[p :: n - 1] = (after ^ (out ^ after) & done * 255).to_bytes(size, "little")
+        done, after = _int(state.to_bytes(size, "little").translate(zero)), out
+        letters += done  # done from the ejected letter's byte leftward
+    stuck = (done.to_bytes(size, "little") + b"\0").find(0)  # never reached row 1
+    if corner <= stuck and corner < size:
+        raise ValueError(f"cell {tuple(cell)} is not a removable corner")
+    if stuck < size:
+        bumped = after.to_bytes(size, "little")[stuck:][:1] + left[stuck * (n - 1) :]
+        moving = next(p for p, (a, b) in enumerate(zip(words[stuck], bumped)) if a != b)
+        row = state.to_bytes(size, "little")[stuck]
+        raise ValueError(f"not a lattice word: row {row} has no entry below {moving + 1}")
+    # a Struct of its own: `struct.unpack` would keep each batch's format in its cache
+    return [*struct.Struct(f"{n - 1}s" * size).unpack(left)], [*letters.to_bytes(size, "little")]
 
 
 def forward_row_insert_words(
@@ -353,50 +353,35 @@ def forward_row_insert_words(
 ) -> tuple[list[bytes], list[tuple[int, int]]]:
     """forward_row_insert of values[k] into words[k], for every k; the
     results are not validated.  Returns the grown words and the new cells,
-    as (row, col) tuples.  Each run of words of one length is scanned from
-    its first column with a 0 byte at value-1, the state 0 before it and then
-    the mover's row: a byte equal to the state moves down a row and the state
-    rises by one."""
-    grown: list[bytes] = []
-    cells: list[tuple[int, int]] = []
-    for m, run in groupby(words[: len(values)], len):
-        run = list(run)
-        n, run_values = m + 1, values[len(grown) : len(grown) + len(run)]
-        size = len(run)  # the words before the first value out of range
-        if not 1 <= min(run_values) <= max(run_values) <= n:
-            size = next(k for k, v in enumerate(run_values) if not 1 <= v <= n)
-        code = next(code for code in "BHIQ" if n >> 8 * struct.calcsize(code) == 0)
-        k, joined = struct.calcsize(code), b"".join(run[:size])
-        packed = struct.pack(f"<{size}{code}", *run_values[:size])
-        every = _int(b"\xff" * size)
-        state = upto = prev = 0
-        out_cols, outs, zero = bytearray(size * n), [], _eq(0)
-        for q in range(n):
-            at = -1  # the words whose value is q + 1, compared byte by byte
-            for t in range(k):
-                at &= _int(packed[t::k].translate(_eq((q + 1) >> 8 * t & 255)))
-            col = _int(joined[q::m]) if q < m else 0
-            after, upto = upto, upto + at * 255  # all-ones bytes past the 0 byte, and at it
-            g = (col & every - upto) | (prev & after)  # the 0 byte at value-1
-            hit = _int((g ^ state).to_bytes(size, "little").translate(zero)) & after
-            # the state reaches MAX_ROWS only after the placeholder and 254 bumps
-            if q >= MAX_ROWS and _int(g.to_bytes(size, "little").translate(_eq(MAX_ROWS))) & hit:
-                raise ValueError(
-                    f"insertion needs row {MAX_ROWS + 1}: a row number takes one byte, "
-                    f"so at most {MAX_ROWS} rows"
-                )
-            out, state, prev = g + hit + at, state + hit + at, col
-            out_cols[q::n] = out.to_bytes(size, "little")
-            outs.append(out)
-        if size < len(run):
-            raise ValueError(f"insertion value must lie in 1..{n}")
-        same = [_int((out ^ state).to_bytes(size, "little").translate(zero)) for out in outs]
-        grown += struct.unpack(f"{n}s" * size, out_cols)
-        cells += zip(state.to_bytes(size, "little"), _sums(same, size))  # col: row's bytes
+    as (row, col) tuples.  The words, of one length up to MAX_ROWS - 1 so
+    that a grown word's rows fit a byte, are scanned from the first column
+    with a 0 byte at value-1, the state 0 before it and then the mover's row:
+    a byte equal to the state moves down a row and the state rises by one."""
+    m = _one_length(words, MAX_ROWS - 1)
+    n, size = m + 1, min(len(words), len(values))
+    head = values[:size]
+    if head and not 1 <= min(head) <= max(head) <= n:  # scan the words before it
+        size = next(k for k, v in enumerate(head) if not 1 <= v <= n)
+    joined, packed = b"".join(words[:size]), bytes(head[:size])
+    every, state, upto, prev = _int(b"\xff" * size), 0, 0, 0
+    out_cols, outs, zero = bytearray(size * n), [], _eq(0)
+    for q in range(n):
+        at = _int(packed.translate(_eq(q + 1)))  # the words whose value is q + 1
+        col = _int(joined[q::m]) if q < m else 0
+        after, upto = upto, upto + at * 255  # all-ones bytes past the 0 byte, and at it
+        g = (col & every - upto) | (prev & after)  # the 0 byte at value-1
+        hit = _int((g ^ state).to_bytes(size, "little").translate(zero)) & after
+        out, state, prev = g + hit + at, state + hit + at, col
+        out_cols[q::n] = out.to_bytes(size, "little")
+        outs.append(out)
+    if size < len(head):
+        raise ValueError(f"insertion value must lie in 1..{n}")
     if len(values) != len(words):  # as zip(..., strict=True) reports it
         longer = "longer" if len(values) > len(words) else "shorter"
         raise ValueError(f"zip() argument 2 is {longer} than argument 1")
-    return grown, cells
+    same = sum(_int((out ^ state).to_bytes(size, "little").translate(zero)) for out in outs)
+    grown = struct.Struct(f"{n}s" * size).unpack(out_cols)  # col: the row's bytes
+    return list(grown), list(zip(state.to_bytes(size, "little"), same.to_bytes(size, "little")))
 
 
 def reverse_row_insert_word(word: bytes, cell: Cell) -> tuple[bytes, int]:

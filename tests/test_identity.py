@@ -559,6 +559,7 @@ def test_theorem1_fails_when_canonicalisation_does_not_reduce(monkeypatch):
     assert verify_theorem1(4) is None
 
 
+@pytest.mark.independence("theorem1")
 def test_the_z_route_reads_no_factored_code(monkeypatch):
     from hookforge import identity, involutions
 
@@ -585,6 +586,7 @@ def test_the_z_route_reads_no_factored_code(monkeypatch):
         hook_weight_sum.cache_clear()
 
 
+@pytest.mark.independence("theorem1prime")
 def test_phi_n_and_psi_n_read_no_code_of_each_other(monkeypatch):
     # theorem1prime compares two routes: each still gives its values for
     # n <= 12 with every function of the other route poisoned
@@ -617,6 +619,48 @@ def test_phi_n_and_psi_n_read_no_code_of_each_other(monkeypatch):
         finally:
             monkeypatch.undo()
             route.cache_clear()
+
+
+@pytest.mark.independence("prop2")
+def test_prop2_recheck_and_factored_zero_test_read_no_code_of_each_other(monkeypatch):
+    # prop2 proves each shape twice: the factored sum minus 1 is zero, and the
+    # substitution recheck evaluates the symmetric sum at one point; each
+    # still gives its results for every shape of n <= 8 with every function
+    # of the other poisoned
+    from hookforge import identity
+
+    contents = [
+        (list(prof.outer_contents), list(prof.inner_contents))
+        for n in range(9)
+        for prof in map(corner_profile, partitions_of(n))
+    ]
+
+    def recheck():
+        return [identity._prop2_substitution_witness(xs, ys) for xs, ys in contents]
+
+    def zero_test():
+        return [
+            identity._materialize(identity._prop2_terms(xs, ys) + [(-1, {})]).is_zero
+            for xs, ys in contents
+        ]
+
+    def poisoned(*args):
+        raise AssertionError("one prop2 route reached the other")
+
+    factored = (
+        "_materialize", "_factor_terms", "_reduced_sum", "_cyclo_sum", "_w_factor_items",
+        "_cyclotomic", "_prop2_terms",
+    )
+    substitution = ("_prop2_substitution_witness", "_signed_ratio_sum", "_deleted_products")
+    expected = {recheck: recheck(), zero_test: zero_test()}
+    assert len(contents) == 67 and expected[zero_test] == [True] * 67
+    for route, names in ((recheck, factored), (zero_test, substitution)):
+        for name in names:
+            monkeypatch.setattr(identity, name, poisoned)
+        try:
+            assert route() == expected[route]
+        finally:
+            monkeypatch.undo()
 
 
 @pytest.mark.fails("prop2")

@@ -3,7 +3,9 @@ with the checks that `hookforge verify` runs.
 
 Every key of `cli.REGISTRY` has a test marked `@pytest.mark.fails(check)`,
 and every marker names a real check.  The ledger has one row per check,
-and each row names exactly the tests marked with its check.  Each row's
+and each row names exactly the tests marked with its check, in backticks.
+The plain-text test names in a row's Routes cell are exactly the tests
+marked `@pytest.mark.independence(check)` with its check.  Each row's
 routes name library functions as dotted names under `hookforge`, and each
 of those names resolves.  Markers are read from the test sources, so
 nothing is collected or run here.
@@ -21,14 +23,15 @@ TESTS = Path(__file__).resolve().parent
 README = TESTS.parent / "README.md"
 
 
-def marked_tests() -> dict[str, set[str]]:
-    """Each check named by a `fails` marker, mapped to the tests it marks."""
+def marked_tests(marker: str = "fails") -> dict[str, set[str]]:
+    """Each check named by a `marker` marker, mapped to the tests it marks."""
     found: dict[str, set[str]] = {}
+    name = f"pytest.mark.{marker}"
     for path in sorted(TESTS.glob("test_*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.FunctionDef):
                 for dec in node.decorator_list:
-                    if isinstance(dec, ast.Call) and ast.unparse(dec.func) == "pytest.mark.fails":
+                    if isinstance(dec, ast.Call) and ast.unparse(dec.func) == name:
                         for arg in dec.args:
                             found.setdefault(arg.value, set()).add(node.name)
     return found
@@ -70,3 +73,11 @@ def test_every_ledger_row_names_library_functions_that_resolve():
         assert dotted, check
         for name in dotted:
             assert callable(reduce(getattr, name.split("."), hookforge)), name
+
+
+def test_each_routes_cell_names_its_independence_tests_in_plain_text():
+    marked = marked_tests("independence")
+    assert set(marked) <= set(cli.REGISTRY)
+    for check, rest in ledger_lines():
+        routes = re.sub(r"`[^`]*`", "", rest.split(" | ")[0])
+        assert set(re.findall(r"\btest_\w+", routes)) == marked.get(check, set()), check

@@ -253,20 +253,27 @@ def test_batch_kernels_check_every_word():
     corner = "cell (1, 1) is not a removable corner"
     lattice = "not a lattice word: row 1 has no entry below 1"
     value = "insertion value must lie in 1..4"
-    rows = "insertion needs row 256: a row number takes one byte, so at most 255 rows"
+    longest = "a batch takes words of at most 255 letters: a count takes one byte"
+    longer = "a batch takes words of at most 254 letters: a count takes one byte"
+    mixed = "the words of a batch must share one length"
     column = bytes(range(1, MAX_ROWS + 1))
     cases = [
-        # a bad word after a good one: the batch kernels check each word
-        (reverse_row_insert_words, ([b"\x01", b"\x01\x01\x02"], Cell(1, 1)), corner),
+        # a bad word after a good one of the same length: the batch kernels check each word
+        (reverse_row_insert_words, ([b"\x01\x02\x03", b"\x01\x01\x02"], Cell(3, 1)),
+         "cell (3, 1) is not a removable corner"),
         (reverse_row_insert_words, ([b"\x01", b"\x02"], Cell(1, 1)), corner),
-        (reverse_row_insert_words, ([b"\x01\x02", b"\x02"], Cell(2, 1)), lattice),
-        (forward_row_insert_words, ([b"\x01", b"\x01\x01\x02"], [1, 5]), value),
-        (forward_row_insert_words, ([b"", column], [1, 1]), rows),
+        (reverse_row_insert_words, ([b"\x01\x02", b"\x02\x01"], Cell(2, 1)), lattice),
+        (forward_row_insert_words, ([b"\x01\x02\x01", b"\x01\x01\x02"], [1, 5]), value),
+        # a word longer than a byte's counts hold, and a batch of mixed lengths
+        (reverse_row_insert_words, ([column + b"\x01"], Cell(1, 1)), longest),
+        (forward_row_insert_words, ([b"\x01" * 254, column], [1, 1]), mixed),
+        (forward_row_insert_words, ([column], [1]), longer),
         # the per-word kernels raise the same texts
         (reverse_row_insert_word, (b"\x01\x01\x02", Cell(1, 1)), corner),
         (reverse_row_insert_word, (b"\x02", Cell(2, 1)), lattice),
         (forward_row_insert_word, (b"\x01\x01\x02", 5), value),
-        (forward_row_insert_word, (column, 1), rows),
+        (reverse_row_insert_word, (column + b"\x01", Cell(1, 1)), longest),
+        (forward_row_insert_word, (column, 1), longer),
     ]
     for kernel, args, text in cases:
         with pytest.raises(ValueError) as raised:
@@ -286,7 +293,7 @@ def test_more_rows_than_a_byte_holds_raise():
     )
     with pytest.raises(ValueError, match="one byte, so at most 255 rows"):
         yamanouchi_word(column + ((MAX_ROWS + 1,),))
-    with pytest.raises(ValueError, match="one byte, so at most 255 rows"):
+    with pytest.raises(ValueError, match="at most 254 letters: a count takes one byte"):
         forward_row_insert(StandardTableau(column), 1)
     with pytest.raises(ValueError, match="start at 1"):
         rows_of_word(b"\x01\x00")
@@ -348,34 +355,49 @@ def test_column_kernels_match_the_per_word_oracles_property():
     for m in range(1, 13):
         by_shape.update(lattice_words(m)[1])
     shapes = sorted(by_shape, key=lambda lam: (lam.n, lam.parts))
-    # arbitrary bytes (0 bytes, rows that skip, the top rows) reach every failure
-    noise = st.one_of(
-        st.binary(max_size=12),
-        st.lists(st.sampled_from((0, 1, 2, 3, 254, 255)), max_size=12).map(bytes),
-        st.just(bytes(range(1, MAX_ROWS + 1))),
-    )
+    mixed = "the words of a batch must share one length"
+
+    def noise(m):
+        # arbitrary bytes of one length (0 bytes, rows that skip, the top rows)
+        # reach every failure
+        return st.one_of(
+            st.binary(min_size=m, max_size=m),
+            st.lists(st.sampled_from((0, 1, 2, 3, 254, 255)), min_size=m, max_size=m).map(bytes),
+        )
+
+    def words_of(sizes):
+        others = [mu for mu in shapes if mu.n in sizes]
+        return st.sampled_from(others).flatmap(lambda mu: st.sampled_from(by_shape[mu]))
+
     cells = st.builds(Cell, st.sampled_from((0, 1, 2, 3, 4, 254, 255, 256)), st.integers(0, 13))
 
     @hypothesis.settings(max_examples=200, deadline=None)
     @hypothesis.given(st.sampled_from(shapes), st.data())
     def agree(lam, data):
+        m = lam.n
         words = data.draw(st.lists(st.sampled_from(by_shape[lam]), min_size=1, max_size=30))
-        if data.draw(st.booleans()):  # a mixed batch: other lengths, other shapes, noise
-            other = st.sampled_from(shapes).flatmap(lambda mu: st.sampled_from(by_shape[mu]))
-            extra = st.one_of(noise, other)
+        if data.draw(st.booleans()):  # noise and the words of other shapes of m
+            extra = st.one_of(noise(m), words_of({m}))
             for _ in range(data.draw(st.integers(1, 4))):
                 words.insert(data.draw(st.integers(0, len(words))), data.draw(extra))
+        # a mixed batch: words of other lengths, up to the 255 rows of a byte
+        other = st.one_of(
+            st.integers(0, 13).filter(lambda k: k != m).flatmap(noise),
+            words_of(set(range(13)) - {m}),
+            st.just(bytes(range(1, MAX_ROWS + 1))),
+        )
+        is_mixed = data.draw(st.booleans())
+        for _ in range(data.draw(st.integers(1, 3)) if is_mixed else 0):
+            words.insert(data.draw(st.integers(0, len(words))), data.draw(other))
         for cell in [*removable_cells(lam), data.draw(cells)]:
-            assert outcome(reverse_row_insert_words, words, cell) == outcome(
-                reverse_row_insert_oracle, words, cell
-            )
+            expected = mixed if is_mixed else outcome(reverse_row_insert_oracle, words, cell)
+            assert outcome(reverse_row_insert_words, words, cell) == expected
         inside = [data.draw(st.integers(1, len(w) + 1)) for w in words]
         anywhere = [data.draw(st.integers(-1, len(w) + 2)) for w in words]
         count = data.draw(st.sampled_from((0, len(words), len(words) + 1)))
         for values in (inside, anywhere, anywhere[:count] + [1] * (count - len(words))):
-            assert outcome(forward_row_insert_words, words, values) == outcome(
-                forward_row_insert_oracle, words, values
-            )
+            expected = mixed if is_mixed else outcome(forward_row_insert_oracle, words, values)
+            assert outcome(forward_row_insert_words, words, values) == expected
 
     agree()
 
@@ -396,19 +418,60 @@ def test_column_kernels_match_the_oracles_on_every_corner_and_value():
             )
 
 
-def test_column_kernels_hold_words_longer_than_a_byte():
-    # counts, letters, values and columns above 255 need digits wider than a byte
-    row = b"\x01" * 300
-    two_rows = b"\x01" * 280 + b"\x02" * 10
-    for words, cell in (([row], Cell(1, 300)), ([two_rows, two_rows], Cell(2, 10))):
+def test_column_kernels_match_the_oracles_on_zero_bytes():
+    # a 0 byte left of where a word reaches row 1, or before the placeholder,
+    # equals the scan's state there but is not bumped
+    for words, cell in (
+        ([b"\x00\x01", b"\x01\x00"], Cell(1, 1)),
+        ([b"\x00\x01\x02", b"\x01\x00\x02"], Cell(2, 1)),
+    ):
         assert outcome(reverse_row_insert_words, words, cell) == outcome(
             reverse_row_insert_oracle, words, cell
         )
-    for words, values in (([row], [300]), ([row], [301]), ([two_rows], [290]), ([row], [302])):
+    assert reverse_row_insert_words([b"\x00\x01\x02"], Cell(2, 1)) == ([b"\x00\x01"], [2])
+    for words, values in (([b"\x00\x01", b"\x01\x00"], [3, 2]), ([b"\x00\x00"], [1])):
         assert outcome(forward_row_insert_words, words, values) == outcome(
             forward_row_insert_oracle, words, values
         )
-    assert reverse_row_insert_words([row], Cell(1, 300)) == ([row[1:]], [300])
+
+
+def test_column_kernels_hold_words_longer_than_a_byte():
+    # each count, letter, value and row of a word takes one byte digit, so
+    # reverse insertion takes words of at most 255 letters and forward
+    # insertion at most 254, whose grown word has 255
+    longest = "a batch takes words of at most 255 letters: a count takes one byte"
+    longer = "a batch takes words of at most 254 letters: a count takes one byte"
+    row = b"\x01" * 300
+    two_rows = b"\x01" * 280 + b"\x02" * 10
+    for words, cell in (([row], Cell(1, 300)), ([two_rows, two_rows], Cell(2, 10))):
+        assert outcome(reverse_row_insert_words, words, cell) == longest
+    for words, values in (([row], [300]), ([row], [301]), ([two_rows], [290]), ([row], [302])):
+        assert outcome(forward_row_insert_words, words, values) == longer
+    # the boundary: 255 letters reverse, 254 letters forward
+    column = bytes(range(1, MAX_ROWS + 1))
+    full_row, hook = b"\x01" * 255, b"\x01" * 200 + bytes(range(2, 56))
+    for words, cell in (
+        ([full_row], Cell(1, 255)),
+        ([column], Cell(MAX_ROWS, 1)),
+        ([b"\x01" * 245 + b"\x02" * 10, b"\x01\x02" * 10 + b"\x01" * 235], Cell(2, 10)),
+        ([hook + b"\x01"], Cell(1, 201)),
+    ):
+        assert outcome(reverse_row_insert_words, words, cell) == outcome(
+            reverse_row_insert_oracle, words, cell
+        )
+    assert reverse_row_insert_words([full_row], Cell(1, 255)) == ([full_row[1:]], [255])
+    for words, values in (
+        ([full_row[1:]], [255]),
+        ([full_row[1:]], [1]),
+        ([column[1:]], [1]),
+        ([column[:-1], hook], [254, 1]),
+        ([hook, full_row[1:]], [100, 256]),
+    ):
+        assert outcome(forward_row_insert_words, words, values) == outcome(
+            forward_row_insert_oracle, words, values
+        )
+    assert forward_row_insert_words([column[:-1]], [1]) == ([column], [(MAX_ROWS, 1)])
+    assert outcome(reverse_row_insert_words, [column + b"\x01"], Cell(1, 1)) == longest
     assert validate_words([row, two_rows], Partition((300,))) == 1
     assert validate_words([two_rows], Partition((280, 10))) is None
 
