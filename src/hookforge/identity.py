@@ -23,7 +23,10 @@ w(h) is -c_d for odd d and c_{d/2} - 2 c_d for even d, and the sign is
 so the n byte columns `joined[p::n]`, each marked by one `bytes.translate`
 per m and added as base-256 integers, give c_m for every multiset at once,
 one digit each.  The census builds each shape once per process by adding a
-first row to a smaller shape.
+first row to a smaller shape.  The same columns give phi_n's digit bound
+for `_cyclo_sum` (`_column_bound`): for j >= 1 and an odd prime p,
+Phi_{2^j} Phi_{2^j p} is the binomial 1 + q^(2^(j-1) p), so a term's pair
+counts 1-norm 2 where the two factors' norms multiply to 2p.
 
 The sweeps at the end (`lemma1_checks`, `prop2_checks`, `prop3_checks`,
 `egf_checks`) run the `verify_*` calls of one check at one point of its
@@ -34,12 +37,14 @@ what each call returns; the command line runs each sweep as one unit.
 from __future__ import annotations
 
 import random
+import struct
 from collections import Counter
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, repeat
 from math import comb
+from operator import mul
 
 from . import _multipoly as mp
 from . import involutions
@@ -153,12 +158,15 @@ def _factor_terms(
 
 
 def _reduced_sum(
-    lifted: list[tuple[int, dict[int, int]]], den_exp: dict[int, int]
+    lifted: list[tuple[int, dict[int, int]]],
+    den_exp: dict[int, int],
+    bound: int | None = None,
 ) -> RationalFunction:
     """Canonical form of sum(c * prod(Phi_d ** k)) over the lifted terms
     (c, {d: k}), divided by prod(Phi_d ** den_exp[d]).
 
-    The numerator is summed at one Kronecker point (see `_cyclo_sum`).  The
+    The numerator is summed at one Kronecker point (see `_cyclo_sum`, which
+    takes `bound` as its digit bound where one is given).  The
     reduction first divides it once by the product of every denominator
     factor Phi_d ** k with d > 1, which is exact on phi_n; where that
     division is inexact (a single weight, whose factors stay), it falls back
@@ -166,7 +174,7 @@ def _reduced_sum(
     factor at a time.  Both routes remove the same factors, so the result is
     the same.
     """
-    total = _cyclo_sum(lifted)
+    total = _cyclo_sum(lifted, bound)
     if not total:
         return RationalFunction.zero()
     remaining = dict(den_exp)
@@ -191,15 +199,20 @@ def _reduced_sum(
     return RationalFunction._from_canonical(Polynomial._over(total), Polynomial._over(den))
 
 
-def _cyclo_sum(terms: list[tuple[int, dict[int, int]]]) -> list[int]:
+def _cyclo_sum(terms: list[tuple[int, dict[int, int]]], bound: int | None = None) -> list[int]:
     """Integer coefficients of sum(c * prod(Phi_d ** k)) over the terms
     (c, {d: k}), low degree first with no trailing zeros.
 
     The sum is formed as one integer, its value at q = 2**bits, and unpacked
     once into signed base-2**bits digits.  The digits are the coefficients
     because every coefficient is below 2**(bits - 1) in absolute value:
-    since ||fg||_inf <= ||fg||_1 <= ||f||_1 ||g||_1, each coefficient is at
-    most the sum over the terms of |c| * prod(||Phi_d||_1 ** k).
+    `bound` is at least every coefficient, and bits is a whole number of
+    bytes above its bit length.  Without one given, the bound is the sum
+    over the terms of |c| * prod(||Phi_d||_1 ** k), since ||fg||_inf <=
+    ||fg||_1 <= ||f||_1 ||g||_1; phi_n passes the tighter `_column_bound`.
+    The number of digits is read off the sum: the digits below the top
+    nonzero one, at index top, add up to less than half its place value, so
+    |sum| > 2**(bits * top - 1) and top < |sum|.bit_length() // bits + 1.
 
     The terms are summed in a balanced tree, in descending-cofactor order:
     sorted by their indices d, largest first, so that neighbours share their
@@ -210,16 +223,13 @@ def _cyclo_sum(terms: list[tuple[int, dict[int, int]]]) -> list[int]:
     computed once per call) multiply into one factor per side, and the
     node's value is a * ra + b * rb over the shared cofactor.
     """
-    bound = 0
-    length = 1
-    for c, cofactor in terms:
-        norm = abs(c)
-        degree = 0
-        for d, k in cofactor.items():
-            norm *= _cyclo_norm(d) ** k
-            degree += k * (len(_cyclotomic(d)) - 1)
-        bound += norm
-        length = max(length, degree + 1)
+    if bound is None:
+        bound = 0
+        for c, cofactor in terms:
+            norm = abs(c)
+            for d, k in cofactor.items():
+                norm *= _cyclo_norm(d) ** k
+            bound += norm
     if bound == 0:
         return []
     width = (bound.bit_length() + 8) // 8  # bytes per digit, sign bit included
@@ -266,7 +276,10 @@ def _cyclo_sum(terms: list[tuple[int, dict[int, int]]]) -> list[int]:
     for d, k in cofactor.items():
         if k:
             total *= power(d, k)
-    # offsetting every digit by 2**(bits - 1) makes them all nonnegative
+    # |total| < 2**(bits * length - 2), so total + offset fits length digits
+    # even where a digit overflowed; offsetting every digit by 2**(bits - 1)
+    # makes them all nonnegative
+    length = (abs(total).bit_length() + 1) // bits + 1
     half = 1 << (bits - 1)
     offset = half * (((1 << (length * bits)) - 1) // ((1 << bits) - 1))
     packed = (total + offset).to_bytes(length * width, "little")
@@ -304,9 +317,10 @@ def phi_n(n: int) -> RationalFunction:
     return _reduced_sum(*_phi_columns(n))
 
 
-def _phi_columns(n: int) -> tuple[list[tuple[int, dict[int, int]]], dict[int, int]]:
+def _phi_columns(n: int) -> tuple[list[tuple[int, dict[int, int]]], dict[int, int], int]:
     """`_factor_terms` of phi_n's terms, one per key of `hook_census(n)`
-    with its shape count times `hook_quotient` as the coefficient."""
+    with its shape count times `hook_quotient` as the coefficient, and the
+    terms' `_column_bound`."""
     census = hook_census(n)
     coeffs = [count * hook_quotient(n, key) for key, count in census.items()]
     return _factor_columns(list(census), coeffs)
@@ -320,10 +334,11 @@ def _multiples(m: int) -> bytes:
 
 def _factor_columns(
     keys: list[bytes], coeffs: list[int]
-) -> tuple[list[tuple[int, dict[int, int]]], dict[int, int]]:
+) -> tuple[list[tuple[int, dict[int, int]]], dict[int, int], int]:
     """`_factor_terms` of the terms (coeff, prod of w(h) over the bytes h of
     key), for keys of one length n <= 255 and hooks h >= 1, computed for all
-    the keys at once from byte columns.
+    the keys at once from byte columns, and the lifted terms' digit bound
+    for `_cyclo_sum`, `_column_bound` of the same columns.
 
     The exponent of each Phi_d depends only on the counts c_m, per key, of
     the hooks that m divides (see `_w_exponents`).  For each m up to the
@@ -363,7 +378,60 @@ def _factor_columns(
         (sign * coeff, {d: k for d, k in zip(indices, row) if k})
         for coeff, row in zip(coeffs, rows)
     ]
-    return lifted, den_exp
+    return lifted, den_exp, _column_bound(indices, columns, coeffs)
+
+
+def _column_bound(indices: list[int], columns: list[list[int]], coeffs: list[int]) -> int:
+    """A bound on every coefficient of sum(c * prod(Phi_d ** k)) over the
+    terms given as columns: term t has the coefficient coeffs[t] and the
+    exponent columns[i][t], 0 <= k < 2**32, of Phi_d for d = indices[i].
+
+    The bound is the sum over the terms of |c| times a product of l1-norms,
+    which is at least the l1-norm of the term, since ||fg||_1 <=
+    ||f||_1 ||g||_1, and so at least every coefficient of the sum.  Each
+    factor Phi_d counts ||Phi_d||_1, except in pairs: for j >= 1 and an odd
+    prime p, Phi_{2^j} Phi_{2^j p} = 1 + q^(2^(j-1) p), which counts 2 where
+    the two norms multiply to 2p (with x = q^(2^(j-1)), Phi_{2^j}(q) = 1 + x
+    and Phi_{2^j p}(q) = Phi_p(-x), and (1 + x) Phi_p(-x) = 1 + x^p).  Each
+    term pairs its factors Phi_{2^j} with its factors Phi_{2^j p}, largest p
+    first, and the paired Phi_{2^j p} count 1.
+
+    All the terms are paired at once: each column is packed into one integer
+    with a 64-bit lane per term, and a lane-wise minimum is a few integer
+    operations on it.  The packed columns are then added per norm; fewer
+    than 2**31 columns of lanes below 2**32 add up to less than 2**63 in
+    each lane, so no lane carries, and each term's product takes one power
+    per norm.
+    """
+    count = len(coeffs)
+    pack = struct.Struct("<" + "Ixxxx" * count).pack  # 32-bit values in 64-bit lanes
+    packed = {d: int.from_bytes(pack(*column), "little") for d, column in zip(indices, columns)}
+    high = int.from_bytes((bytes(7) + b"\x80") * count, "little")  # bit 63 of each lane
+    partners: dict[int, list[int]] = {}  # 2^j: the indices 2^j p it pairs with
+    for d in packed:
+        two = d & -d
+        if two > 1 and two in packed and len(_divisors(d // two)) == 2:
+            partners.setdefault(two, []).append(d)
+    for two, paired in partners.items():
+        spare = packed[two]  # each term's factors Phi_{2^j} not yet paired
+        for d in sorted(paired, reverse=True):
+            held = packed[d]
+            # a lane of spare + 2**63 - held keeps bit 63 where spare >= held;
+            # that bit spread over its lane selects held there, else spare
+            ge = ((spare | high) - held) & high
+            pairs = spare ^ ((spare ^ held) & ((ge << 1) - (ge >> 63)))  # lane-wise min
+            packed[d] = held - pairs
+            spare -= pairs
+    by_norm: dict[int, int] = {}
+    for d, column in packed.items():
+        norm = _cyclo_norm(d)
+        by_norm[norm] = by_norm.get(norm, 0) + column
+    bounds = list(map(abs, coeffs))
+    unpack = struct.Struct(f"<{count}Q").unpack
+    for norm, column in by_norm.items():
+        exponents = unpack(column.to_bytes(8 * count, "little"))
+        bounds = list(map(mul, bounds, map(pow, repeat(norm), exponents)))
+    return sum(bounds)
 
 
 def _w_exponents(d: int, counts: list[bytes]) -> list[int]:

@@ -12,8 +12,11 @@ import pytest
 from hookforge import cli, identity
 from hookforge.exact import Polynomial, RationalFunction, _int_mul
 from hookforge.identity import (
+    _column_bound,
+    _cyclo_norm,
     _cyclo_sum,
     _cyclotomic,
+    _divisors,
     _factor_columns,
     _factor_terms,
     _lemma1_terms,
@@ -269,7 +272,7 @@ def test_phi_columns_equal_the_dict_factoring_term_by_term():
     # the lifted terms in census order, then the common denominator
     for n in range(21):
         terms = phi_terms(n)
-        lifted, den_exp = _phi_columns(n)
+        lifted, den_exp, _ = _phi_columns(n)
         expected_lifted, expected_den = _factor_terms(terms)
         assert len(lifted) == len(expected_lifted) == len(terms)
         for got, expected in zip(lifted, expected_lifted):
@@ -284,7 +287,7 @@ def test_phi_n_equals_materialize_of_the_oracle_terms():
 
 def test_phi_n_at_zero_and_out_of_range():
     # one empty multiset and no columns: the empty product, with coefficient 1
-    assert _phi_columns(0) == ([(1, {})], {})
+    assert _phi_columns(0)[:2] == ([(1, {})], {})
     assert_same(phi_n(0), RationalFunction.one())
     with pytest.raises(ValueError, match="^n must be nonnegative$"):
         phi_n(-1)
@@ -300,7 +303,7 @@ def test_exponent_rule_equals_w_factor_items_for_every_byte():
         counts = [b""] + [bytes([h % m == 0]) for m in range(1, 2 * h + 1)]
         exponents = [(d, _w_exponents(d, counts)[0]) for d in range(1, 2 * h + 1)]
         assert tuple((d, e) for d, e in exponents if e) == _w_factor_items(h), h
-        assert _factor_columns([bytes([h])], [1]) == _factor_terms([(1, {h: 1})]), h
+        assert _factor_columns([bytes([h])], [1])[:2] == _factor_terms([(1, {h: 1})]), h
 
 
 def test_factor_columns_match_the_dict_factoring_on_any_hooks():
@@ -311,10 +314,10 @@ def test_factor_columns_match_the_dict_factoring_on_any_hooks():
             keys = [bytes(rng.choices(range(1, 40), k=width)) for _ in range(rng.randint(1, 6))]
             coeffs = [rng.randint(-50, 50) or 1 for _ in keys]
             terms = [(c, Counter(key)) for c, key in zip(coeffs, keys)]
-            assert _factor_columns(keys, coeffs) == _factor_terms(terms)
+            assert _factor_columns(keys, coeffs)[:2] == _factor_terms(terms)
     keys = [bytes([255, 254, 128]), bytes([1, 2, 3])]
     terms = [(3, Counter(keys[0])), (-4, Counter(keys[1]))]
-    assert _factor_columns(keys, [3, -4]) == _factor_terms(terms)
+    assert _factor_columns(keys, [3, -4])[:2] == _factor_terms(terms)
 
 
 @pytest.mark.fails("theorem1prime")
@@ -343,6 +346,123 @@ def test_a_misset_even_exponent_rule_fails_theorem1prime(monkeypatch):
     )
     assert all(witnesses[2:])
     assert verify_theorem1prime(2) is None
+
+
+# -- the digit bound of phi_n's terms, computed from their columns ---------------
+
+
+def term_pair_bound(terms) -> int:
+    """The bound of `_column_bound`, one term at a time: each term pairs its
+    factors Phi_{2^j} with its factors Phi_{2^j p}, p an odd prime, largest
+    p first, and each pair counts 2 instead of 2p."""
+    bound = 0
+    for c, cofactor in terms:
+        held = dict(cofactor)
+        for two in sorted(d for d in held if d > 1 and d & (d - 1) == 0):
+            spare = held[two]
+            for p in sorted((d // two for d in held if d % two == 0), reverse=True):
+                if p % 2 and len(_divisors(p)) == 2:
+                    pairs = min(spare, held[two * p])
+                    held[two * p] -= pairs
+                    spare -= pairs
+        norm = abs(c)
+        for d, k in held.items():
+            norm *= _cyclo_norm(d) ** k
+        bound += norm
+    return bound
+
+
+def norm_product_bound(terms) -> int:
+    """The default bound of `_cyclo_sum`: sum |c| * prod(||Phi_d||_1 ** k)."""
+    bound = 0
+    for c, cofactor in terms:
+        norm = abs(c)
+        for d, k in cofactor.items():
+            norm *= _cyclo_norm(d) ** k
+        bound += norm
+    return bound
+
+
+def as_columns(terms) -> tuple[list[int], list[list[int]], list[int]]:
+    """`_column_bound`'s arguments for terms (c, {d: k})."""
+    indices = sorted({d for _, cofactor in terms for d in cofactor})
+    columns = [[cofactor.get(d, 0) for _, cofactor in terms] for d in indices]
+    return indices, columns, [c for c, _ in terms]
+
+
+def digit_bits(bound: int) -> int:
+    """The digit width that `_cyclo_sum` takes for a bound."""
+    return 8 * ((bound.bit_length() + 8) // 8)
+
+
+def test_column_bound_lies_between_the_l1_norm_and_the_norm_product_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    # Phi_{2^j} and Phi_{2^j p} for j <= 3 and p = 3, 5, 7, among others
+    pairing = [2, 4, 8, 6, 10, 14, 12, 20, 28, 24, 40, 56]
+    others = [1, 3, 5, 7, 9, 15, 18, 30]
+    cofactors = st.dictionaries(st.sampled_from(pairing + others), st.integers(0, 3), max_size=6)
+    terms = st.lists(st.tuples(st.integers(-60, 60), cofactors), min_size=1, max_size=6)
+
+    @hypothesis.settings(max_examples=80, deadline=None)
+    @hypothesis.given(terms)
+    @hypothesis.example([(1, {2: 1, 6: 1})])  # exactly 1 + q^3
+    @hypothesis.example([(-5, {4: 2, 12: 1, 20: 3, 28: 1})])  # more partners than Phi_4
+    @hypothesis.example([(3, {2: 3, 6: 1, 10: 1, 14: 0}), (0, {8: 1, 24: 2})])
+    def check(terms):
+        bound = _column_bound(*as_columns(terms))
+        assert bound == term_pair_bound(terms)
+        # sum |c| ||prod(Phi_d ** k)||_1, each term's product expanded exactly
+        l1 = sum(sum(map(abs, int_mul_cyclo_sum([term]))) for term in terms)
+        assert l1 <= bound <= norm_product_bound(terms)
+        assert _cyclo_sum(terms, bound) == int_mul_cyclo_sum(terms)
+
+    check()
+    # each pair Phi_{2^j} Phi_{2^j p} is the binomial 1 + q^(2^(j-1) p), l1-norm 2
+    for two, p in ((2, 3), (2, 7), (4, 5), (8, 3)):
+        assert int_mul_cyclo_sum([(1, {two: 1, two * p: 1})]) == [1] + [0] * (two // 2 * p - 1) + [1]
+        assert _column_bound([two, two * p], [[1], [1]], [1]) == 2
+
+
+def test_phi_column_bound_equals_the_bound_term_by_term():
+    for n in range(21):
+        lifted, _, bound = _phi_columns(n)
+        assert bound == term_pair_bound(lifted), n
+        assert bound <= norm_product_bound(lifted), n
+
+
+def test_phi_digit_widths():
+    # bits per Kronecker digit for phi_n: the pair bound against the norm product
+    widths = {18: (72, 80), 19: (72, 96), 20: (80, 96), 21: (88, 112), 22: (96, 112),
+              23: (104, 120), 24: (104, 120), 28: (128, 160)}
+    for n, expected in widths.items():
+        lifted, _, bound = _phi_columns(n)
+        assert (digit_bits(bound), digit_bits(norm_product_bound(lifted))) == expected, n
+
+
+@pytest.mark.fails("theorem1prime")
+def test_a_column_bound_without_coefficients_fails_theorem1prime(monkeypatch):
+    # A bound that counts each term with coefficient 1 makes the Kronecker
+    # digits too narrow once a coefficient of phi_n outgrows it: the digits
+    # overflow into their neighbours, and phi_n is another rational function.
+    real = identity._column_bound
+
+    def without_coefficients(indices, columns, coeffs):
+        return real(indices, columns, [1] * len(coeffs))
+
+    phi_n.cache_clear()
+    try:
+        monkeypatch.setattr(identity, "_column_bound", without_coefficients)
+        witnesses = [verify_theorem1prime(n) for n in range(10)]
+        report = cli.Unit("theorem1prime", {"n": 9})()
+    finally:
+        monkeypatch.undo()
+        phi_n.cache_clear()
+    assert witnesses[:9] == [None] * 9
+    assert (report.verdict, report.witness) == ("fail", witnesses[9])
+    assert witnesses[9].startswith(f"n=9: involution side {psi_n(9).format()} != tableau side ")
+    assert verify_theorem1prime(9) is None
 
 
 # -- the reduction: one division, or trial division factor by factor -----------
@@ -503,7 +623,7 @@ def test_a_vanishing_cyclotomic_sum_fails_theorem1prime(monkeypatch):
     # compares phi_n with psi_n, which sums no cyclotomic terms: it fails.
     phi_n.cache_clear()
     try:
-        monkeypatch.setattr(identity, "_cyclo_sum", lambda terms: [])
+        monkeypatch.setattr(identity, "_cyclo_sum", lambda terms, bound=None: [])
         assert verify_lemma1(Partition((3, 1))) is None
         assert verify_prop2([3, 0, -2], [2, -1]) is None
         report = cli.Unit("theorem1prime", {"n": 4})()

@@ -572,7 +572,8 @@ def test_the_z_route_reads_no_factored_code(monkeypatch):
     hook_weight_sum.cache_clear()
     factored = (
         "_materialize", "_factor_terms", "_reduced_sum", "_cyclo_sum", "_w_factor_items",
-        "_cyclotomic", "_phi_columns", "_factor_columns", "_w_exponents", "phi_n", "weight_lambda",
+        "_cyclotomic", "_phi_columns", "_factor_columns", "_w_exponents", "_column_bound", "phi_n",
+        "weight_lambda",
     )
     for name in factored:
         monkeypatch.setattr(identity, name, poisoned)
@@ -604,7 +605,7 @@ def test_phi_n_and_psi_n_read_no_code_of_each_other(monkeypatch):
     )
     tableau_side = (
         "_materialize", "_factor_terms", "_reduced_sum", "_cyclo_sum",
-        "_phi_columns", "_factor_columns", "_w_exponents", "phi_n",
+        "_phi_columns", "_factor_columns", "_w_exponents", "_column_bound", "phi_n",
     )
     routes = (
         (phi_n, involutions, involution_side, expected_phi),

@@ -303,3 +303,37 @@ def test_fixed_point_histogram_memory_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 1.5e6, peak
+
+
+@pytest.mark.independence("egf")
+def test_egf_kronecker_sides_read_no_code_of_each_other(monkeypatch):
+    # verify_egf_kronecker compares g_poly's recursion with the exponential
+    # series at one integer point; each side still gives its coefficients
+    # with every function of the other side poisoned
+    from hookforge import exact, involutions
+
+    order = 8
+    x0 = Fraction(factorial(order) + 2)
+    u2 = x0 ** (order + 1)
+
+    def recursion():
+        return [involutions.g_poly(n, x0, u2) / factorial(n) for n in range(order + 1)]
+
+    def exponential():
+        series = PowerSeries([Fraction(0), x0, u2 / 2], order=order).exp()
+        return [series.coefficient(n) for n in range(order + 1)]
+
+    def poisoned(*args):
+        raise AssertionError("one side of the egf check reached the other")
+
+    expected = recursion()
+    assert exponential() == expected
+    series_side = ((exact.PowerSeries, name) for name in ("exp", "__mul__", "__add__"))
+    recursion_side = ((involutions, name) for name in ("g_poly", "g_poly_oracle", "psi_n"))
+    for route, names in ((recursion, series_side), (exponential, recursion_side)):
+        for owner, name in names:
+            monkeypatch.setattr(owner, name, poisoned)
+        try:
+            assert route() == expected
+        finally:
+            monkeypatch.undo()
