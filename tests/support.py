@@ -9,13 +9,19 @@ one word at a time, with one bytes search per bump; the tests use them as the
 oracles of the byte-column kernels in `hookforge.tableaux`.  `phi_terms`
 lists phi_n's terms as hook-power maps, the input of
 `hookforge.identity._materialize`; the tests use it as the oracle of the
-byte-column factoring `hookforge.identity._phi_columns`.
+byte-column factoring `hookforge.identity._phi_columns`.  `defined_functions`
+names the functions a module defines, for tests that poison all of them, and
+`reach` records the package code that a call enters, for tests that compare
+the code two routes of one check read.
 """
 
+import sys
 from collections import Counter
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
+import hookforge
 from hookforge._multipoly import MPoly
 from hookforge.involutions import Involution
 from hookforge.partitions import Cell, hook_census, hook_quotient
@@ -43,6 +49,53 @@ def phi_terms(n: int) -> list[tuple[int, Counter]]:
         (count * hook_quotient(n, key), Counter(key))
         for key, count in hook_census(n).items()
     ]
+
+
+def defined_functions(module) -> list[str]:
+    """The names of the functions that `module` defines, `@cache`d ones
+    included, and none that it imports."""
+    return sorted(
+        name
+        for name, value in vars(module).items()
+        if callable(value)
+        and not isinstance(value, type)
+        and getattr(value, "__module__", None) == module.__name__
+    )
+
+
+PACKAGE = Path(hookforge.__file__).resolve().parent
+
+
+def reach(call, *args) -> set[str]:
+    """The package functions that `call(*args)` enters, as qualified names
+    under `hookforge` such as `exact.Polynomial._over`, with every `@cache`
+    of the package cleared first so that a cached value hides no code.
+
+    Calls are recorded with `sys.setprofile` and named by `co_qualname`
+    (Python 3.11 on).  Code nested in a function (a comprehension, a
+    lambda, a local function) counts as that function.
+    """
+    names: set[str] = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            path = Path(code.co_filename)
+            if path.parent == PACKAGE:
+                names.add(f"{path.stem}.{code.co_qualname.split('.<locals>.')[0]}")
+
+    for name, module in list(sys.modules.items()):
+        if name == "hookforge" or name.startswith("hookforge."):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        call(*args)
+    finally:
+        sys.setprofile(previous)
+    return names
 
 
 def mp_const(nvars: int, value: int) -> MPoly:

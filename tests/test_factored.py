@@ -9,9 +9,9 @@ from itertools import zip_longest
 
 import pytest
 
-from hookforge import cli, identity
+from hookforge import _factored, cli, identity
 from hookforge.exact import Polynomial, RationalFunction, _int_mul
-from hookforge.identity import (
+from hookforge._factored import (
     _column_bound,
     _cyclo_norm,
     _cyclo_sum,
@@ -19,11 +19,13 @@ from hookforge.identity import (
     _divisors,
     _factor_columns,
     _factor_terms,
+    _w_exponents,
+    _w_factor_items,
+)
+from hookforge.identity import (
     _lemma1_terms,
     _materialize,
     _phi_columns,
-    _w_exponents,
-    _w_factor_items,
     phi_n,
     verify_lemma1,
     verify_prop2,
@@ -325,7 +327,7 @@ def test_a_misset_even_exponent_rule_fails_theorem1prime(monkeypatch):
     # c_{d/2} - c_d for even d raises the exponent of Phi_d by one per hook
     # that d divides: phi_1's hook 1 has no even divisor, and phi_2's hook 2
     # is the first such hook
-    real = identity._w_exponents
+    real = _factored._w_exponents
 
     def misset(d, counts):
         if d % 2:
@@ -334,7 +336,7 @@ def test_a_misset_even_exponent_rule_fails_theorem1prime(monkeypatch):
 
     phi_n.cache_clear()
     try:
-        monkeypatch.setattr(identity, "_w_exponents", misset)
+        monkeypatch.setattr(_factored, "_w_exponents", misset)
         witnesses = [verify_theorem1prime(n) for n in range(5)]
         wrong = phi_n(2)
     finally:
@@ -446,14 +448,14 @@ def test_a_column_bound_without_coefficients_fails_theorem1prime(monkeypatch):
     # A bound that counts each term with coefficient 1 makes the Kronecker
     # digits too narrow once a coefficient of phi_n outgrows it: the digits
     # overflow into their neighbours, and phi_n is another rational function.
-    real = identity._column_bound
+    real = _factored._column_bound
 
     def without_coefficients(indices, columns, coeffs):
         return real(indices, columns, [1] * len(coeffs))
 
     phi_n.cache_clear()
     try:
-        monkeypatch.setattr(identity, "_column_bound", without_coefficients)
+        monkeypatch.setattr(_factored, "_column_bound", without_coefficients)
         witnesses = [verify_theorem1prime(n) for n in range(10)]
         report = cli.Unit("theorem1prime", {"n": 9})()
     finally:
@@ -474,7 +476,7 @@ def divisions(monkeypatch, terms) -> tuple[RationalFunction, list[tuple[list[int
     that only the reduction's own divisions are seen."""
     _materialize(terms)
     calls = []
-    divexact = identity._int_divexact
+    divexact = _factored._int_divexact
 
     def spy(a, b):
         try:
@@ -485,7 +487,7 @@ def divisions(monkeypatch, terms) -> tuple[RationalFunction, list[tuple[list[int
         calls.append((list(b), True))
         return quotient
 
-    monkeypatch.setattr(identity, "_int_divexact", spy)
+    monkeypatch.setattr(_factored, "_int_divexact", spy)
     got = _materialize(terms)
     monkeypatch.undo()
     return got, calls
@@ -522,7 +524,7 @@ def test_one_weight_falls_back_to_trial_division(monkeypatch):
         # the one division fails, then each factor is tried on its own
         assert calls[0] == (_cyclo_sum([(1, cancelling)]), False)
         tried = [b for b, _ in calls[1:]]
-        assert tried == [PHI_1] + [list(identity._cyclotomic(d)) for d in sorted(cancelling)]
+        assert tried == [PHI_1] + [list(_cyclotomic(d)) for d in sorted(cancelling)]
         assert not any(ok for _, ok in calls)
 
 
@@ -623,7 +625,7 @@ def test_a_vanishing_cyclotomic_sum_fails_theorem1prime(monkeypatch):
     # compares phi_n with psi_n, which sums no cyclotomic terms: it fails.
     phi_n.cache_clear()
     try:
-        monkeypatch.setattr(identity, "_cyclo_sum", lambda terms, bound=None: [])
+        monkeypatch.setattr(_factored, "_cyclo_sum", lambda terms, bound=None: [])
         assert verify_lemma1(Partition((3, 1))) is None
         assert verify_prop2([3, 0, -2], [2, -1]) is None
         report = cli.Unit("theorem1prime", {"n": 4})()

@@ -6,7 +6,7 @@ from math import comb, factorial
 
 import pytest
 
-from hookforge.exact import Polynomial, RationalFunction
+from hookforge.exact import Polynomial, PowerSeries, RationalFunction
 from hookforge.identity import (
     hook_weight_sum,
     phi_n,
@@ -38,10 +38,22 @@ from hookforge.partitions import (
     removable_cells,
     remove_cell,
 )
+from support import defined_functions, reach
 
 
 def P(*coeffs):
     return Polynomial(coeffs)
+
+
+def poison_engine(monkeypatch, poisoned, *entry_points):
+    """Replace every function that `hookforge._factored` defines, and the
+    named entry points of `hookforge.identity`, by `poisoned`."""
+    from hookforge import _factored, identity
+
+    for name in defined_functions(_factored):
+        monkeypatch.setattr(_factored, name, poisoned)
+    for name in entry_points:
+        monkeypatch.setattr(identity, name, poisoned)
 
 
 def naive_weight(lam):
@@ -470,8 +482,7 @@ def test_prop2_substitution_recheck_is_independent(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the recheck must not use the factored route")
 
-    for name in ("_materialize", "_cyclo_sum", "_w_factor_items", "weight_w"):
-        monkeypatch.setattr(identity, name, forbidden)
+    poison_engine(monkeypatch, forbidden, "_materialize", "weight_w")
     assert identity._prop2_substitution_witness([4, 1, -1, -4], [2, 0, -3]) is None
 
 
@@ -561,7 +572,7 @@ def test_theorem1_fails_when_canonicalisation_does_not_reduce(monkeypatch):
 
 @pytest.mark.independence("theorem1")
 def test_the_z_route_reads_no_factored_code(monkeypatch):
-    from hookforge import identity, involutions
+    from hookforge import involutions
 
     expected = [hook_weight_sum(n) for n in range(8)]
 
@@ -570,13 +581,7 @@ def test_the_z_route_reads_no_factored_code(monkeypatch):
 
     rho.cache_clear()
     hook_weight_sum.cache_clear()
-    factored = (
-        "_materialize", "_factor_terms", "_reduced_sum", "_cyclo_sum", "_w_factor_items",
-        "_cyclotomic", "_phi_columns", "_factor_columns", "_w_exponents", "_column_bound", "phi_n",
-        "weight_lambda",
-    )
-    for name in factored:
-        monkeypatch.setattr(identity, name, poisoned)
+    poison_engine(monkeypatch, poisoned, "_materialize", "_phi_columns", "phi_n", "weight_lambda")
     monkeypatch.setattr(involutions, "psi_n", poisoned)
     try:
         assert [hook_weight_sum(n) for n in range(8)] == expected
@@ -585,6 +590,33 @@ def test_the_z_route_reads_no_factored_code(monkeypatch):
         monkeypatch.undo()
         rho.cache_clear()
         hook_weight_sum.cache_clear()
+
+
+def outside_the_kernel(names: set[str]) -> list[str]:
+    """The names that are not functions of the exact kernel, `hookforge.exact`."""
+    return sorted(name for name in names if not name.startswith("exact."))
+
+
+@pytest.mark.independence("theorem1")
+def test_the_z_route_and_the_series_share_only_the_exact_kernel():
+    # the two sides of theorem1 at n = 9 enter no common code outside
+    # `exact`, and the z-route enters nothing of the factored engine
+    z_half = Polynomial((0, Fraction(1, 2)))
+    series = PowerSeries([Polynomial.zero(), Polynomial.one(), z_half], order=9)
+    z_route, exp_side = reach(hook_weight_sum, 9), reach(series.exp)
+    assert "identity.rho" in z_route and "exact.PowerSeries.exp" in exp_side
+    assert outside_the_kernel(z_route & exp_side) == []
+    assert sorted(name for name in z_route if name.startswith("_factored.")) == []
+
+
+@pytest.mark.independence("theorem1prime")
+def test_phi_n_and_psi_n_share_only_the_exact_kernel():
+    from hookforge import involutions
+
+    tableau_side, involution_side = reach(phi_n, 12), reach(involutions.psi_n, 12)
+    assert "_factored._cyclo_sum" in tableau_side
+    assert "involutions._psi_by_recursion" in involution_side
+    assert outside_the_kernel(tableau_side & involution_side) == []
 
 
 @pytest.mark.independence("theorem1prime")
@@ -600,21 +632,22 @@ def test_phi_n_and_psi_n_read_no_code_of_each_other(monkeypatch):
     def poisoned(*args):
         raise AssertionError("one side of theorem1prime reached the other")
 
-    involution_side = (
-        "psi_n", "g_poly", "g_poly_oracle", "_psi_by_recursion", "_fixed_point_histogram",
-    )
-    tableau_side = (
-        "_materialize", "_factor_terms", "_reduced_sum", "_cyclo_sum",
-        "_phi_columns", "_factor_columns", "_w_exponents", "_column_bound", "phi_n",
-    )
+    def poison_involution_side():
+        for name in (
+            "psi_n", "g_poly", "g_poly_oracle", "_psi_by_recursion", "_fixed_point_histogram",
+        ):
+            monkeypatch.setattr(involutions, name, poisoned)
+
+    def poison_tableau_side():
+        poison_engine(monkeypatch, poisoned, "_materialize", "_phi_columns", "phi_n")
+
     routes = (
-        (phi_n, involutions, involution_side, expected_phi),
-        (psi_n, identity, tableau_side, expected_psi),
+        (phi_n, poison_involution_side, expected_phi),
+        (psi_n, poison_tableau_side, expected_psi),
     )
-    for route, other, names, expected in routes:
+    for route, poison_other_side, expected in routes:
         route.cache_clear()
-        for name in names:
-            monkeypatch.setattr(other, name, poisoned)
+        poison_other_side()
         try:
             assert [route(n) for n in range(13)] == expected
         finally:
@@ -648,16 +681,17 @@ def test_prop2_recheck_and_factored_zero_test_read_no_code_of_each_other(monkeyp
     def poisoned(*args):
         raise AssertionError("one prop2 route reached the other")
 
-    factored = (
-        "_materialize", "_factor_terms", "_reduced_sum", "_cyclo_sum", "_w_factor_items",
-        "_cyclotomic", "_prop2_terms",
-    )
-    substitution = ("_prop2_substitution_witness", "_signed_ratio_sum", "_deleted_products")
+    def poison_factored():
+        poison_engine(monkeypatch, poisoned, "_materialize", "_prop2_terms")
+
+    def poison_substitution():
+        for name in ("_prop2_substitution_witness", "_signed_ratio_sum", "_deleted_products"):
+            monkeypatch.setattr(identity, name, poisoned)
+
     expected = {recheck: recheck(), zero_test: zero_test()}
     assert len(contents) == 67 and expected[zero_test] == [True] * 67
-    for route, names in ((recheck, factored), (zero_test, substitution)):
-        for name in names:
-            monkeypatch.setattr(identity, name, poisoned)
+    for route, poison_other in ((recheck, poison_factored), (zero_test, poison_substitution)):
+        poison_other()
         try:
             assert route() == expected[route]
         finally:

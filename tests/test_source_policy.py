@@ -15,6 +15,12 @@ Every run is a fresh process, so start-up counts: no module imports
 `dataclasses`, and importing the CLI loads neither it nor `inspect`, nor a
 process-pool module: the CLI's dispatcher forks through `os`.
 
+The factored cyclotomic engine, `_factored`, imports nothing of the package
+but `exact`, and `identity` reaches it only as `_factored.<name>`, binding
+none of its names: a test then poisons each of its functions in one place.
+The z-route of `theorem1` (`rho`, `hook_weight_sum`, `verify_theorem1`) does
+not name the module at all.
+
 `os._exit` skips every `finally`, `atexit` handler and buffer flush, so only
 the forked workers (`cli.py`) and `python -m hookforge` (`__main__.py`, after
 flushing) may leave through it.
@@ -24,6 +30,7 @@ import ast
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -234,6 +241,96 @@ def test_importing_the_cli_loads_no_process_pool_module():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout == "[]\n"
+
+
+# the helpers moved out of `identity` with the engine
+MOVED = {
+    "_divisors", "_cyclotomic", "_w_factor_items", "_factor_terms", "_reduced_sum", "_cyclo_sum",
+    "_cyclo_norm", "_multiples", "_factor_columns", "_column_bound", "_w_exponents",
+}
+
+
+def relative_imports(tree: ast.AST) -> set[str]:
+    """The package modules that the module imports, relatively."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found |= {node.module} if node.module else {a.name for a in node.names}
+    return found
+
+
+def bound_names(tree: ast.AST) -> set[str]:
+    """Every name that the module binds, at any depth."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            found.add(node.id)
+        elif isinstance(node, ast.arg):
+            found.add(node.arg)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found |= {(a.asname or a.name).split(".")[0] for a in node.names}
+    return found
+
+
+def names_in_code(code: types.CodeType) -> set[str]:
+    """The global and attribute names that a code object, or one nested in
+    it, reads."""
+    found = set(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            found |= names_in_code(const)
+    return found
+
+
+def test_the_factored_engine_imports_only_exact_from_the_package():
+    tree = ast.parse((SRC / "_factored.py").read_text(encoding="utf-8"))
+    assert relative_imports(tree) == {"exact"}
+    assert "hookforge" not in imported_packages(tree)
+
+
+def test_identity_binds_no_name_of_the_factored_engine():
+    engine = ast.parse((SRC / "_factored.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in engine.body if isinstance(node, ast.FunctionDef)}
+    assert defined >= MOVED
+    identity = ast.parse((SRC / "identity.py").read_text(encoding="utf-8"))
+    assert "_factored" in relative_imports(identity)
+    assert sorted(defined & bound_names(identity)) == []
+
+
+def test_the_z_route_names_no_factored_code():
+    from hookforge import identity
+
+    for fn in (identity.rho, identity.hook_weight_sum, identity.verify_theorem1):
+        code = getattr(fn, "__wrapped__", fn).__code__
+        assert "_factored" not in names_in_code(code), fn.__name__
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "def f():\n    return _factored._cyclo_sum([])",
+        "def f(xs):\n    return [_factored._cyclotomic(x) for x in xs]",
+        "def f():\n    def g():\n        return _factored\n    return g",
+    ],
+)
+def test_names_in_code_finds_nested_reads(code):
+    namespace = {}
+    exec(compile(code, "<policy>", "exec"), namespace)
+    assert "_factored" in names_in_code(namespace["f"].__code__)
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "from ._factored import _cyclo_sum",
+        "from . import _factored\n_cyclotomic = _factored._cyclotomic",
+        "def f(_divisors):\n    return _divisors",
+    ],
+)
+def test_bound_names_rejects(code):
+    assert bound_names(ast.parse(code)) & MOVED
 
 
 EXIT_ALLOWED = {"cli.py", "__main__.py"}
