@@ -161,12 +161,6 @@ def enumerate_involutions(n: int) -> list[Involution]:
     return out
 
 
-@cache
-def involution_count(n: int) -> int:
-    """Involution numbers I(n) = g_n(1, 1), computed bottom-up."""
-    return g_poly(n, 1, 1)
-
-
 def g_poly(n: int, u1, u2):
     """g_n(u1, u2) by its recursion, bottom-up, in the ring of u1 and u2:
     int, Fraction, Polynomial or RationalFunction (g_0 is u1**0)."""
@@ -245,12 +239,13 @@ def psi_n(n: int) -> RationalFunction:
     This is g_n(w(1), 1) by `g_poly`, bottom-up so that no call recurses
     (and n < 0 raises `ValueError`); for small n `g_poly_oracle` re-derives it
     from the enumerated involutions and the two routes are asserted to agree.
+    w(1) = (1 + q)/(1 - q) is built here from `exact`, so this module reads
+    no code of `identity`.
     """
     value = _psi_by_recursion(n)
     if n <= PSI_ENUMERATION_BOUND:
-        from .identity import weight_w
-
-        enumerated = g_poly_oracle(n, weight_w(1), 1)
+        w1 = RationalFunction(Polynomial((1, 1)), Polynomial((1, -1)))
+        enumerated = g_poly_oracle(n, w1, 1)
         if enumerated != value:
             raise AssertionError(
                 f"psi recursion and enumeration disagree at n={n}: "

@@ -490,6 +490,22 @@ def test_bijection_fails_when_the_larger_enumeration_drops_a_word(monkeypatch):
     assert report.witness == "corner count 15 != n * |SYT(n-1)| = 16"
 
 
+@pytest.mark.fails("bijection")
+def test_bijection_fails_on_an_ejected_letter_out_of_range(monkeypatch):
+    from hookforge import cli, tableaux
+
+    reverse = tableaux.reverse_row_insert_words
+
+    def first_letter_past_n(words, cell):  # n + 1 for the first word of each batch
+        reduced, letters = reverse(words, cell)
+        return reduced, [len(words[0]) + 1, *letters[1:]]
+
+    monkeypatch.setattr(tableaux, "reverse_row_insert_words", first_letter_past_n)
+    report = cli.Unit("bijection", {"n": 4})()
+    assert report.verdict == "fail"
+    assert report.witness == "ejected letter 5 out of range for 1 2 3 4"
+
+
 @pytest.mark.fails("egf")
 def test_egf_fails_on_wrong_recurrence(monkeypatch):
     from fractions import Fraction
@@ -610,6 +626,55 @@ def test_a_census_fault_fails_theorem1prime_and_theorem1(monkeypatch):
         assert report.witness.startswith("n=6: "), report.witness
     assert cli.Unit("theorem1prime", {"n": 6})().verdict == "pass"
     assert cli.Unit("theorem1", {"order": 6})().verdict == "pass"
+
+
+@pytest.mark.fails("theorem1")
+def test_theorem1_fails_on_a_polynomial_shape_sum_off_by_one(monkeypatch):
+    # the sum stays a polynomial in z, so only the coefficient comparison
+    # can catch it; at n = 0 the series coefficient is the int 1
+    from hookforge import cli, identity
+
+    real = identity.hook_weight_sum
+    reports = []
+    for bad in (2, 0):
+        monkeypatch.setattr(
+            identity, "hook_weight_sum", lambda n, bad=bad: real(n) + 1 if n == bad else real(n)
+        )
+        reports.append(cli.Unit("theorem1", {"order": 4})())
+    monkeypatch.undo()
+    assert [(r.verdict, r.witness) for r in reports] == [
+        ("fail", "n=2: shape sum 3/2 + 1/2*z != series coefficient 1/2 + 1/2*z"),
+        ("fail", "n=0: shape sum 2 != series coefficient 1"),
+    ]
+    assert cli.Unit("theorem1", {"order": 4})().verdict == "pass"
+
+
+@pytest.mark.fails("theorem1prime")
+def test_psi_numerator_check_fails_above_the_enumeration_bound(monkeypatch):
+    # at n = 13 no enumeration rechecks psi_n, so only the value 2^n of its
+    # numerator at q = 1 can catch a recursion that adds q
+    from hookforge import cli, involutions
+    from hookforge.exact import Polynomial
+
+    g_poly, q = involutions.g_poly, Polynomial((0, 1))
+
+    def plus_q(n, u1, u2):
+        value = g_poly(n, u1, u2)
+        return value + q if isinstance(value, Polynomial) else value
+
+    assert involutions.PSI_ENUMERATION_BOUND < 13
+    involutions.psi_n.cache_clear()
+    try:
+        monkeypatch.setattr(involutions, "g_poly", plus_q)
+        report = cli.Unit("theorem1prime", {"n": 13})()
+    finally:
+        monkeypatch.undo()
+        involutions.psi_n.cache_clear()
+    assert (report.verdict, report.witness) == (
+        "error",
+        "AssertionError: psi numerator at n=13 does not take the value 2^n at q=1",
+    )
+    assert cli.Unit("theorem1prime", {"n": 13})().verdict == "pass"
 
 
 @pytest.mark.fails("prop3")

@@ -26,7 +26,7 @@ from hookforge.identity import (
     weight_lambda,
     weight_w,
 )
-from hookforge.involutions import involution_count
+from hookforge.involutions import g_poly
 from hookforge.partitions import (
     Partition,
     add_cell,
@@ -122,7 +122,7 @@ def test_hook_weight_sum_is_polynomial_with_positive_coeffs():
         assert poly.degree == n // 2
         assert all(c > 0 for c in poly.coeffs)
         assert poly(0) == Fraction(1, factorial(n))
-        assert poly(1) == Fraction(involution_count(n), factorial(n))
+        assert poly(1) == Fraction(g_poly(n, 1, 1), factorial(n))
 
 
 def test_theorem1_second_coefficient():
@@ -633,9 +633,7 @@ def test_phi_n_and_psi_n_read_no_code_of_each_other(monkeypatch):
         raise AssertionError("one side of theorem1prime reached the other")
 
     def poison_involution_side():
-        for name in (
-            "psi_n", "g_poly", "g_poly_oracle", "_psi_by_recursion", "_fixed_point_histogram",
-        ):
+        for name in defined_functions(involutions):
             monkeypatch.setattr(involutions, name, poisoned)
 
     def poison_tableau_side():

@@ -16,7 +16,6 @@ from hookforge.involutions import (
     enumerate_involutions,
     g_poly,
     g_poly_oracle,
-    involution_count,
     psi_n,
     verify_involution_egf,
 )
@@ -44,7 +43,7 @@ def test_enumeration_counts():
 
 def test_enumeration_matches_recurrence():
     for n in range(10):
-        assert len(enumerate_involutions(n)) == involution_count(n)
+        assert len(enumerate_involutions(n)) == g_poly(n, 1, 1)
 
 
 def test_enumeration_unique_and_self_inverse():
@@ -96,7 +95,7 @@ def test_involution_egf_coefficients_directly():
     arg = PowerSeries([Fraction(0), Fraction(1), Fraction(1, 2)], order=8)
     expanded = series_exp(arg)
     for n in range(9):
-        assert expanded.coefficient(n) == Fraction(involution_count(n), factorial(n))
+        assert expanded.coefficient(n) == Fraction(g_poly(n, 1, 1), factorial(n))
 
 
 def test_involution_egf_at_random_rational_points():
@@ -154,19 +153,18 @@ def test_psi_cold_large_n_does_not_recurse():
 def test_enumerated_involutions_pass_explicit_validation():
     for n in range(10):
         invs = enumerate_involutions(n)
-        assert len(invs) == involution_count(n)
+        assert len(invs) == g_poly(n, 1, 1)
         for inv in invs:
             assert Involution(inv.images) == inv
 
 
 def test_involution_count_is_iterative():
-    involution_count.cache_clear()
-    assert involution_count(1500) > involution_count(1499)
+    assert g_poly(1500, 1, 1) > g_poly(1499, 1, 1)
     prev, cur = 1, 1
     for n in range(2, 13):
         prev, cur = cur, cur + (n - 1) * prev
-        assert involution_count(n) == cur
-    assert [involution_count(n) for n in range(2)] == [1, 1]
+        assert g_poly(n, 1, 1) == cur
+    assert [g_poly(n, 1, 1) for n in range(2)] == [1, 1]
 
 
 def test_fixed_point_histogram_matches_cycle_stats():
@@ -177,7 +175,7 @@ def test_fixed_point_histogram_matches_cycle_stats():
         hist = _fixed_point_histogram(n)
         counted = Counter(cycle_stats(inv).alpha1 for inv in enumerate_involutions(n))
         assert hist == [counted[a1] for a1 in range(n + 1)], n
-        assert sum(hist) == involution_count(n)
+        assert sum(hist) == g_poly(n, 1, 1)
         assert g_poly_oracle(n, u1, u2) == g_poly(n, u1, u2)
 
 

@@ -7,16 +7,18 @@ and each row names exactly the tests marked with its check, in backticks.
 The plain-text test names in a row's Routes cell are exactly the tests
 marked `@pytest.mark.independence(check)` with its check.  Each row's
 routes name library functions as dotted names under `hookforge`, and each
-of those names resolves.  Markers are read from the test sources, so
-nothing is collected or run here.
+of those names resolves; a bare name in backticks that starts with `_`
+names a module of the package, which must exist.  Markers are read from
+the test sources, so nothing is collected or run here.
 """
 
 import ast
 import re
 from functools import reduce
+from importlib import import_module
+from importlib.util import find_spec
 from pathlib import Path
 
-import hookforge
 from hookforge import cli
 
 TESTS = Path(__file__).resolve().parent
@@ -72,7 +74,15 @@ def test_every_ledger_row_names_library_functions_that_resolve():
         dotted = re.findall(r"`(\w+(?:\.\w+)+)`", routes)
         assert dotted, check
         for name in dotted:
-            assert callable(reduce(getattr, name.split("."), hookforge)), name
+            module, *attrs = name.split(".")
+            assert callable(reduce(getattr, attrs, import_module(f"hookforge.{module}"))), name
+
+
+def test_every_module_a_routes_cell_names_exists():
+    # a bare name that starts with `_`, such as `_factored`, names a module
+    for check, rest in ledger_lines():
+        for name in re.findall(r"`(_\w+)`", rest.split(" | ")[0]):
+            assert find_spec(f"hookforge.{name}") is not None, (check, name)
 
 
 def test_each_routes_cell_names_its_independence_tests_in_plain_text():

@@ -15,9 +15,14 @@ Every run is a fresh process, so start-up counts: no module imports
 `dataclasses`, and importing the CLI loads neither it nor `inspect`, nor a
 process-pool module: the CLI's dispatcher forks through `os`.
 
+The package root imports nothing: each name has one path, through the
+module that defines it.
+
 The factored cyclotomic engine, `_factored`, imports nothing of the package
 but `exact`, and `identity` reaches it only as `_factored.<name>`, binding
 none of its names: a test then poisons each of its functions in one place.
+`involutions`, the other side of `theorem1prime`, imports nothing of the
+package but `exact` and `_records`, so it cannot reach `identity`.
 The z-route of `theorem1` (`rho`, `hook_weight_sum`, `verify_theorem1`) does
 not name the module at all.
 
@@ -284,10 +289,27 @@ def names_in_code(code: types.CodeType) -> set[str]:
     return found
 
 
-def test_the_factored_engine_imports_only_exact_from_the_package():
-    tree = ast.parse((SRC / "_factored.py").read_text(encoding="utf-8"))
-    assert relative_imports(tree) == {"exact"}
+def assert_package_imports(name: str, allowed: set[str]):
+    """`name` imports, at any depth, exactly the package modules `allowed`."""
+    tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+    assert relative_imports(tree) == allowed
     assert "hookforge" not in imported_packages(tree)
+
+
+def test_the_factored_engine_imports_only_exact_from_the_package():
+    assert_package_imports("_factored.py", {"exact"})
+
+
+def test_involutions_imports_only_exact_and_records_from_the_package():
+    # theorem1prime's involution side then cannot reach `identity`
+    assert_package_imports("involutions.py", {"exact", "_records"})
+
+
+def test_the_package_root_imports_nothing():
+    # every name has one path, through the module that defines it
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert [ast.unparse(node) for node in imports] == []
 
 
 def test_identity_binds_no_name_of_the_factored_engine():
