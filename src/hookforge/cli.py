@@ -18,20 +18,22 @@ is built by `_report`.
 
 The units are independent, so `run` hands them to one forked worker per
 usable CPU (`_run_forked`), using only `os.fork`, `os.pipe` and `select`.  A
-worker takes one unit at a time as the JSON line of its `(check, params,
-seed)` record, rebuilds and calls the `Unit`, and answers with its report's
-verdict, witness and milliseconds as one JSON line.  Units are handed out
-from the end of the list, so each sweep's largest point starts first.  The
-parent prints each progress line as its report arrives, then sorts and writes
-the report as a serial run would, so only the order of the stderr lines
-varies.  A worker that dies while it holds a unit turns that unit into an
-`error` record whose witness starts `ChildProcessError:` and names the exit
-status or signal; a new worker takes its place while units remain.  Every
-worker leaves through `os._exit`, and the parent reaps every worker before
-`run` returns or raises.  The CLI process starts no thread, so forking it is
-safe, and a forked worker needs no imports of its own.  The units run in
-process instead with one usable CPU, a single unit, no `os.fork`, or a unit
-that is not a `Unit` record (a wrapped unit has no record to send).
+worker runs the parent's own `Unit` objects, inherited at fork: it takes one
+unit at a time as its index in the list, and answers with its report's
+verdict, witness and milliseconds as one JSON line.  A forked child starts on
+its parent's CPU, so each worker first moves onto a CPU of its own and then
+restores the affinity mask it inherited.  Units are handed out from the end
+of the list, so each sweep's largest point starts first.  The parent prints
+each progress line as its report arrives, then sorts and writes the report as
+a serial run would, so only the order of the stderr lines varies.  A worker
+that dies while it holds a unit turns that unit into an `error` record whose
+witness starts `ChildProcessError:` and names the exit status or signal; a
+new worker takes its place and its CPU while units remain.  Every worker
+leaves through `os._exit`, and the parent reaps every worker before `run`
+returns or raises.  The CLI process starts no thread, so forking it is safe.
+The units run in process instead with one usable CPU, a single unit, no
+`os.fork`, or a unit that is not a `Unit` record (a tracer's wrapped unit
+must record its spans in this process).
 
 Exit status is 0 when every check passes, 1 when any check fails or errors,
 and 2 on usage errors.  With equal configuration (including the seed) the
@@ -46,7 +48,7 @@ import json
 import os
 import sys
 import time
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from typing import Callable, Iterable, NamedTuple
 
 from . import _records, identity, tableaux
@@ -218,40 +220,40 @@ def _progress(rep: VerificationReport) -> VerificationReport:
     return rep
 
 
-def _worker_count(units: list) -> int:
-    """How many forked workers run `units`: one per usable CPU, at most one
-    per unit.  1 means in process: without `os.fork`, or when a unit is not a
-    `Unit` record, which a worker could not rebuild."""
+def _worker_cpus(units: list) -> list[int]:
+    """The start CPU of each forked worker: the usable CPUs, at most one per
+    unit.  Fewer than two means in process: without `os.fork`, or when a unit
+    is not a `Unit`, as a tracer's wrapped unit records spans in this process."""
     if not hasattr(os, "fork") or not all(isinstance(u, Unit) for u in units):
-        return 1
+        return []
     if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
+        cpus = sorted(os.sched_getaffinity(0))
     else:  # a platform without CPU affinity
-        cpus = os.cpu_count() or 1
-    return min(cpus, len(units))
+        cpus = list(range(os.cpu_count() or 1))
+    return cpus[: len(units)]
 
 
 class _Worker:
-    """A forked worker: its pid, the parent's ends of its task and result
-    pipes, and the unit it holds with the `perf_counter` reading when that
-    unit was sent."""
+    """A forked worker: its pid and start CPU, the parent's ends of its task
+    and result pipes, and the unit it holds with the `perf_counter` reading
+    when that unit's index was sent."""
 
-    __slots__ = ("pid", "tasks", "results", "unit", "sent")
+    __slots__ = ("pid", "cpu", "tasks", "results", "unit", "sent")
 
-    def __init__(self, pid: int, tasks: int, results: int):
-        self.pid, self.tasks, self.results = pid, tasks, open(results, "rb")
+    def __init__(self, pid: int, cpu: int, tasks: int, results: int):
+        self.pid, self.cpu, self.tasks, self.results = pid, cpu, tasks, open(results, "rb")
         self.unit = self.sent = None
 
-    def dispatch(self, pending: list[Unit]) -> None:
-        """Send the last pending unit, or close the task pipe, which ends
-        the worker, when none is left."""
+    def dispatch(self, pending: list[tuple[int, Unit]]) -> None:
+        """Send the index of the last pending unit, or close the task pipe,
+        which ends the worker, when none is left."""
         if not pending:
             self.unit = None
             self.close_tasks()
             return
-        self.unit, self.sent = pending.pop(), time.perf_counter()
+        (index, self.unit), self.sent = pending.pop(), time.perf_counter()
         try:
-            os.write(self.tasks, json.dumps(self.unit).encode() + b"\n")
+            os.write(self.tasks, b"%d\n" % index)
         except BrokenPipeError:
             pass  # the worker is gone; the end of its result pipe reports the unit
 
@@ -272,8 +274,8 @@ class _Worker:
         return os.waitpid(self.pid, 0)[1]
 
 
-def _fork_worker(pool: dict[int, _Worker]) -> _Worker:
-    """Fork a worker and add it to `pool`, keyed by its result pipe."""
+def _fork_worker(pool: dict[int, _Worker], units: list[Unit], cpu: int) -> _Worker:
+    """Fork a worker that starts on `cpu`; add it to `pool`, keyed by its result pipe."""
     task_r, task_w = os.pipe()
     result_r, result_w = os.pipe()
     sys.stdout.flush()
@@ -282,6 +284,12 @@ def _fork_worker(pool: dict[int, _Worker]) -> _Worker:
     if pid == 0:
         status = 1
         try:
+            # start on `cpu`, then give back the inherited mask; a worker
+            # that cannot set its affinity stays on its parent's CPU
+            with suppress(AttributeError, OSError):
+                mask = os.sched_getaffinity(0)
+                os.sched_setaffinity(0, {cpu})
+                os.sched_setaffinity(0, mask)
             os.close(task_w)
             os.close(result_r)
             # other workers' pipes stay open only in the parent, so each
@@ -289,24 +297,24 @@ def _fork_worker(pool: dict[int, _Worker]) -> _Worker:
             for other in pool.values():
                 other.close_tasks()
                 other.results.close()
-            _serve(task_r, result_w)
+            _serve(units, task_r, result_w)
             sys.stderr.flush()
             status = 0
         finally:
             os._exit(status)  # never return into the CLI
     os.close(task_r)
     os.close(result_w)
-    worker = pool[result_r] = _Worker(pid, task_w, result_r)
+    worker = pool[result_r] = _Worker(pid, cpu, task_w, result_r)
     return worker
 
 
-def _serve(task_fd: int, result_fd: int) -> None:
-    """A worker's loop: for each `(check, params, seed)` line, rebuild and
-    run the unit and write its verdict, witness and millis as one line;
-    returns when the task pipe closes."""
+def _serve(units: list[Unit], task_fd: int, result_fd: int) -> None:
+    """A worker's loop: for each index line, run that unit of `units` and
+    write its verdict, witness and millis as one line; returns when the task
+    pipe closes."""
     with open(task_fd, "rb") as tasks, open(result_fd, "wb") as results:
         for line in tasks:
-            rep = Unit(*json.loads(line))()
+            rep = units[int(line)]()
             results.write(json.dumps([rep.verdict, rep.witness, rep.millis]).encode() + b"\n")
             results.flush()
 
@@ -317,17 +325,17 @@ def _died(status: int) -> str:
     return f"ChildProcessError: the worker running this unit {how}"
 
 
-def _run_forked(units: list[Unit], workers: int) -> list[VerificationReport]:
-    """The reports of `units`, run on `workers` forked workers; each
-    progress line is printed as its report arrives."""
+def _run_forked(units: list[Unit], cpus: list[int]) -> list[VerificationReport]:
+    """The reports of `units`, run on one forked worker per CPU in `cpus`;
+    each progress line is printed as its report arrives."""
     import select  # only here: the in-process path never loads it
 
-    pending = list(units)
+    pending = list(enumerate(units))
     reports = []
     pool: dict[int, _Worker] = {}
     try:
-        for _ in range(workers):
-            _fork_worker(pool).dispatch(pending)
+        for cpu in cpus:
+            _fork_worker(pool, units, cpu).dispatch(pending)
         while pool:
             for fd in select.select(list(pool), [], [])[0]:
                 worker = pool[fd]
@@ -344,7 +352,7 @@ def _run_forked(units: list[Unit], workers: int) -> list[VerificationReport]:
                     millis = int((time.perf_counter() - worker.sent) * 1000)
                     reports.append(_progress(_report(worker.unit, "error", _died(status), millis)))
                     if pending:
-                        _fork_worker(pool).dispatch(pending)
+                        _fork_worker(pool, units, worker.cpu).dispatch(pending)
     finally:
         for worker in pool.values():
             worker.reap(kill=True)
@@ -364,9 +372,9 @@ def run(cfg: RunConfig) -> int:
         return 2
     with sink as fh:
         units = build_units(cfg)
-        workers = _worker_count(units)
-        if workers > 1:
-            reports = _run_forked(units, workers)
+        cpus = _worker_cpus(units)
+        if len(cpus) > 1:
+            reports = _run_forked(units, cpus)
         else:
             reports = [_progress(unit()) for unit in units]
         # sorted on actual parameter values, so n=2 precedes n=10

@@ -594,12 +594,6 @@ class PowerSeries:
     def __neg__(self):
         return PowerSeries([-c for c in self.coeffs])
 
-    def __sub__(self, other):
-        if isinstance(other, PowerSeries):
-            self._check_order(other)
-            return PowerSeries([a - b for a, b in zip(self.coeffs, other.coeffs)])
-        return PowerSeries([self.coeffs[0] - other, *self.coeffs[1:]])
-
     def __mul__(self, other):
         if isinstance(other, PowerSeries):
             self._check_order(other)

@@ -54,10 +54,6 @@ class Partition(_records.Validated, _PartitionFields):
     def n(self) -> int:
         return sum(self.parts)
 
-    @property
-    def rows(self) -> int:
-        return len(self.parts)
-
     def conjugate(self) -> "Partition":
         return Partition(_conjugate_parts(self.parts))
 

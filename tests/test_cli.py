@@ -1013,8 +1013,8 @@ def test_an_exception_in_the_parent_reaps_every_worker(monkeypatch, capsys):
 
 
 def test_wrapped_units_run_in_process(monkeypatch, capsys):
-    # perfbench/tracer.py wraps each unit in a closure, which no worker could
-    # rebuild: a traced run stays serial and keeps every span
+    # perfbench/tracer.py wraps each unit in a closure that records spans in
+    # the process it runs in: a traced run stays serial and keeps every span
     from hookforge import cli
 
     forked = forced_cpus(monkeypatch, 2)
@@ -1030,3 +1030,87 @@ def test_wrapped_units_run_in_process(monkeypatch, capsys):
     assert cli.main(["verify", "substitution", "--max-n", "4", "--format", "json"]) == 0
     assert pids == [os.getpid()] * 4 and forked == []
     assert len(json.loads(capsys.readouterr().out)) == 4
+
+
+def test_forked_workers_run_the_parents_own_units(monkeypatch, capsys):
+    # a worker calls the `Unit` it inherited at fork, so params reach the
+    # runner as the parent built them: a tuple stays a tuple
+    from hookforge import cli
+
+    def runner(seed, cells):
+        yield None if type(cells) is tuple else f"cells arrived as {type(cells).__name__}"
+
+    sweep = [{"cells": (1, 2)}, {"cells": (1, 2)}, {"cells": (3,)}]
+    monkeypatch.setattr(cli, "REGISTRY", {"cells": cli.Check(lambda cfg: sweep, runner)})
+    outs, statuses = [], []
+    for cpus in (1, 2):
+        forked = forced_cpus(monkeypatch, cpus)
+        statuses.append(cli.main(["verify", "all", "--format", "json"]))
+        outs.append(capsys.readouterr().out)
+        assert len(forked) == (2 if cpus == 2 else 0)
+        assert_no_child_left()
+    assert outs[1] == outs[0]
+    assert statuses == [0, 0]
+    assert [r["params"]["cells"] for r in json.loads(outs[0])] == [[1, 2], [1, 2], [3]]
+
+
+def test_each_worker_starts_on_its_own_cpu_then_restores_its_mask(monkeypatch, capsys, tmp_path):
+    from hookforge import cli
+
+    calls = tmp_path / "affinity"
+
+    def recording(pid, mask):
+        with open(calls, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {sorted(mask)}\n")
+
+    forked = forced_cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "sched_setaffinity", recording)
+    assert cli.main(["verify", "substitution", "--max-n", "4", "--format", "json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)) == 4
+    assert_no_child_left()
+    by_worker: dict[int, list[str]] = {}
+    for line in calls.read_text(encoding="utf-8").splitlines():
+        pid, mask = line.split(" ", 1)
+        by_worker.setdefault(int(pid), []).append(mask)
+    assert sorted(by_worker) == sorted(forked)
+    assert sorted(by_worker.values()) == [["[0]", "[0, 1]"], ["[1]", "[0, 1]"]]
+
+
+def refuse_affinity(monkeypatch):
+    def refusing(pid, mask):
+        raise OSError(22, "Invalid argument")
+
+    monkeypatch.setattr(os, "sched_setaffinity", refusing)
+
+
+@pytest.mark.parametrize(
+    "without",
+    [refuse_affinity, lambda monkeypatch: monkeypatch.delattr(os, "sched_setaffinity")],
+    ids=["raises", "missing"],
+)
+def test_a_worker_that_cannot_set_its_affinity_stays_where_it_is(monkeypatch, capsys, without):
+    from hookforge import cli
+
+    argv = ["verify", "all", "--max-n", "5", "--format", "json"]
+    forced_cpus(monkeypatch, 1)
+    assert cli.main(argv) == 0
+    in_process = capsys.readouterr().out
+    forked = forced_cpus(monkeypatch, 2)
+    without(monkeypatch)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == in_process
+    assert len(forked) == 2
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_the_parent_reads_the_usable_cpus_once_per_run(monkeypatch, capsys, cpus):
+    from hookforge import cli
+
+    forked = forced_cpus(monkeypatch, cpus)
+    reads = []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: reads.append(pid) or set(range(cpus)))
+    assert cli.main(["verify", "lemma1", "--max-n", "6", "--format", "json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)) == 7
+    assert reads == [0] and len(forked) == (cpus if cpus > 1 else 0)
+    assert_no_child_left()

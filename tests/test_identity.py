@@ -696,6 +696,23 @@ def test_prop2_recheck_and_factored_zero_test_read_no_code_of_each_other(monkeyp
             monkeypatch.undo()
 
 
+@pytest.mark.independence("prop2")
+def test_prop2_recheck_and_factored_zero_test_enter_no_common_function():
+    # at shape (4, 3, 1) the factored zero test and the substitution recheck
+    # enter no common package function, not even of `exact`
+    from hookforge import identity
+
+    prof = corner_profile(Partition((4, 3, 1)))
+    xs, ys = list(prof.outer_contents), list(prof.inner_contents)
+    zero_test = reach(
+        lambda: identity._materialize(identity._prop2_terms(xs, ys) + [(-1, {})]).is_zero
+    )
+    recheck = reach(identity._prop2_substitution_witness, xs, ys)
+    assert "_factored._cyclo_sum" in zero_test
+    assert "identity._prop2_substitution_witness" in recheck
+    assert sorted(zero_test & recheck) == []
+
+
 @pytest.mark.fails("prop2")
 def test_prop2_fails_on_a_perturbed_factored_term(monkeypatch):
     from hookforge import identity

@@ -7,7 +7,7 @@ from itertools import permutations
 from math import factorial
 
 import pytest
-from support import CycleStats, cycle_stats
+from support import CycleStats, cycle_stats, reach
 
 from hookforge.exact import Polynomial, PowerSeries, RationalFunction, series_exp
 from hookforge.involutions import (
@@ -158,7 +158,7 @@ def test_enumerated_involutions_pass_explicit_validation():
             assert Involution(inv.images) == inv
 
 
-def test_involution_count_is_iterative():
+def test_g_poly_at_one_one_is_iterative():
     assert g_poly(1500, 1, 1) > g_poly(1499, 1, 1)
     prev, cur = 1, 1
     for n in range(2, 13):
@@ -335,3 +335,17 @@ def test_egf_kronecker_sides_read_no_code_of_each_other(monkeypatch):
             assert route() == expected
         finally:
             monkeypatch.undo()
+
+
+@pytest.mark.independence("theorem1prime")
+def test_psi_recursion_and_enumeration_share_only_the_exact_kernel():
+    # psi_n's cross-check at n = 8: `g_poly`'s recursion and `g_poly_oracle`
+    # over the enumerated involutions enter no common code outside `exact`
+    from hookforge import involutions
+
+    w1 = RationalFunction(Polynomial((1, 1)), Polynomial((1, -1)))
+    recursion = reach(involutions._psi_by_recursion, 8)
+    enumeration = reach(g_poly_oracle, 8, w1, 1)
+    assert "involutions.g_poly" in recursion
+    assert "involutions._fixed_point_histogram" in enumeration
+    assert sorted(name for name in recursion & enumeration if not name.startswith("exact.")) == []
