@@ -8,11 +8,9 @@ product over divisors of 2h that miss h, every term is a signed monomial in
 cyclotomic polynomials.  `_factor_terms` factors each term once and brings
 the monomials over a common denominator; `_reduced_sum` sums their
 numerator as one integer at a Kronecker point q = 2^B, unpacks it once, and
-reduces the result by exact division, which sidesteps large rational GCDs:
-one division by every denominator factor but Phi_1 together (in phi_n they
-all cancel), and trial division factor by factor only where that one is
-inexact.  The factored path is cross-checked against generic
-rational-function arithmetic in the test suite.
+divides it exactly by every denominator factor but Phi_1 at once (in phi_n
+they all cancel); `RationalFunction`'s GCD makes the canonical form.  The
+tests cross-check the factored path against generic arithmetic.
 
 phi_n factors all its terms at once instead, one per hook multiset of n
 (`_factor_columns`), by counts of multiples: with c_m the number of a
@@ -34,6 +32,7 @@ must not reach the engine can be checked against every function here.
 from __future__ import annotations
 
 import struct
+from contextlib import suppress
 from functools import cache
 from itertools import repeat
 from operator import mul
@@ -116,38 +115,21 @@ def _reduced_sum(
     """Canonical form of sum(c * prod(Phi_d ** k)) over the lifted terms
     (c, {d: k}), divided by prod(Phi_d ** den_exp[d]).
 
-    The numerator is summed at one Kronecker point (see `_cyclo_sum`, which
-    takes `bound` as its digit bound where one is given).  The
-    reduction first divides it once by the product of every denominator
-    factor Phi_d ** k with d > 1, which is exact on phi_n; where that
-    division is inexact (a single weight, whose factors stay), it falls back
-    to trial division factor by factor.  Phi_1 is always divided out one
-    factor at a time.  Both routes remove the same factors, so the result is
-    the same.
+    The numerator is summed at one Kronecker point (`_cyclo_sum`, with
+    `bound` as its digit bound where one is given) and divided once by every
+    denominator factor Phi_d ** k with d > 1: on phi_n, where they all
+    cancel, Phi_1 ** k of the denominator is left, and where the division is
+    inexact (a single weight) all of it.  `RationalFunction`'s GCD then makes
+    the canonical form.
     """
     total = _cyclo_sum(lifted, bound)
     if not total:
         return RationalFunction.zero()
-    remaining = dict(den_exp)
-    cancelling = {d: k for d, k in den_exp.items() if d > 1}
-    if cancelling:
-        try:
-            total = _int_divexact(total, _cyclo_sum([(1, cancelling)]))
-        except ArithmeticError:
-            pass  # some factor stays: the trial division below finds which
-        else:
-            remaining = {d: k for d, k in den_exp.items() if d == 1}
-    for d in sorted(remaining):
-        phi = list(_cyclotomic(d))
-        while remaining[d] > 0:
-            try:
-                total = _int_divexact(total, phi)
-            except ArithmeticError:
-                break
-            remaining[d] -= 1
-    den = _cyclo_sum([(1, remaining)])
-    # coprime numerator over a monic denominator: already canonical
-    return RationalFunction._from_canonical(Polynomial._over(total), Polynomial._over(den))
+    cancelling = _cyclo_sum([(1, {d: k for d, k in den_exp.items() if d > 1})])
+    phi_1 = {d: k for d, k in den_exp.items() if d == 1}
+    with suppress(ArithmeticError):  # inexact: some factor stays, and the GCD finds it
+        total, den_exp = _int_divexact(total, cancelling), phi_1
+    return RationalFunction(Polynomial._over(total), Polynomial._over(_cyclo_sum([(1, den_exp)])))
 
 
 def _cyclo_sum(terms: list[tuple[int, dict[int, int]]], bound: int | None = None) -> list[int]:

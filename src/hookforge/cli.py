@@ -36,9 +36,10 @@ The units run in process instead with one usable CPU, a single unit, no
 must record its spans in this process).
 
 Exit status is 0 when every check passes, 1 when any check fails or errors,
-and 2 on usage errors.  With equal configuration (including the seed) the
-JSON report is byte-identical across runs; timings therefore appear as null
-in JSON and are only shown in the text format and the stderr progress lines.
+and 2 on usage errors, a size beyond what a check's kernel takes among them.
+With equal configuration (including the seed) the JSON report is
+byte-identical across runs; timings therefore appear as null in JSON and are
+only shown in the text format and the stderr progress lines.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ import time
 from contextlib import nullcontext, suppress
 from typing import Callable, Iterable, NamedTuple
 
-from . import _records, identity, tableaux
+from . import _records, identity, partitions, tableaux
 
 
 class _RunConfigFields(NamedTuple):
@@ -79,6 +80,13 @@ class RunConfig(_records.Validated, _RunConfigFields):
             raise ValueError(
                 "max-n and order must be nonnegative and trials at least 1"
             )
+        for check, option, size, most in (  # the largest size each kernel takes
+            ("theorem1prime", "--max-n", self.max_n, partitions.MAX_HOOK),
+            ("theorem1", "--order", self.series_order, partitions.MAX_HOOK),
+            ("bijection", "--max-n", self.max_n, tableaux.MAX_ROWS),
+        ):
+            if self.check in ("all", check) and size > most:
+                raise ValueError(f"{check} takes {option} up to {most}, the most its kernel takes")
         return self
 
 

@@ -7,10 +7,9 @@ canonical form (fully reduced, monic denominator) so that equality is a
 plain representation comparison.  A polynomial is stored in one format:
 a tuple of integer numerators over one positive integer denominator, in
 lowest terms, so that equal polynomials have equal parts.  Products, GCDs
-and canonicalisation run on those integers, and one exact integer division,
-``_int_divexact``, serves the factored path's trial division and the GCD's
-acceptance test, whose quotients are the canonical parts; ``Polynomial.coeffs``
-rebuilds the ``Fraction`` coefficients on demand.  No floating point is used.
+and canonicalisation run on those integers; the GCD's acceptance test is one
+exact integer division, ``_int_divexact``, whose quotients are the canonical
+parts; ``Polynomial.coeffs`` rebuilds ``Fraction``s.  No floating point is used.
 """
 
 from __future__ import annotations

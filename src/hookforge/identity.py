@@ -319,9 +319,8 @@ def _prop2_substitution_witness(xs: list[int], ys: list[int]) -> str | None:
     q0 = 2 + (n + 1) 2^C(n,2) proves f = 1 identically.
     """
     contents = xs + ys
-    n = len(contents)
     top = max(contents)
-    q0 = 2 + (n + 1) * 2 ** comb(n, 2)
+    q0 = _prop2_point(len(contents))
     values = [Fraction(q0 ** (top - x)) for x in xs]
     values += [Fraction(-(q0 ** (top - y))) for y in ys]
     value = _signed_ratio_sum(values)
@@ -331,6 +330,11 @@ def _prop2_substitution_witness(xs: list[int], ys: list[int]) -> str | None:
         f"xs={xs}, ys={ys}: substituted symmetric sum at q={q0} is {value}, "
         "expected 1"
     )
+
+
+def _prop2_point(n: int) -> int:
+    """q0 = 2 + (n + 1) 2^C(n,2) for n contents (see `_prop2_substitution_witness`)."""
+    return 2 + (n + 1) * 2 ** comb(n, 2)
 
 
 def verify_prop2(xs, ys) -> str | None:
@@ -617,11 +621,16 @@ def prop3_checks(seed: int, n: int, trials: int) -> Iterator[str | None]:
             if witness is not None:
                 yield f"trial {t}: {witness}"
     # seed-independent: one exact value proves this n (see verify_prop3)
-    witness = verify_prop3(list(range(1, n + 1)))
+    witness = verify_prop3(_prop3_point(n))
     if witness is not None:
         yield f"proof point a_i = i: {witness}"
     if 2 <= n <= 6:
         yield verify_prop3_alternating(n)
+
+
+def _prop3_point(n: int) -> list[int]:
+    """prop3's proof point a_i = i, n distinct nonzero values (see `verify_prop3`)."""
+    return list(range(1, n + 1))
 
 
 def egf_checks(seed: int, order: int, trials: int) -> Iterator[str | None]:

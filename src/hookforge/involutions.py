@@ -212,10 +212,15 @@ def verify_egf_kronecker(order: int) -> str | None:
     by Cauchy's bound D_n(x0, x0^(order+1)) = 0 at x0 = order! + 2 proves
     D_n = 0.  Returns None when the identity holds, else a witness.
     """
-    x0 = factorial(order) + 2
+    x0 = _egf_point(order)
     if verify_involution_egf(order, x0, x0 ** (order + 1)):
         return None
     return f"Kronecker point u1=x0={x0}, u2=x0^{order + 1}: coefficients differ"
+
+
+def _egf_point(order: int) -> int:
+    """x0 = order! + 2, the Kronecker point's u1 (see `verify_egf_kronecker`)."""
+    return factorial(order) + 2
 
 
 def _psi_by_recursion(n: int) -> RationalFunction:

@@ -18,6 +18,8 @@ from typing import Iterator, NamedTuple
 
 from . import _records
 
+MAX_HOOK = 255  # a census key holds each hook in one byte, so hook_census takes n <= MAX_HOOK
+
 
 class Cell(NamedTuple):
     row: int
@@ -142,12 +144,12 @@ def hook_census(n: int) -> dict[bytes, int]:
     computed once per key instead of once per shape.  The shapes come from
     `_hooked_shapes`, which builds each one once per process by adding a
     first row, so a sweep over n shares them.  Every hook must fit in a
-    byte, so n is at most 255.
+    byte, so n is at most MAX_HOOK.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n > 255:
-        raise ValueError("hook_census needs n <= 255: each hook is stored in one byte")
+    if n > MAX_HOOK:
+        raise ValueError(f"hook_census needs n <= {MAX_HOOK}: each hook is stored in one byte")
     census = Counter(sorted_hooks for _, sorted_hooks in _hooked_shapes(n))
     return dict(sorted(census.items()))
 

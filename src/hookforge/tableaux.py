@@ -13,8 +13,8 @@ words of one length at once and read it as byte columns, one byte per word:
 a bump is a scan with one state byte per word, the row searched for, so
 each position of all the words is a few `bytes.translate` and big-integer
 steps.  Each count of a word is one byte digit, so reverse insertion takes
-at most 255 letters and forward insertion 254; the per-word forms are
-one-word calls of them.
+at most 255 letters and forward insertion 254.  The validating
+`reverse_row_insert` and `forward_row_insert` are one-word calls of them.
 
 Tableaux come in two forms.  `enumerate_syt` builds `StandardTableau` rows,
 each checked by the validating constructor.  `lattice_words` builds the
@@ -278,7 +278,7 @@ def reverse_row_insert(tab: StandardTableau, cell: Cell) -> tuple[StandardTablea
     Returns the size n-1 tableau (entries above the ejected letter shifted
     down by one) together with the ejected letter i in 1..n.
     """
-    word, ejected = reverse_row_insert_word(yamanouchi_word(tab.rows), cell)
+    [word], [ejected] = reverse_row_insert_words([yamanouchi_word(tab.rows)], cell)
     return StandardTableau(rows_of_word(word)), ejected
 
 
@@ -288,8 +288,8 @@ def forward_row_insert(tab: StandardTableau, value: int) -> tuple[StandardTablea
     Entries >= value are first shifted up by one so that value is fresh.
     Returns the grown tableau and the newly created cell.
     """
-    word, cell = forward_row_insert_word(yamanouchi_word(tab.rows), value)
-    return StandardTableau(rows_of_word(word)), cell
+    [word], [cell] = forward_row_insert_words([yamanouchi_word(tab.rows)], [value])
+    return StandardTableau(rows_of_word(word)), Cell(*cell)
 
 
 def _one_length(words: Sequence[bytes], most: int) -> int:
@@ -382,18 +382,6 @@ def forward_row_insert_words(
     same = sum(_int((out ^ state).to_bytes(size, "little").translate(zero)) for out in outs)
     grown = struct.Struct(f"{n}s" * size).unpack(out_cols)  # col: the row's bytes
     return list(grown), list(zip(state.to_bytes(size, "little"), same.to_bytes(size, "little")))
-
-
-def reverse_row_insert_word(word: bytes, cell: Cell) -> tuple[bytes, int]:
-    """reverse_row_insert_words on one word."""
-    [reduced], [letter] = reverse_row_insert_words((word,), cell)
-    return reduced, letter
-
-
-def forward_row_insert_word(word: bytes, value: int) -> tuple[bytes, Cell]:
-    """forward_row_insert_words on one word, with the new cell as a Cell."""
-    [grown], [cell] = forward_row_insert_words((word,), (value,))
-    return grown, Cell(*cell)
 
 
 def verify_bijection(n: int) -> str | None:

@@ -132,6 +132,49 @@ def test_out_of_range_bounds_exit_2():
         )
 
 
+@pytest.mark.parametrize(
+    "args, refused",
+    [
+        (("theorem1prime", "--max-n", "256"), "theorem1prime takes --max-n up to 255"),
+        (("theorem1", "--order", "256"), "theorem1 takes --order up to 255"),
+        (("bijection", "--max-n", "300"), "bijection takes --max-n up to 255"),
+        (("all", "--max-n", "256"), "theorem1prime takes --max-n up to 255"),
+        (("all", "--order", "256"), "theorem1 takes --order up to 255"),
+    ],
+    ids=["theorem1prime", "theorem1", "bijection", "all-max-n", "all-order"],
+)
+def test_sizes_the_kernels_refuse_are_usage_errors(
+    monkeypatch, capsys, tmp_path, args, refused
+):
+    from hookforge import cli
+
+    def no_units(cfg):
+        raise AssertionError("a unit was built")
+
+    monkeypatch.setattr(cli, "build_units", no_units)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("a worker was forked"))
+    path = tmp_path / "report.json"
+    assert cli.main(["verify", *args, "--out", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {refused}, the most its kernel takes\n"
+    assert not path.exists()
+
+
+def test_the_size_limits_are_the_kernels_own(monkeypatch):
+    from hookforge import cli, partitions, tableaux
+
+    # at the limits every run is accepted, with no unit built; a check whose
+    # kernel takes any size has no limit
+    monkeypatch.setattr(cli, "build_units", lambda cfg: pytest.fail("a unit was built"))
+    cli.RunConfig("all", max_n=partitions.MAX_HOOK, series_order=partitions.MAX_HOOK)
+    cli.RunConfig("bijection", max_n=tableaux.MAX_ROWS)
+    cli.RunConfig("lemma1", max_n=1000)
+    # one past them, the kernels refuse
+    with pytest.raises(ValueError, match="hook_census needs n <= 255"):
+        partitions.hook_census(partitions.MAX_HOOK + 1)
+    with pytest.raises(ValueError, match="at most 255 letters"):
+        tableaux.reverse_row_insert_words([bytes(tableaux.MAX_ROWS + 1)], (1, 1))
+
+
 def test_run_config_rejects_an_unknown_format():
     from hookforge import cli
 
@@ -271,11 +314,11 @@ def batched(per_word):
     turn: reverse insertion passes one corner for every word, forward
     insertion one value per word.
 
-    `tableaux.reverse_row_insert_word` and `forward_row_insert_word` look up
-    the module's batch kernels on every call, and a test puts this adapter
-    in place of one of them.  So `per_word` runs with the batch kernels as
-    they were when the adapter was made: a mutant built on a per-word kernel
-    then runs the original kernel, not itself."""
+    A test puts this adapter in place of one of the module's batch kernels,
+    and `per_word` may call the batch kernels on one word through the
+    module.  So `per_word` runs with the batch kernels as they were when the
+    adapter was made: a mutant built on a one-word batch then runs the
+    original kernel, not itself."""
     from itertools import repeat
 
     from hookforge import tableaux
@@ -322,11 +365,10 @@ def test_bijection_fails_on_wrong_forward_insertion(monkeypatch):
 def test_bijection_fails_when_forward_insertion_misreports_the_cell(monkeypatch):
     from hookforge import cli, tableaux
     from hookforge.partitions import Cell
-    from hookforge.tableaux import forward_row_insert_word
 
     def shifted(word, value):
-        back, cell = forward_row_insert_word(word, value)
-        return back, Cell(cell.row, cell.col + 1)
+        [back], [(row, col)] = tableaux.forward_row_insert_words([word], [value])
+        return back, Cell(row, col + 1)
 
     monkeypatch.setattr(tableaux, "forward_row_insert_words", batched(shifted))
     report = cli.Unit("bijection", {"n": 3})()
@@ -355,12 +397,11 @@ def test_bijection_validates_each_enumerated_tableau_once(monkeypatch):
 @pytest.mark.fails("bijection")
 def test_bijection_fails_when_reverse_insertion_skips_relabelling(monkeypatch):
     from hookforge import cli, tableaux
-    from hookforge.tableaux import reverse_row_insert_word
 
     def unrelabelled(word, cell):
         # deleting the ejected letter's byte is the relabelling; the letter
         # always leaves from row 1, so this puts its byte back in place
-        reduced, ejected = reverse_row_insert_word(word, cell)
+        [reduced], [ejected] = tableaux.reverse_row_insert_words([word], cell)
         return reduced[: ejected - 1] + b"\x01" + reduced[ejected - 1 :], ejected
 
     monkeypatch.setattr(tableaux, "reverse_row_insert_words", batched(unrelabelled))
@@ -409,7 +450,7 @@ def test_bijection_fails_when_the_smaller_enumeration_misses_a_tableau(monkeypat
 def test_bijection_fails_on_an_enumerated_non_lattice_word(monkeypatch):
     from hookforge import cli, tableaux
     from hookforge.partitions import Partition
-    from hookforge.tableaux import lattice_words, reverse_row_insert_word
+    from hookforge.tableaux import lattice_words
 
     def bad_word(n):
         smaller, larger = lattice_words(n)
@@ -418,11 +459,14 @@ def test_bijection_fails_on_an_enumerated_non_lattice_word(monkeypatch):
         return smaller, larger
 
     inserted = []
+
+    def recorded(word, cell):
+        inserted.append(word)
+        [reduced], [letter] = tableaux.reverse_row_insert_words([word], cell)
+        return reduced, letter
+
     monkeypatch.setattr(tableaux, "lattice_words", bad_word)
-    monkeypatch.setattr(
-        tableaux, "reverse_row_insert_words",
-        batched(lambda word, cell: inserted.append(word) or reverse_row_insert_word(word, cell)),
-    )
+    monkeypatch.setattr(tableaux, "reverse_row_insert_words", batched(recorded))
 
     report = cli.Unit("bijection", {"n": 3})()
     assert report.verdict == "fail"
@@ -898,7 +942,6 @@ def test_bijection_fails_when_the_column_scan_misreads_its_state(monkeypatch):
 def test_calling_a_unit_twice_runs_it_twice(monkeypatch):
     from hookforge import cli, identity, tableaux
     from hookforge.partitions import Cell
-    from hookforge.tableaux import forward_row_insert_word
 
     [passing] = cli.build_units(cli.RunConfig("substitution", max_n=1))
     calls = []
@@ -913,8 +956,8 @@ def test_calling_a_unit_twice_runs_it_twice(monkeypatch):
     failing = cli.build_units(cli.RunConfig("bijection", max_n=3))[-1]
 
     def shifted(word, value):
-        back, cell = forward_row_insert_word(word, value)
-        return back, Cell(cell.row, cell.col + 1)
+        [back], [(row, col)] = tableaux.forward_row_insert_words([word], [value])
+        return back, Cell(row, col + 1)
 
     monkeypatch.setattr(tableaux, "forward_row_insert_words", batched(shifted))
     first, second = failing(), failing()

@@ -467,16 +467,18 @@ def test_a_column_bound_without_coefficients_fails_theorem1prime(monkeypatch):
     assert verify_theorem1prime(9) is None
 
 
-# -- the reduction: one division, or trial division factor by factor -----------
+# -- the reduction: one division, then the kernel's GCD -------------------------
 
 
-def divisions(monkeypatch, terms) -> tuple[RationalFunction, list[tuple[list[int], bool]]]:
-    """`_materialize(terms)` and each exact division it made: (divisor,
-    whether it divided).  A first unspied run fills the cyclotomic table, so
+def divisions(monkeypatch, terms):
+    """`_materialize(terms)`, each exact division `_factored` made: (divisor,
+    whether it divided), and the (num, den) that the reduction handed to
+    `RationalFunction`.  A first unspied run fills the cyclotomic table, so
     that only the reduction's own divisions are seen."""
     _materialize(terms)
-    calls = []
+    calls, parts = [], []
     divexact = _factored._int_divexact
+    init = RationalFunction.__init__
 
     def spy(a, b):
         try:
@@ -487,45 +489,52 @@ def divisions(monkeypatch, terms) -> tuple[RationalFunction, list[tuple[list[int
         calls.append((list(b), True))
         return quotient
 
+    def built(self, num, den=1):
+        parts.append((num, den))
+        init(self, num, den)
+
     monkeypatch.setattr(_factored, "_int_divexact", spy)
+    monkeypatch.setattr(RationalFunction, "__init__", built)
     got = _materialize(terms)
     monkeypatch.undo()
-    return got, calls
-
-
-PHI_1 = [-1, 1]
+    return got, calls, parts
 
 
 def test_phi_n_cancels_every_factor_but_phi_1_in_one_division(monkeypatch):
     for n in range(11):
         terms = phi_terms(n)
-        got, calls = divisions(monkeypatch, terms)
+        got, calls, parts = divisions(monkeypatch, terms)
         expected = sum((c * generic_value(p) for c, p in terms), RationalFunction.zero())
         assert_same(got, expected)
-        # at most one division by anything but Phi_1, and it divided; from
-        # n = 3 on the shapes' weights have a factor Phi_d, d > 1, to cancel
-        others = [(b, ok) for b, ok in calls if b != PHI_1]
-        assert len(others) == (n >= 3)
-        assert all(ok for _, ok in others)
-        assert n == 0 or calls[-1] == (PHI_1, False)  # the Phi_1 loop runs last
+        # one division, and it divided; from n = 3 on the shapes' weights
+        # have a factor Phi_d, d > 1, to cancel, and below that the divisor is 1
+        [(divisor, divided)] = calls
+        assert divided and (divisor != [1]) == (n >= 3)
+        # what is left for the GCD is a power of Phi_1 = q - 1, and phi_n keeps all of it
+        [(num, den)] = parts
+        assert den == Polynomial((-1, 1)) ** n == got.den
+        assert num == got.num
 
 
-def test_one_weight_falls_back_to_trial_division(monkeypatch):
+def test_one_weight_leaves_its_denominator_to_the_kernel_gcd(monkeypatch):
     # a single term keeps its numerator factors, which are prime to its
-    # denominator, so nothing beyond Phi_1 cancels
+    # denominator, so nothing beyond Phi_1 cancels, and the one division
+    # fails where there is more; the kernel's GCD then takes the whole
+    # denominator
     lam = Partition((3, 1))  # w(4) w(2) w(1)^2 = Phi_8 / Phi_1^4: Phi_1 only
-    got, calls = divisions(monkeypatch, [(1, Counter(hooks(lam)))])
+    got, calls, parts = divisions(monkeypatch, [(1, Counter(hooks(lam)))])
     assert_same(got, generic_value(Counter(hooks(lam))))
-    assert calls == [(PHI_1, False)]
-    for parts, cancelling in (((2, 2, 1), {3: 1}), ((3, 2, 1), {3: 2, 5: 1})):
-        lam = Partition(parts)
-        got, calls = divisions(monkeypatch, [(1, Counter(hooks(lam)))])
-        assert_same(got, generic_value(Counter(hooks(lam))))
-        # the one division fails, then each factor is tried on its own
-        assert calls[0] == (_cyclo_sum([(1, cancelling)]), False)
-        tried = [b for b, _ in calls[1:]]
-        assert tried == [PHI_1] + [list(_cyclotomic(d)) for d in sorted(cancelling)]
-        assert not any(ok for _, ok in calls)
+    assert calls == [([1], True)]
+    assert [den for _, den in parts] == [Polynomial((-1, 1)) ** 4]
+    for shape, cancelling in (((2, 2, 1), {3: 1}), ((3, 2, 1), {3: 2, 5: 1})):
+        terms = [(1, Counter(hooks(Partition(shape))))]
+        got, calls, parts = divisions(monkeypatch, terms)
+        assert_same(got, generic_value(terms[0][1]))
+        assert calls == [(_cyclo_sum([(1, cancelling)]), False)]
+        lifted, den_exp = _factor_terms(terms)
+        assert {d: k for d, k in den_exp.items() if d > 1} == cancelling
+        [(num, den)] = parts
+        assert (num, den) == (generic_cyclo_sum(lifted), generic_cyclo_sum([(1, den_exp)]))
 
 
 def test_lemma1_terms_are_exact_weight_ratios():

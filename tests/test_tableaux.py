@@ -14,11 +14,9 @@ from hookforge.tableaux import (
     enumerate_syt,
     enumerate_syt_of_size,
     forward_row_insert,
-    forward_row_insert_word,
     forward_row_insert_words,
     lattice_words,
     reverse_row_insert,
-    reverse_row_insert_word,
     reverse_row_insert_words,
     rows_of_word,
     validate_word,
@@ -197,15 +195,15 @@ def test_word_kernels_match_the_row_kernels():
             assert rows_of_word(word) == tab.rows
             for cell in removable_cells(tab.shape):
                 rows, letter = reverse_row_insert_rows(tab.rows, cell)
-                assert reverse_row_insert_word(word, cell) == (
-                    yamanouchi_word(rows), letter
+                assert reverse_row_insert_words([word], cell) == (
+                    [yamanouchi_word(rows)], [letter]
                 )
         for tab in enumerate_syt_of_size(n - 1):
             word = yamanouchi_word(tab.rows)
             for letter in range(1, n + 1):
                 rows, cell = forward_row_insert_rows(tab.rows, letter)
-                assert forward_row_insert_word(word, letter) == (
-                    yamanouchi_word(rows), cell
+                assert forward_row_insert_words([word], [letter]) == (
+                    [yamanouchi_word(rows)], [cell]
                 )
 
 
@@ -214,19 +212,19 @@ def test_word_kernels_reject_bad_input():
     assert word == b"\x01\x01\x02"
     for cell in (Cell(1, 1), Cell(1, 3), Cell(2, 2), Cell(0, 0), Cell(256, 1)):
         with pytest.raises(ValueError, match="not a removable corner"):
-            reverse_row_insert_word(word, cell)
+            reverse_row_insert_words([word], cell)
     # the end of row 1, but row 2 is as long
     with pytest.raises(ValueError, match="not a removable corner"):
-        reverse_row_insert_word(yamanouchi_word(T("1 2/3 4").rows), Cell(1, 2))
+        reverse_row_insert_words([yamanouchi_word(T("1 2/3 4").rows)], Cell(1, 2))
     for value in (0, 5):
         with pytest.raises(ValueError, match=r"must lie in 1\.\.4"):
-            forward_row_insert_word(word, value)
+            forward_row_insert_words([word], [value])
     # the mover from row 2 is below every entry of row 1, so a -1 from the
     # search must not index the last byte
     with pytest.raises(ValueError, match="not a lattice word"):
-        reverse_row_insert_word(b"\x02", Cell(2, 1))
+        reverse_row_insert_words([b"\x02"], Cell(2, 1))
     with pytest.raises(ValueError, match="not a lattice word"):
-        reverse_row_insert_word(b"\x02\x02\x01", Cell(2, 2))
+        reverse_row_insert_words([b"\x02\x02\x01"], Cell(2, 2))
 
 
 def test_batch_kernels_match_the_validating_oracles_pair_by_pair():
@@ -268,12 +266,12 @@ def test_batch_kernels_check_every_word():
         (reverse_row_insert_words, ([column + b"\x01"], Cell(1, 1)), longest),
         (forward_row_insert_words, ([b"\x01" * 254, column], [1, 1]), mixed),
         (forward_row_insert_words, ([column], [1]), longer),
-        # the per-word kernels raise the same texts
-        (reverse_row_insert_word, (b"\x01\x01\x02", Cell(1, 1)), corner),
-        (reverse_row_insert_word, (b"\x02", Cell(2, 1)), lattice),
-        (forward_row_insert_word, (b"\x01\x01\x02", 5), value),
-        (reverse_row_insert_word, (column + b"\x01", Cell(1, 1)), longest),
-        (forward_row_insert_word, (column, 1), longer),
+        # one-word batches, as the validating insertions make, raise the same texts
+        (reverse_row_insert_words, ([b"\x01\x01\x02"], Cell(1, 1)), corner),
+        (reverse_row_insert_words, ([b"\x02"], Cell(2, 1)), lattice),
+        (forward_row_insert_words, ([b"\x01\x01\x02"], [5]), value),
+        (reverse_row_insert_words, ([column + b"\x01"], Cell(1, 1)), longest),
+        (forward_row_insert_words, ([column], [1]), longer),
     ]
     for kernel, args, text in cases:
         with pytest.raises(ValueError) as raised:
