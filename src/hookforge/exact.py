@@ -1,5 +1,6 @@
 """Exact arithmetic kernel: rationals, dense polynomials, canonical rational
-functions, and truncated power series with an exponential.
+functions (a quotient of two polynomials is ``RationalFunction(num, den)``),
+and truncated power series that add to series, with an exponential.
 
 Everything here is exact.  Rational numbers are arbitrary-precision
 ``fractions.Fraction`` values, and rational functions are kept in a
@@ -183,9 +184,7 @@ class Polynomial:
     def __divmod__(self, other: "Polynomial"):
         """Exact Euclidean division over the rationals."""
         if not isinstance(other, Polynomial):
-            other = Polynomial((other,)) if _is_scalar(other) else None
-            if other is None:
-                return NotImplemented
+            return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("division by zero polynomial")
         rem = list(self.coeffs)
@@ -215,8 +214,6 @@ class Polynomial:
                 raise ZeroDivisionError("division by zero")
             scale = other.denominator
             return Polynomial._over([v * scale for v in self._ints], self._den * other.numerator)
-        if isinstance(other, Polynomial):
-            return RationalFunction(self, other)
         return NotImplemented
 
     # -- evaluation and misc ----------------------------------------------
@@ -544,8 +541,8 @@ class PowerSeries:
 
     The coefficient ring is duck-typed: plain rationals, polynomials in a
     second variable, and rational functions all work, as does any mix that
-    interoperates with int and Fraction arithmetic.  Binary operations
-    require equal truncation orders and never read beyond them.
+    interoperates with int and Fraction arithmetic.  A series adds a series
+    of its order, and multiplies by one or by a coefficient, never past it.
     """
 
     __slots__ = ("coeffs",)
@@ -583,12 +580,10 @@ class PowerSeries:
             raise ValueError("truncation orders differ")
 
     def __add__(self, other):
-        if isinstance(other, PowerSeries):
-            self._check_order(other)
-            return PowerSeries([a + b for a, b in zip(self.coeffs, other.coeffs)])
-        return PowerSeries([self.coeffs[0] + other, *self.coeffs[1:]])
-
-    __radd__ = __add__
+        if not isinstance(other, PowerSeries):
+            return NotImplemented
+        self._check_order(other)
+        return PowerSeries([a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self):
         return PowerSeries([-c for c in self.coeffs])

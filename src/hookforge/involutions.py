@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial
+from math import factorial
 from typing import Iterator, NamedTuple
 
 from . import _records
@@ -233,7 +233,7 @@ def _psi_by_recursion(n: int) -> RationalFunction:
         raise AssertionError(f"psi numerator at n={n} does not take the value 2^n at q=1")
     # the denominator made monic: (q - 1)^n, with the numerator's sign to match
     sign = -1 if n % 2 else 1
-    den = Polynomial._over([comb(n, i) * (-1) ** (n - i) for i in range(n + 1)])
+    den = Polynomial((-1, 1)) ** n
     return RationalFunction._from_canonical(sign * num, den)
 
 

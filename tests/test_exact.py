@@ -89,6 +89,17 @@ def test_polynomial_divmod_roundtrip():
         assert r.is_zero or r.degree < b.degree
 
 
+def test_operations_no_caller_runs_raise_type_error():
+    # a quotient of polynomials is built as RationalFunction(num, den),
+    # Euclidean division takes a Polynomial divisor, and a series adds only
+    # a series
+    p, q = P(1, 1), P(-1, 1)
+    series = PowerSeries([0, 1], order=3)
+    for operation in (lambda: p / q, lambda: divmod(p, 2), lambda: series + 1):
+        with pytest.raises(TypeError):
+            operation()
+
+
 def test_poly_gcd_cancels_factor():
     # q^2 - 1 = (q - 1)(q + 1)
     assert poly_gcd(P(-1, 0, 1), P(1, 1)) == P(1, 1)

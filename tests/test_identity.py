@@ -249,6 +249,20 @@ def test_corner_hooks_fail_on_an_off_by_one_hook(monkeypatch):
     assert ", k=" in report.witness
 
 
+@pytest.mark.independence("lemma1")
+def test_lemma1_routes_share_only_the_shape_helpers():
+    # at the shape (4, 3, 1), the extend-retract difference and the corner
+    # hook relations at every corner share only shape helpers of `partitions`
+    lam = Partition((4, 3, 1))
+    corners = range(1, len(corner_profile(lam).outer_cells) + 1)
+    extend_retract = reach(verify_lemma1, lam)
+    corner_hooks = reach(lambda: [verify_corner_hooks(lam, k) for k in corners])
+    assert "identity._materialize" in extend_retract
+    assert "partitions.hook_length" in corner_hooks
+    shared = extend_retract & corner_hooks
+    assert sorted(name for name in shared if not name.startswith("partitions.")) == []
+
+
 # -- corner content identity (interlaced weight-ratio sums) --------------------
 
 
@@ -398,6 +412,28 @@ def test_prop3_alternating_fails_on_a_faulty_monomial_product(monkeypatch):
     report = cli.Unit("prop3", {"n": 3, "trials": 1}, 0)()
     assert report.verdict == "fail"
     assert report.witness.startswith("n=3: V*f and 1*V differ in 6 monomials"), report.witness
+
+
+@pytest.mark.independence("prop3")
+def test_prop3_routes_share_only_the_validation_and_the_deleted_products():
+    # at the seeded vector of prop3_checks' first trial at n = 5, the direct
+    # sum and the residues share only the input validation and the deleted
+    # products (the residue is 2 a_k b_k); the symbolic route at n = 5 shares
+    # nothing with either
+    from hookforge.identity import _keyed_rng
+
+    vector = sample_distinct_rationals(_keyed_rng(0, "prop3", 5, 0), 5)
+    direct = reach(verify_prop3, vector)
+    residues = reach(verify_prop3_residues, vector)
+    symbolic = reach(verify_prop3_alternating, 5)
+    assert "identity._signed_ratio_sum" in direct
+    assert "identity._linear_products" in residues
+    assert "_multipoly.mp_mul" in symbolic
+    assert sorted(direct & residues) == [
+        "identity._deleted_products",
+        "identity._validate_distinct_nonzero",
+    ]
+    assert sorted(symbolic & (direct | residues)) == []
 
 
 def test_prop3_alternating_summands_have_the_degree_of_v():

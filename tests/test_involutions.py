@@ -337,6 +337,23 @@ def test_egf_kronecker_sides_read_no_code_of_each_other(monkeypatch):
             monkeypatch.undo()
 
 
+@pytest.mark.independence("egf")
+def test_egf_kronecker_sides_enter_no_common_function():
+    # at the Kronecker point of order 8, `g_poly` over the integers and the
+    # series' `exp` enter no common package function, not even of `exact`
+    from hookforge.involutions import _egf_point
+
+    order = 8
+    x0 = _egf_point(order)
+    u2 = x0 ** (order + 1)
+    series = PowerSeries([Fraction(0), Fraction(x0), Fraction(u2, 2)], order=order)
+    recursion = reach(lambda: [g_poly(n, x0, u2) for n in range(order + 1)])
+    expansion = reach(series.exp)
+    assert "involutions.g_poly" in recursion
+    assert "exact.PowerSeries.exp" in expansion
+    assert sorted(recursion & expansion) == []
+
+
 @pytest.mark.independence("theorem1prime")
 def test_psi_recursion_and_enumeration_share_only_the_exact_kernel():
     # psi_n's cross-check at n = 8: `g_poly`'s recursion and `g_poly_oracle`

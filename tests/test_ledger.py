@@ -3,9 +3,12 @@ with the checks that `hookforge verify` runs.
 
 Every key of `cli.REGISTRY` has a test marked `@pytest.mark.fails(check)`,
 and every marker names a real check.  The ledger has one row per check,
-and each row names exactly the tests marked with its check, in backticks.
+and each row's last cell names exactly the tests marked with its check, in
+backticks.
 The plain-text test names in a row's Routes cell are exactly the tests
-marked `@pytest.mark.independence(check)` with its check.  Each row's
+marked `@pytest.mark.independence(check)` with its check, and those in its
+"Why it is a proof" cell exactly the tests marked `@pytest.mark.proof(check)`;
+a cell that omits one of them fails the check.  Each row's
 routes name library functions as dotted names under `hookforge`, and each
 of those names resolves; a bare name in backticks that starts with `_`
 names a module of the package, which must exist.  Markers are read from
@@ -51,8 +54,11 @@ def ledger_lines() -> list[tuple[str, str]]:
 
 
 def ledger_rows() -> list[tuple[str, set[str]]]:
-    """(check, tests named in its row) for each row of the README's ledger."""
-    return [(check, set(re.findall(r"`(test_\w+)`", rest))) for check, rest in ledger_lines()]
+    """(check, tests named in its last cell) for each row of the README's ledger."""
+    return [
+        (check, set(re.findall(r"`(test_\w+)`", rest.split(" | ")[-1])))
+        for check, rest in ledger_lines()
+    ]
 
 
 def test_every_check_has_a_marked_failing_test():
@@ -85,9 +91,35 @@ def test_every_module_a_routes_cell_names_exists():
             assert find_spec(f"hookforge.{name}") is not None, (check, name)
 
 
+def cells_missing_or_adding_tests(
+    lines: list[tuple[str, str]], marked: dict[str, set[str]], column: int
+) -> list[str]:
+    """The checks whose cell in `column` (0 for Routes, 1 for "Why it is a
+    proof") does not name, in plain text, exactly the tests `marked` maps
+    the check to."""
+    assert set(marked) <= set(cli.REGISTRY)
+    return [
+        check
+        for check, rest in lines
+        if set(re.findall(r"\btest_\w+", re.sub(r"`[^`]*`", "", rest.split(" | ")[column])))
+        != marked.get(check, set())
+    ]
+
+
 def test_each_routes_cell_names_its_independence_tests_in_plain_text():
     marked = marked_tests("independence")
-    assert set(marked) <= set(cli.REGISTRY)
-    for check, rest in ledger_lines():
-        routes = re.sub(r"`[^`]*`", "", rest.split(" | ")[0])
-        assert set(re.findall(r"\btest_\w+", routes)) == marked.get(check, set()), check
+    assert cells_missing_or_adding_tests(ledger_lines(), marked, 0) == []
+
+
+def test_each_proof_cell_names_its_proof_tests_in_plain_text():
+    assert cells_missing_or_adding_tests(ledger_lines(), marked_tests("proof"), 1) == []
+
+
+def test_a_proof_cell_that_omits_a_marked_test_fails():
+    lines = ledger_lines()
+    marked = marked_tests("proof")
+    assert marked
+    for check, tests in marked.items():
+        for test in tests:
+            cut = [(c, rest.replace(test, "") if c == check else rest) for c, rest in lines]
+            assert cells_missing_or_adding_tests(cut, marked, 1) == [check], test

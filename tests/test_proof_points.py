@@ -5,11 +5,15 @@ A true identity evaluates right at any point, so no test that breaks the
 identity can catch a weakened point.  `identity._prop2_point`,
 `involutions._egf_point` and `identity._prop3_point` give the points as
 functions of their size; the tests read them, build what their docstrings
-bound with the generic kernel, and check every size the sweeps reach.
+bound with the generic kernel, and check every size the sweeps reach.  Each
+test carries the marker `proof(check)`, and the README's ledger names it in
+its check's "Why it is a proof" cell.
 """
 
 from itertools import combinations
 from math import comb, factorial
+
+import pytest
 
 from hookforge import identity, involutions
 from hookforge.exact import Polynomial, RationalFunction
@@ -52,6 +56,7 @@ def l1_norm(p: Polynomial) -> int:
     return sum(abs(int(c)) for c in p.coeffs)
 
 
+@pytest.mark.proof("prop2")
 def test_prop2_norm_bound_holds_for_true_and_false_contents():
     # true: an odd count of distinct contents, those of shapes or not, where
     # f = 1 and N - V = 0; false: even counts, where f = 0 and N - V = -V
@@ -69,6 +74,7 @@ def test_prop2_norm_bound_holds_for_true_and_false_contents():
         assert l1_norm(difference) <= (n + 1) * 2 ** comb(n, 2), (xs, ys)
 
 
+@pytest.mark.proof("prop2")
 def test_prop2_point_lies_beyond_cauchys_bound_at_every_content_count():
     # Cauchy: an integer polynomial with 1-norm at most B has no root q >= B + 1
     for n in CONTENT_COUNTS:
@@ -78,6 +84,7 @@ def test_prop2_point_lies_beyond_cauchys_bound_at_every_content_count():
     assert f" at q={_prop2_point(4)} is 0, expected 1" in witness
 
 
+@pytest.mark.proof("egf")
 def test_egf_point_separates_the_monomials_and_lies_beyond_cauchys_bound(monkeypatch):
     seen = []
     monkeypatch.setattr(
@@ -94,6 +101,7 @@ def test_egf_point_separates_the_monomials_and_lies_beyond_cauchys_bound(monkeyp
         assert len(set(images)) == len(images), order
 
 
+@pytest.mark.proof("egf")
 def test_egf_coefficients_stay_within_the_bound():
     # the coefficients of g_n, read one to a power of x through the same
     # separation, are at most order! and number one per monomial
@@ -106,6 +114,7 @@ def test_egf_coefficients_stay_within_the_bound():
             assert sum(coeffs) == g_poly(n, 1, 1) and max(coeffs) <= factorial(order)
 
 
+@pytest.mark.proof("prop3")
 def test_prop3_proof_point_has_n_distinct_nonzero_values(monkeypatch):
     # the alternant lemma fixes the constant from one value at distinct
     # points; verify_prop3 also needs them nonzero
