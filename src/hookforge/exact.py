@@ -1,6 +1,5 @@
 """Exact arithmetic kernel: rationals, dense polynomials, canonical rational
-functions (a quotient of two polynomials is ``RationalFunction(num, den)``),
-and truncated power series that add to series, with an exponential.
+functions, and truncated power series with an exponential.
 
 Everything here is exact.  Rational numbers are arbitrary-precision
 ``fractions.Fraction`` values, and rational functions are kept in a

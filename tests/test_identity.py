@@ -252,15 +252,23 @@ def test_corner_hooks_fail_on_an_off_by_one_hook(monkeypatch):
 @pytest.mark.independence("lemma1")
 def test_lemma1_routes_share_only_the_shape_helpers():
     # at the shape (4, 3, 1), the extend-retract difference and the corner
-    # hook relations at every corner share only shape helpers of `partitions`
+    # hook relations at every corner share only the shape helpers of
+    # `partitions`: the constructor, the conjugate, the corners and the
+    # one-cell edits
     lam = Partition((4, 3, 1))
     corners = range(1, len(corner_profile(lam).outer_cells) + 1)
     extend_retract = reach(verify_lemma1, lam)
     corner_hooks = reach(lambda: [verify_corner_hooks(lam, k) for k in corners])
     assert "identity._materialize" in extend_retract
     assert "partitions.hook_length" in corner_hooks
-    shared = extend_retract & corner_hooks
-    assert sorted(name for name in shared if not name.startswith("partitions.")) == []
+    assert sorted(extend_retract & corner_hooks) == [
+        "partitions.Partition.__new__",
+        "partitions._conjugate_parts",
+        "partitions.add_cell",
+        "partitions.addable_cells",
+        "partitions.removable_cells",
+        "partitions.remove_cell",
+    ]
 
 
 # -- corner content identity (interlaced weight-ratio sums) --------------------

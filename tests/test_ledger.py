@@ -4,7 +4,7 @@ with the checks that `hookforge verify` runs.
 Every key of `cli.REGISTRY` has a test marked `@pytest.mark.fails(check)`,
 and every marker names a real check.  The ledger has one row per check,
 and each row's last cell names exactly the tests marked with its check, in
-backticks.
+backticks; a test named in backticks elsewhere in the row is named there too.
 The plain-text test names in a row's Routes cell are exactly the tests
 marked `@pytest.mark.independence(check)` with its check, and those in its
 "Why it is a proof" cell exactly the tests marked `@pytest.mark.proof(check)`;
@@ -70,8 +70,10 @@ def test_the_ledger_has_one_row_per_check_naming_its_marked_tests():
     rows = ledger_rows()
     assert sorted(check for check, _ in rows) == sorted(cli.REGISTRY)
     marked = marked_tests()
-    for check, tests in rows:
+    for (check, tests), (_, rest) in zip(rows, ledger_lines()):
         assert tests == marked.get(check, set()), check
+        # a test that another cell names in backticks is in the last cell too
+        assert set(re.findall(r"`(test_\w+)`", rest)) <= tests, check
 
 
 def test_every_ledger_row_names_library_functions_that_resolve():
