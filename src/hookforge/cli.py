@@ -186,10 +186,6 @@ def build_units(cfg: RunConfig) -> list[Unit]:
     ]
 
 
-def _params_key(params: dict) -> str:
-    return json.dumps(params, sort_keys=True)
-
-
 def _report_json(reports: list[VerificationReport]) -> str:
     payload = [
         {
@@ -222,7 +218,7 @@ def _report_text(reports: list[VerificationReport]) -> str:
 def _progress(rep: VerificationReport) -> VerificationReport:
     """Print `rep`'s progress line to stderr; returns `rep`."""
     print(
-        f"[{rep.check} {_params_key(rep.params)}] {rep.verdict} ({rep.millis} ms)",
+        f"[{rep.check} {json.dumps(rep.params, sort_keys=True)}] {rep.verdict} ({rep.millis} ms)",
         file=sys.stderr,
     )
     return rep

@@ -93,28 +93,17 @@ def _conjugate_parts(parts: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def partitions_of(n: int) -> list[Partition]:
-    """All partitions of n in reverse-lexicographic order, (n) first."""
+    """All partitions of n in reverse-lexicographic order, (n) first.
+
+    The partitions of m are, for each first part k from m down to 1, k
+    followed by each partition of m - k whose parts are at most k; they are
+    built for m = 1, ..., n in turn."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        return [Partition(())]
-    out = []
-    parts = [n]
-    while True:
-        out.append(Partition(tuple(parts)))
-        # rightmost part exceeding 1 shrinks; the tail is repacked greedily
-        i = len(parts) - 1
-        while i >= 0 and parts[i] == 1:
-            i -= 1
-        if i < 0:
-            return out
-        rest = len(parts) - i
-        parts[i] -= 1
-        del parts[i + 1 :]
-        while rest > 0:
-            nxt = min(parts[-1], rest)
-            parts.append(nxt)
-            rest -= nxt
+    table: list[list[tuple[int, ...]]] = [[()]]
+    for m in range(1, n + 1):
+        table.append([(k, *r) for k in range(m, 0, -1) for r in table[m - k] if not r or r[0] <= k])
+    return [Partition(parts) for parts in table[n]]
 
 
 def hook_length(lam: Partition, cell: Cell) -> int:
@@ -181,10 +170,7 @@ def _hooked_shapes(n: int) -> list[tuple[bytes, bytes]]:
 
 def hook_quotient(n: int, hook_lengths) -> int:
     """n! divided by the product of the hook lengths, asserted exact."""
-    prod = 1
-    for h in hook_lengths:
-        prod *= h
-    quot, rem = divmod(math.factorial(n), prod)
+    quot, rem = divmod(math.factorial(n), math.prod(hook_lengths))
     if rem:
         raise ArithmeticError(f"hook product does not divide {n}!")
     return quot

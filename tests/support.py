@@ -10,16 +10,21 @@ oracles of the byte-column kernels in `hookforge.tableaux`.  `phi_terms`
 lists phi_n's terms as hook-power maps, the input of
 `hookforge.identity._materialize`; the tests use it as the oracle of the
 byte-column factoring `hookforge.identity._phi_columns`.  `defined_functions`
-names the functions a module defines, for tests that poison all of them, and
-`reach` records the package code that a call enters, for tests that compare
-the code two routes of one check read.
+lists the functions a module defines, and `reach` records the package code
+that a call enters.  The ledger's independence tests declare each check's
+routes through `assert_routes_share` and `assert_routes_stand_alone`, and
+`uncached` brackets a test's patches between two clearings of every `@cache`.
 """
 
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import combinations
 from pathlib import Path
 from typing import Sequence
+
+import pytest
 
 import hookforge
 from hookforge._multipoly import MPoly
@@ -51,11 +56,11 @@ def phi_terms(n: int) -> list[tuple[int, Counter]]:
     ]
 
 
-def defined_functions(module) -> list[str]:
-    """The names of the functions that `module` defines, `@cache`d ones
-    included, and none that it imports."""
+def defined_functions(module) -> list[tuple]:
+    """`(module, name)` for each function that `module` defines, `@cache`d
+    ones included, and none that it imports: a poison list."""
     return sorted(
-        name
+        (module, name)
         for name, value in vars(module).items()
         if callable(value)
         and not isinstance(value, type)
@@ -84,11 +89,7 @@ def reach(call, *args) -> set[str]:
             if path.parent == PACKAGE:
                 names.add(f"{path.stem}.{code.co_qualname.split('.<locals>.')[0]}")
 
-    for name, module in list(sys.modules.items()):
-        if name == "hookforge" or name.startswith("hookforge."):
-            for value in vars(module).values():
-                if callable(getattr(value, "cache_clear", None)):
-                    value.cache_clear()
+    clear_caches()
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
@@ -96,6 +97,70 @@ def reach(call, *args) -> set[str]:
     finally:
         sys.setprofile(previous)
     return names
+
+
+def clear_caches() -> None:
+    """Clear every `@cache` of the package."""
+    for name, module in list(sys.modules.items()):
+        if name == "hookforge" or name.startswith("hookforge."):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+
+
+@contextmanager
+def uncached(monkeypatch):
+    """Clear every `@cache` of the package before the block, and after it
+    undo `monkeypatch` and clear them again."""
+    clear_caches()
+    try:
+        yield
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+
+
+def assert_routes_share(routes, allowed=()) -> list[set[str]]:
+    """Fail unless the routes of one check share just the code `allowed`
+    declares; return the names that `reach` records for each route.
+
+    A route is `(call, sentinel)`, a call with no arguments and a function
+    that it must enter.  Two routes may both enter a function that `allowed`
+    names, or one under an entry that ends in `.`, such as `exact.`; a named
+    function that no two routes share is a stale declaration.
+    """
+    reached = []
+    for call, sentinel in routes:
+        names = reach(call)
+        assert sentinel in names, f"{call.__qualname__} did not enter {sentinel}"
+        reached.append(names)
+    shared = set().union(*(a & b for a, b in combinations(reached, 2)))
+    prefixes = tuple(entry for entry in allowed if entry.endswith("."))
+    undeclared = sorted(n for n in shared if n not in allowed and not n.startswith(prefixes))
+    assert undeclared == [], f"two routes both enter {undeclared}"
+    stale = sorted(set(allowed) - shared - set(prefixes))
+    assert stale == [], f"no two routes both enter {stale}"
+    return reached
+
+
+def assert_routes_stand_alone(monkeypatch, routes) -> list:
+    """Fail unless each route gives the same value with its poison list
+    poisoned; return the values.
+
+    A route is `(call, poison)`, a call with no arguments and the `(owner,
+    name)` pairs that it must not reach; in an `uncached` block, each pair
+    is replaced by a function that fails the test, which no `except
+    Exception` in the route can catch.
+    """
+    values = []
+    for call, poison in routes:
+        values.append(call())
+        with uncached(monkeypatch):
+            for owner, name in poison:
+                why = f"{call.__qualname__} reached {owner.__name__}.{name}"
+                monkeypatch.setattr(owner, name, lambda *a, why=why, **k: pytest.fail(why))
+            assert call() == values[-1], f"{call.__qualname__} changed its value"
+    return values
 
 
 def mp_const(nvars: int, value: int) -> MPoly:

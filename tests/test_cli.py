@@ -8,6 +8,7 @@ import time
 from pathlib import Path
 
 import pytest
+from support import uncached
 
 BASE = [sys.executable, "-m", "hookforge", "verify"]
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -148,10 +149,7 @@ def test_sizes_the_kernels_refuse_are_usage_errors(
 ):
     from hookforge import cli
 
-    def no_units(cfg):
-        raise AssertionError("a unit was built")
-
-    monkeypatch.setattr(cli, "build_units", no_units)
+    monkeypatch.setattr(cli, "build_units", lambda cfg: pytest.fail("a unit was built"))
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("a worker was forked"))
     path = tmp_path / "report.json"
     assert cli.main(["verify", *args, "--out", str(path)]) == 2
@@ -550,22 +548,24 @@ def test_bijection_fails_on_an_ejected_letter_out_of_range(monkeypatch):
     assert report.witness == "ejected letter 5 out of range for 1 2 3 4"
 
 
+def g_poly_without_m(n, u1, u2):
+    """`involutions.g_poly` in any ring with the factor m of the 2-cycle term
+    dropped: g_{m+1} = u1 g_m + u2 g_{m-1}."""
+    prev, cur = u1**0, u1
+    if n == 0:
+        return prev
+    for _ in range(1, n):
+        prev, cur = cur, u1 * cur + u2 * prev
+    return cur
+
+
 @pytest.mark.fails("egf")
 def test_egf_fails_on_wrong_recurrence(monkeypatch):
     from fractions import Fraction
 
     from hookforge import cli, involutions
 
-    def without_m(n, u1, u2):
-        # g_{m+1} = u1 g_m + u2 g_{m-1}: the factor m of the 2-cycle term dropped
-        prev, cur = Fraction(1), Fraction(u1)
-        if n == 0:
-            return prev
-        for _ in range(1, n):
-            prev, cur = cur, u1 * cur + u2 * prev
-        return cur
-
-    monkeypatch.setattr(involutions, "g_poly", without_m)
+    monkeypatch.setattr(involutions, "g_poly", g_poly_without_m)
     report = cli.Unit("egf", {"order": 10, "trials": 5}, 0)()
     assert report.verdict == "fail"
     trial, rest = report.witness.split(": ")
@@ -578,21 +578,10 @@ def test_egf_fails_on_wrong_recurrence(monkeypatch):
 
 @pytest.mark.fails("egf")
 def test_egf_kronecker_point_fails_on_its_own(monkeypatch):
-    from fractions import Fraction
-
     from hookforge import cli, involutions
 
     assert involutions.verify_egf_kronecker(10) is None
-
-    def without_m(n, u1, u2):
-        prev, cur = Fraction(1), Fraction(u1)
-        if n == 0:
-            return prev
-        for _ in range(1, n):
-            prev, cur = cur, u1 * cur + u2 * prev
-        return cur
-
-    monkeypatch.setattr(involutions, "g_poly", without_m)
+    monkeypatch.setattr(involutions, "g_poly", g_poly_without_m)
     # 10! + 2 = 3628802
     assert involutions.verify_egf_kronecker(10) == (
         "Kronecker point u1=x0=3628802, u2=x0^11: coefficients differ"
@@ -610,23 +599,11 @@ def test_one_recursion_fault_fails_theorem1prime_and_egf(monkeypatch):
     # recursion fails both
     from hookforge import cli, involutions
 
-    def without_m(n, u1, u2):  # ring-generic, with the factor m dropped
-        prev, cur = u1**0, u1
-        if n == 0:
-            return prev
-        for _ in range(1, n):
-            prev, cur = cur, u1 * cur + u2 * prev
-        return cur
-
-    involutions.psi_n.cache_clear()
-    try:
-        monkeypatch.setattr(involutions, "g_poly", without_m)
+    with uncached(monkeypatch):
+        monkeypatch.setattr(involutions, "g_poly", g_poly_without_m)
         small = cli.Unit("theorem1prime", {"n": 4})()
         large = cli.Unit("theorem1prime", {"n": 14})()
         egf = cli.Unit("egf", {"order": 10, "trials": 1}, 0)()
-    finally:
-        monkeypatch.undo()
-        involutions.psi_n.cache_clear()
     # below PSI_ENUMERATION_BOUND the enumeration disagrees; above it the
     # tableau side does
     assert small.verdict == "error"
@@ -652,19 +629,12 @@ def test_a_census_fault_fails_theorem1prime_and_theorem1(monkeypatch):
     def bumped(n):
         return [(c, wrong if c == shape else h) for c, h in real(n)] if n == 6 else real(n)
 
-    caches = (identity.phi_n, identity.hook_weight_sum, partitions._hooked_shapes)
-    for cached in caches:
-        cached.cache_clear()
-    try:
+    with uncached(monkeypatch):
         monkeypatch.setattr(partitions, "_hooked_shapes", bumped)
         reports = [
             cli.Unit("theorem1prime", {"n": 6})(),
             cli.Unit("theorem1", {"order": 6})(),
         ]
-    finally:
-        monkeypatch.undo()
-        for cached in caches:
-            cached.cache_clear()
     for report in reports:
         assert report.verdict == "fail"
         assert report.witness.startswith("n=6: "), report.witness
@@ -707,13 +677,9 @@ def test_psi_numerator_check_fails_above_the_enumeration_bound(monkeypatch):
         return value + q if isinstance(value, Polynomial) else value
 
     assert involutions.PSI_ENUMERATION_BOUND < 13
-    involutions.psi_n.cache_clear()
-    try:
+    with uncached(monkeypatch):
         monkeypatch.setattr(involutions, "g_poly", plus_q)
         report = cli.Unit("theorem1prime", {"n": 13})()
-    finally:
-        monkeypatch.undo()
-        involutions.psi_n.cache_clear()
     assert (report.verdict, report.witness) == (
         "error",
         "AssertionError: psi numerator at n=13 does not take the value 2^n at q=1",
@@ -853,13 +819,9 @@ def test_failing_psi_cross_check_becomes_error_records(monkeypatch, capsys):
         yield rows - 1, [c[1:] for c in cols]
         yield from it
 
-    involutions.psi_n.cache_clear()
-    try:
+    with uncached(monkeypatch):
         monkeypatch.setattr(involutions, "_involution_blocks", dropping_first_leaf)
         status = cli.main(["verify", "theorem1prime", "--max-n", "6", "--format", "json"])
-    finally:
-        monkeypatch.undo()
-        involutions.psi_n.cache_clear()
     assert status == 1
     records = json.loads(capsys.readouterr().out)
     assert [r["params"]["n"] for r in records] == list(range(7))

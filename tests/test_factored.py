@@ -44,7 +44,7 @@ from hookforge.partitions import (
     remove_cell,
     removable_cells,
 )
-from support import phi_terms
+from support import phi_terms, uncached
 
 
 @cache
@@ -334,14 +334,10 @@ def test_a_misset_even_exponent_rule_fails_theorem1prime(monkeypatch):
             return real(d, counts)
         return [h - c for h, c in zip(counts[d // 2], counts[d])]
 
-    phi_n.cache_clear()
-    try:
+    with uncached(monkeypatch):
         monkeypatch.setattr(_factored, "_w_exponents", misset)
         witnesses = [verify_theorem1prime(n) for n in range(5)]
         wrong = phi_n(2)
-    finally:
-        monkeypatch.undo()
-        phi_n.cache_clear()
     assert witnesses[:2] == [None, None]
     assert witnesses[2] == (
         f"n=2: involution side {psi_n(2).format()} != tableau side {wrong.format()}"
@@ -453,14 +449,10 @@ def test_a_column_bound_without_coefficients_fails_theorem1prime(monkeypatch):
     def without_coefficients(indices, columns, coeffs):
         return real(indices, columns, [1] * len(coeffs))
 
-    phi_n.cache_clear()
-    try:
+    with uncached(monkeypatch):
         monkeypatch.setattr(_factored, "_column_bound", without_coefficients)
         witnesses = [verify_theorem1prime(n) for n in range(10)]
         report = cli.Unit("theorem1prime", {"n": 9})()
-    finally:
-        monkeypatch.undo()
-        phi_n.cache_clear()
     assert witnesses[:9] == [None] * 9
     assert (report.verdict, report.witness) == ("fail", witnesses[9])
     assert witnesses[9].startswith(f"n=9: involution side {psi_n(9).format()} != tableau side ")
@@ -632,15 +624,11 @@ def test_a_vanishing_cyclotomic_sum_fails_theorem1prime(monkeypatch):
     # factored routes of lemma1 and prop2 pass (prop2's substitution recheck
     # reads no factored code and still guards that check).  theorem1prime
     # compares phi_n with psi_n, which sums no cyclotomic terms: it fails.
-    phi_n.cache_clear()
-    try:
+    with uncached(monkeypatch):
         monkeypatch.setattr(_factored, "_cyclo_sum", lambda terms, bound=None: [])
         assert verify_lemma1(Partition((3, 1))) is None
         assert verify_prop2([3, 0, -2], [2, -1]) is None
         report = cli.Unit("theorem1prime", {"n": 4})()
-    finally:
-        monkeypatch.undo()
-        phi_n.cache_clear()
     assert (report.verdict, report.witness) == (
         "fail",
         f"n=4: involution side {psi_n(4).format()} != tableau side 0",

@@ -38,22 +38,26 @@ from hookforge.partitions import (
     removable_cells,
     remove_cell,
 )
-from support import defined_functions, reach
+from support import assert_routes_share, assert_routes_stand_alone, defined_functions, uncached
 
 
 def P(*coeffs):
     return Polynomial(coeffs)
 
 
-def poison_engine(monkeypatch, poisoned, *entry_points):
-    """Replace every function that `hookforge._factored` defines, and the
-    named entry points of `hookforge.identity`, by `poisoned`."""
+def engine(*entry_points) -> list:
+    """The (owner, name) pairs of every function that `hookforge._factored`
+    defines and of the named entry points of `hookforge.identity`."""
     from hookforge import _factored, identity
 
-    for name in defined_functions(_factored):
-        monkeypatch.setattr(_factored, name, poisoned)
-    for name in entry_points:
-        monkeypatch.setattr(identity, name, poisoned)
+    return defined_functions(_factored) + [(identity, name) for name in entry_points]
+
+
+def prop2_zero_test(xs, ys) -> bool:
+    """prop2's factored route: the weight-ratio sum minus 1 is zero."""
+    from hookforge import identity
+
+    return identity._materialize(identity._prop2_terms(xs, ys) + [(-1, {})]).is_zero
 
 
 def naive_weight(lam):
@@ -251,24 +255,17 @@ def test_corner_hooks_fail_on_an_off_by_one_hook(monkeypatch):
 
 @pytest.mark.independence("lemma1")
 def test_lemma1_routes_share_only_the_shape_helpers():
-    # at the shape (4, 3, 1), the extend-retract difference and the corner
-    # hook relations at every corner share only the shape helpers of
-    # `partitions`: the constructor, the conjugate, the corners and the
-    # one-cell edits
+    # at the shape (4, 3, 1), with the corner hook relations at every corner
     lam = Partition((4, 3, 1))
     corners = range(1, len(corner_profile(lam).outer_cells) + 1)
-    extend_retract = reach(verify_lemma1, lam)
-    corner_hooks = reach(lambda: [verify_corner_hooks(lam, k) for k in corners])
-    assert "identity._materialize" in extend_retract
-    assert "partitions.hook_length" in corner_hooks
-    assert sorted(extend_retract & corner_hooks) == [
-        "partitions.Partition.__new__",
-        "partitions._conjugate_parts",
-        "partitions.add_cell",
-        "partitions.addable_cells",
-        "partitions.removable_cells",
-        "partitions.remove_cell",
-    ]
+
+    def corner_hooks():
+        return [verify_corner_hooks(lam, k) for k in corners]
+
+    extend_retract = (lambda: verify_lemma1(lam), "identity._materialize")
+    names = "Partition.__new__ _conjugate_parts add_cell addable_cells remove_cell removable_cells"
+    allowed = {f"partitions.{name}" for name in names.split()}
+    assert_routes_share([extend_retract, (corner_hooks, "partitions.hook_length")], allowed)
 
 
 # -- corner content identity (interlaced weight-ratio sums) --------------------
@@ -424,24 +421,21 @@ def test_prop3_alternating_fails_on_a_faulty_monomial_product(monkeypatch):
 
 @pytest.mark.independence("prop3")
 def test_prop3_routes_share_only_the_validation_and_the_deleted_products():
-    # at the seeded vector of prop3_checks' first trial at n = 5, the direct
-    # sum and the residues share only the input validation and the deleted
-    # products (the residue is 2 a_k b_k); the symbolic route at n = 5 shares
-    # nothing with either
+    # at the seeded vector of prop3_checks' first trial at n = 5; each
+    # residue is 2 a_k b_k, with b_k the deleted product
     from hookforge.identity import _keyed_rng
 
     vector = sample_distinct_rationals(_keyed_rng(0, "prop3", 5, 0), 5)
-    direct = reach(verify_prop3, vector)
-    residues = reach(verify_prop3_residues, vector)
-    symbolic = reach(verify_prop3_alternating, 5)
-    assert "identity._signed_ratio_sum" in direct
-    assert "identity._linear_products" in residues
-    assert "_multipoly.mp_mul" in symbolic
-    assert sorted(direct & residues) == [
-        "identity._deleted_products",
-        "identity._validate_distinct_nonzero",
-    ]
-    assert sorted(symbolic & (direct | residues)) == []
+    direct = (lambda: verify_prop3(vector), "identity._signed_ratio_sum")
+    residues = (lambda: verify_prop3_residues(vector), "identity._linear_products")
+    allowed = {"identity._deleted_products", "identity._validate_distinct_nonzero"}
+    assert_routes_share([direct, residues], allowed)
+
+    def evidence():
+        return verify_prop3(vector), verify_prop3_residues(vector)
+
+    symbolic = (lambda: verify_prop3_alternating(5), "_multipoly.mp_mul")
+    assert_routes_share([symbolic, (evidence, "identity._linear_products")])
 
 
 def test_prop3_alternating_summands_have_the_degree_of_v():
@@ -523,11 +517,11 @@ def test_prop2_substitution_recheck_can_fail():
 def test_prop2_substitution_recheck_is_independent(monkeypatch):
     from hookforge import identity
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the recheck must not use the factored route")
+    def recheck():
+        return identity._prop2_substitution_witness([4, 1, -1, -4], [2, 0, -3])
 
-    poison_engine(monkeypatch, forbidden, "_materialize", "weight_w")
-    assert identity._prop2_substitution_witness([4, 1, -1, -4], [2, 0, -3]) is None
+    poison = engine("_materialize", "weight_w")
+    assert assert_routes_stand_alone(monkeypatch, [(recheck, poison)]) == [None]
 
 
 @pytest.mark.fails("substitution")
@@ -560,15 +554,11 @@ def test_rho_is_built_from_the_binomials_the_substitution_checks(monkeypatch):
         even, odd = binomials(n)
         return even, odd[:-1] + [odd[-1] + 1]
 
-    rho.cache_clear()
-    try:
+    with uncached(monkeypatch):
         monkeypatch.setattr(identity, "_substitution_binomials", perturbed)
         assert rho(4) != real
         assert rho(4) == RationalFunction(P(1, 6, 1), P(16, 20))
         witness = verify_weight_substitution(4)
-    finally:
-        monkeypatch.undo()
-        rho.cache_clear()
     assert witness is not None and witness.startswith("n=4: substituted weight ")
     assert rho(4) == real
 
@@ -578,13 +568,9 @@ def test_theorem1_fails_on_an_off_by_one_interpolating_weight(monkeypatch):
     from hookforge import identity
 
     real_rho = identity.rho
-    hook_weight_sum.cache_clear()
-    try:
+    with uncached(monkeypatch):
         monkeypatch.setattr(identity, "rho", lambda n: real_rho(3 if n == 2 else n))
         witness = verify_theorem1(4)
-    finally:
-        monkeypatch.undo()
-        hook_weight_sum.cache_clear()
     # both shapes of 2 have hooks {2, 1}, and rho(1) = 1
     wrong = 2 * real_rho(3)
     assert witness is not None
@@ -597,16 +583,10 @@ def test_theorem1_fails_when_canonicalisation_does_not_reduce(monkeypatch):
     from hookforge import exact
 
     real = exact._heu_gcd
-    rho.cache_clear()
-    hook_weight_sum.cache_clear()
-    try:
+    with uncached(monkeypatch):
         # the gcd is found, but the "quotients" are the undivided parts
         monkeypatch.setattr(exact, "_heu_gcd", lambda a, b: (real(a, b)[0], list(a), list(b)))
         witness = verify_theorem1(4)
-    finally:
-        monkeypatch.undo()
-        rho.cache_clear()
-        hook_weight_sum.cache_clear()
     # rho(3) = (1 + 3z)/(9 + 3z) is the first weight with a nonconstant
     # denominator, so n = 3 is the first sum that has to cancel one
     assert witness is not None
@@ -618,91 +598,52 @@ def test_theorem1_fails_when_canonicalisation_does_not_reduce(monkeypatch):
 def test_the_z_route_reads_no_factored_code(monkeypatch):
     from hookforge import involutions
 
-    expected = [hook_weight_sum(n) for n in range(8)]
+    def z_route():
+        return [hook_weight_sum(n) for n in range(8)], verify_theorem1(8)
 
-    def poisoned(*args):
-        raise AssertionError("the z-route reached the factored path")
-
-    rho.cache_clear()
-    hook_weight_sum.cache_clear()
-    poison_engine(monkeypatch, poisoned, "_materialize", "_phi_columns", "phi_n", "weight_lambda")
-    monkeypatch.setattr(involutions, "psi_n", poisoned)
-    try:
-        assert [hook_weight_sum(n) for n in range(8)] == expected
-        assert verify_theorem1(8) is None
-    finally:
-        monkeypatch.undo()
-        rho.cache_clear()
-        hook_weight_sum.cache_clear()
-
-
-def outside_the_kernel(names: set[str]) -> list[str]:
-    """The names that are not functions of the exact kernel, `hookforge.exact`."""
-    return sorted(name for name in names if not name.startswith("exact."))
+    poison = engine("_materialize", "_phi_columns", "phi_n", "weight_lambda")
+    poison.append((involutions, "psi_n"))
+    [(_, witness)] = assert_routes_stand_alone(monkeypatch, [(z_route, poison)])
+    assert witness is None
 
 
 @pytest.mark.independence("theorem1")
 def test_the_z_route_and_the_series_share_only_the_exact_kernel():
-    # the two sides of theorem1 at n = 9 enter no common code outside
-    # `exact`, and the z-route enters nothing of the factored engine
+    # at n = 9; the z-route also enters nothing of the factored engine
     z_half = Polynomial((0, Fraction(1, 2)))
     series = PowerSeries([Polynomial.zero(), Polynomial.one(), z_half], order=9)
-    z_route, exp_side = reach(hook_weight_sum, 9), reach(series.exp)
-    assert "identity.rho" in z_route and "exact.PowerSeries.exp" in exp_side
-    assert outside_the_kernel(z_route & exp_side) == []
-    assert sorted(name for name in z_route if name.startswith("_factored.")) == []
+    z_route = (lambda: hook_weight_sum(9), "identity.rho")
+    z_names, _ = assert_routes_share([z_route, (series.exp, "exact.PowerSeries.exp")], {"exact."})
+    assert sorted(name for name in z_names if name.startswith("_factored.")) == []
 
 
 @pytest.mark.independence("theorem1prime")
 def test_phi_n_and_psi_n_share_only_the_exact_kernel():
     from hookforge import involutions
 
-    tableau_side, involution_side = reach(phi_n, 12), reach(involutions.psi_n, 12)
-    assert "_factored._cyclo_sum" in tableau_side
-    assert "involutions._psi_by_recursion" in involution_side
-    assert outside_the_kernel(tableau_side & involution_side) == []
+    tableau_side = (lambda: phi_n(12), "_factored._cyclo_sum")
+    involution_side = (lambda: involutions.psi_n(12), "involutions._psi_by_recursion")
+    assert_routes_share([tableau_side, involution_side], {"exact."})
 
 
 @pytest.mark.independence("theorem1prime")
 def test_phi_n_and_psi_n_read_no_code_of_each_other(monkeypatch):
-    # theorem1prime compares two routes: each still gives its values for
-    # n <= 12 with every function of the other route poisoned
-    from hookforge import identity, involutions
+    # each side gives its values for n <= 12 with the other side poisoned
+    from hookforge import involutions
 
-    phi_n, psi_n = identity.phi_n, involutions.psi_n
-    expected_phi = [phi_n(n) for n in range(13)]
-    expected_psi = [psi_n(n) for n in range(13)]
-
-    def poisoned(*args):
-        raise AssertionError("one side of theorem1prime reached the other")
-
-    def poison_involution_side():
-        for name in defined_functions(involutions):
-            monkeypatch.setattr(involutions, name, poisoned)
-
-    def poison_tableau_side():
-        poison_engine(monkeypatch, poisoned, "_materialize", "_phi_columns", "phi_n")
-
-    routes = (
-        (phi_n, poison_involution_side, expected_phi),
-        (psi_n, poison_tableau_side, expected_psi),
-    )
-    for route, poison_other_side, expected in routes:
-        route.cache_clear()
-        poison_other_side()
-        try:
-            assert [route(n) for n in range(13)] == expected
-        finally:
-            monkeypatch.undo()
-            route.cache_clear()
+    involution_side = defined_functions(involutions)
+    tableau_side = engine("_materialize", "_phi_columns", "phi_n")
+    routes = [
+        (lambda: [phi_n(n) for n in range(13)], involution_side),
+        (lambda: [involutions.psi_n(n) for n in range(13)], tableau_side),
+    ]
+    assert_routes_stand_alone(monkeypatch, routes)
 
 
 @pytest.mark.independence("prop2")
 def test_prop2_recheck_and_factored_zero_test_read_no_code_of_each_other(monkeypatch):
-    # prop2 proves each shape twice: the factored sum minus 1 is zero, and the
-    # substitution recheck evaluates the symmetric sum at one point; each
-    # still gives its results for every shape of n <= 8 with every function
-    # of the other poisoned
+    # prop2 proves each shape twice, by the factored sum minus 1 and by the
+    # substitution recheck; each passes every shape of n <= 8 alone
     from hookforge import identity
 
     contents = [
@@ -715,46 +656,25 @@ def test_prop2_recheck_and_factored_zero_test_read_no_code_of_each_other(monkeyp
         return [identity._prop2_substitution_witness(xs, ys) for xs, ys in contents]
 
     def zero_test():
-        return [
-            identity._materialize(identity._prop2_terms(xs, ys) + [(-1, {})]).is_zero
-            for xs, ys in contents
-        ]
+        return [prop2_zero_test(xs, ys) for xs, ys in contents]
 
-    def poisoned(*args):
-        raise AssertionError("one prop2 route reached the other")
-
-    def poison_factored():
-        poison_engine(monkeypatch, poisoned, "_materialize", "_prop2_terms")
-
-    def poison_substitution():
-        for name in ("_prop2_substitution_witness", "_signed_ratio_sum", "_deleted_products"):
-            monkeypatch.setattr(identity, name, poisoned)
-
-    expected = {recheck: recheck(), zero_test: zero_test()}
-    assert len(contents) == 67 and expected[zero_test] == [True] * 67
-    for route, poison_other in ((recheck, poison_factored), (zero_test, poison_substitution)):
-        poison_other()
-        try:
-            assert route() == expected[route]
-        finally:
-            monkeypatch.undo()
+    names = ("_prop2_substitution_witness", "_signed_ratio_sum", "_deleted_products")
+    substitution = [(identity, name) for name in names]
+    routes = [(recheck, engine("_materialize", "_prop2_terms")), (zero_test, substitution)]
+    _, zeros = assert_routes_stand_alone(monkeypatch, routes)
+    assert len(contents) == 67 and zeros == [True] * 67
 
 
 @pytest.mark.independence("prop2")
 def test_prop2_recheck_and_factored_zero_test_enter_no_common_function():
-    # at shape (4, 3, 1) the factored zero test and the substitution recheck
-    # enter no common package function, not even of `exact`
     from hookforge import identity
 
     prof = corner_profile(Partition((4, 3, 1)))
     xs, ys = list(prof.outer_contents), list(prof.inner_contents)
-    zero_test = reach(
-        lambda: identity._materialize(identity._prop2_terms(xs, ys) + [(-1, {})]).is_zero
-    )
-    recheck = reach(identity._prop2_substitution_witness, xs, ys)
-    assert "_factored._cyclo_sum" in zero_test
-    assert "identity._prop2_substitution_witness" in recheck
-    assert sorted(zero_test & recheck) == []
+    zero_test = (lambda: prop2_zero_test(xs, ys), "_factored._cyclo_sum")
+    witness = identity._prop2_substitution_witness
+    recheck = (lambda: witness(xs, ys), "identity._prop2_substitution_witness")
+    assert_routes_share([zero_test, recheck])
 
 
 @pytest.mark.fails("prop2")
@@ -770,11 +690,9 @@ def test_prop2_fails_on_a_perturbed_factored_term(monkeypatch):
         terms[0] = (coeff + 1, wp)  # the first outer ratio counted twice
         return terms
 
-    def unreachable(*args):
-        raise AssertionError("the substitution recheck ran after a failed sum")
-
+    ran = "the substitution recheck ran after a failed sum"
     monkeypatch.setattr(identity, "_prop2_terms", perturbed)
-    monkeypatch.setattr(identity, "_prop2_substitution_witness", unreachable)
+    monkeypatch.setattr(identity, "_prop2_substitution_witness", lambda *args: pytest.fail(ran))
     witness = verify_prop2(xs, ys)
     wrong = identity._materialize(perturbed(xs, ys))
     assert wrong != RationalFunction.one()

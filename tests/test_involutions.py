@@ -7,7 +7,7 @@ from itertools import permutations
 from math import factorial
 
 import pytest
-from support import CycleStats, cycle_stats, reach
+from support import CycleStats, assert_routes_share, assert_routes_stand_alone, cycle_stats, uncached
 
 from hookforge.exact import Polynomial, PowerSeries, RationalFunction, series_exp
 from hookforge.involutions import (
@@ -265,14 +265,10 @@ def _off_by_one_relabel(monkeypatch):
 @pytest.mark.fails("theorem1prime")
 def test_psi_cross_check_fails_on_a_faulty_walk(monkeypatch, fault):
     n = 6
-    psi_n.cache_clear()
-    try:
+    with uncached(monkeypatch):
         fault(monkeypatch)
         with pytest.raises(AssertionError, match=f"psi recursion and enumeration disagree at n={n}:"):
             psi_n(n)
-    finally:
-        monkeypatch.undo()
-        psi_n.cache_clear()
     psi_n(n)
 
 
@@ -305,9 +301,8 @@ def test_fixed_point_histogram_memory_stays_small():
 
 @pytest.mark.independence("egf")
 def test_egf_kronecker_sides_read_no_code_of_each_other(monkeypatch):
-    # verify_egf_kronecker compares g_poly's recursion with the exponential
-    # series at one integer point; each side still gives its coefficients
-    # with every function of the other side poisoned
+    # verify_egf_kronecker's two sides at its point of order 8, each with
+    # the other side poisoned
     from hookforge import exact, involutions
 
     order = 8
@@ -321,48 +316,32 @@ def test_egf_kronecker_sides_read_no_code_of_each_other(monkeypatch):
         series = PowerSeries([Fraction(0), x0, u2 / 2], order=order).exp()
         return [series.coefficient(n) for n in range(order + 1)]
 
-    def poisoned(*args):
-        raise AssertionError("one side of the egf check reached the other")
-
-    expected = recursion()
-    assert exponential() == expected
-    series_side = ((exact.PowerSeries, name) for name in ("exp", "__mul__", "__add__"))
-    recursion_side = ((involutions, name) for name in ("g_poly", "g_poly_oracle", "psi_n"))
-    for route, names in ((recursion, series_side), (exponential, recursion_side)):
-        for owner, name in names:
-            monkeypatch.setattr(owner, name, poisoned)
-        try:
-            assert route() == expected
-        finally:
-            monkeypatch.undo()
+    series_side = [(exact.PowerSeries, name) for name in ("exp", "__mul__", "__add__")]
+    recursion_side = [(involutions, name) for name in ("g_poly", "g_poly_oracle", "psi_n")]
+    routes = [(recursion, series_side), (exponential, recursion_side)]
+    by_recursion, by_series = assert_routes_stand_alone(monkeypatch, routes)
+    assert by_recursion == by_series
 
 
 @pytest.mark.independence("egf")
 def test_egf_kronecker_sides_enter_no_common_function():
-    # at the Kronecker point of order 8, `g_poly` over the integers and the
-    # series' `exp` enter no common package function, not even of `exact`
+    # at the Kronecker point of order 8, over the integers
     from hookforge.involutions import _egf_point
 
     order = 8
     x0 = _egf_point(order)
     u2 = x0 ** (order + 1)
     series = PowerSeries([Fraction(0), Fraction(x0), Fraction(u2, 2)], order=order)
-    recursion = reach(lambda: [g_poly(n, x0, u2) for n in range(order + 1)])
-    expansion = reach(series.exp)
-    assert "involutions.g_poly" in recursion
-    assert "exact.PowerSeries.exp" in expansion
-    assert sorted(recursion & expansion) == []
+    recursion = (lambda: [g_poly(n, x0, u2) for n in range(order + 1)], "involutions.g_poly")
+    assert_routes_share([recursion, (series.exp, "exact.PowerSeries.exp")])
 
 
 @pytest.mark.independence("theorem1prime")
 def test_psi_recursion_and_enumeration_share_only_the_exact_kernel():
-    # psi_n's cross-check at n = 8: `g_poly`'s recursion and `g_poly_oracle`
-    # over the enumerated involutions enter no common code outside `exact`
+    # psi_n's cross-check at n = 8: the recursion against the enumeration
     from hookforge import involutions
 
     w1 = RationalFunction(Polynomial((1, 1)), Polynomial((1, -1)))
-    recursion = reach(involutions._psi_by_recursion, 8)
-    enumeration = reach(g_poly_oracle, 8, w1, 1)
-    assert "involutions.g_poly" in recursion
-    assert "involutions._fixed_point_histogram" in enumeration
-    assert sorted(name for name in recursion & enumeration if not name.startswith("exact.")) == []
+    recursion = (lambda: involutions._psi_by_recursion(8), "involutions.g_poly")
+    enumeration = (lambda: g_poly_oracle(8, w1, 1), "involutions._fixed_point_histogram")
+    assert_routes_share([recursion, enumeration], {"exact."})

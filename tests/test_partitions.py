@@ -80,7 +80,9 @@ def test_partitions_of_four_in_reverse_lex_order():
 def test_partition_counts_match_pentagonal_recurrence():
     assert len(partitions_of(10)) == 42
     for n in range(26):
-        assert len(partitions_of(n)) == partition_count(n)
+        shapes = [p.parts for p in partitions_of(n)]
+        assert len(shapes) == partition_count(n)
+        assert all(a > b for a, b in zip(shapes, shapes[1:])), n  # reverse-lexicographic
 
 
 def test_partitions_are_unique():

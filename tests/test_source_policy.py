@@ -42,7 +42,9 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hookforge"
 
-MATH_ALLOWED = {"gcd", "comb", "factorial"}
+# each returns an exact int on ints; `prod` returns a float only when a
+# factor is one already
+MATH_ALLOWED = {"gcd", "comb", "factorial", "prod"}
 # every method of random.Random that returns a float
 RANDOM_FLOATS = {
     "random", "uniform", "gauss", "triangular", "betavariate", "expovariate",
