@@ -56,16 +56,6 @@ def _cyclotomic(d: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-@cache
-def _w_factor_items(h: int) -> tuple[tuple[int, int], ...]:
-    """Cyclotomic exponents of (1 + q^h)/(1 - q^h) for h >= 1, sign aside:
-    +1 for divisors of 2h missing h, -1 for divisors of h."""
-    items = {d: 1 for d in _divisors(2 * h) if h % d}
-    for d in _divisors(h):
-        items[d] = items.get(d, 0) - 1
-    return tuple(sorted(items.items()))
-
-
 def _factor_terms(
     terms: list[tuple[int, dict[int, int]]],
 ) -> tuple[list[tuple[int, dict[int, int]]], dict[int, int]]:
@@ -73,23 +63,27 @@ def _factor_terms(
     terms (signed coeff, {d: k}), one per nonzero coeff, and the
     denominator's cyclotomic exponents {d: k}, all k positive.
 
-    Each term is factored once, here: w(h) for h >= 1 is -1 times the
-    cyclotomic monomial of `_w_factor_items(h)`, and w(-h) = -w(h).  The
-    common denominator is read off the factored exponents, and each term is
-    lifted to it.
+    Each term is factored once, here: w(h) for h >= 1 is -1 times a
+    cyclotomic monomial, and w(-h) = -w(h).  By the rule of `_w_exponents`,
+    Phi_d has the power -c_d for odd d and c_{d/2} - 2 c_d for even d, c_m
+    the summed powers of the hooks that m divides.  The common denominator
+    is read off the factored exponents, and each term is lifted to it.
     """
     factored = []
     den_exp: dict[int, int] = {}
     for coeff, powers in terms:
         sign = 1
-        expo: dict[int, int] = {}
+        counts: dict[int, int] = {}  # c_m
         for h, p in powers.items():
             if h == 0:
                 raise ValueError("weight undefined at 0 (pole)")
             if h > 0 and p % 2:
                 sign = -sign
-            for d, e in _w_factor_items(abs(h)):
-                expo[d] = expo.get(d, 0) + e * p
+            for m in _divisors(abs(h)):
+                counts[m] = counts.get(m, 0) + p
+        expo = {m: -c for m, c in counts.items() if m % 2}
+        for m, c in counts.items():
+            expo[2 * m] = c - 2 * counts.get(2 * m, 0)
         for d, e in expo.items():
             if -e > den_exp.get(d, 0):
                 den_exp[d] = -e
@@ -347,8 +341,7 @@ def _w_exponents(d: int, counts: list[bytes]) -> list[int]:
     Phi_d divides 1 - q^h where d divides h, and 1 + q^h where d divides 2h
     but not h: for even d, where d/2 divides h and d does not.  A hook that
     d divides is also among the c_{d/2} that d/2 divides, so the exponent is
-    -c_d for odd d and c_{d/2} - 2 c_d for even d (`_w_factor_items` for
-    one hook).
+    -c_d for odd d and c_{d/2} - 2 c_d for even d.
     """
     if d % 2:
         return [-c for c in counts[d]]

@@ -1,7 +1,7 @@
 """The base of the package's validated records.
 
-`Partition`, `StandardTableau`, `Involution` and the CLI's `RunConfig` are
-named tuples that validate in `__new__`.  A named tuple's `_make` builds
+`Partition`, `StandardTableau` and the CLI's `RunConfig` are named
+tuples that validate in `__new__`.  A named tuple's `_make` builds
 through `tuple.__new__`, which would skip that validation, so these records
 take `_make` from `Validated`, which builds through the constructor.  The
 named tuple's own `_replace` calls `self._make`, so it validates too.

@@ -113,21 +113,23 @@ def rho(n: int) -> RationalFunction:
 @cache
 def hook_weight_sum(n: int) -> RationalFunction:
     """Sum over all shapes of n of the product of rho over their hooks, a
-    rational function of z that reduces to a polynomial.  The hook multisets'
-    products are added over one common denominator, each rho(h).den to the
-    largest multiplicity of h, and the sum is canonicalised once."""
-    census, most = hook_census(n), Counter()
-    for key in census:
-        most |= Counter(key)
-    num, den = Polynomial.zero(), Polynomial.one()
-    for key, count in census.items():
-        held, term = Counter(key), Polynomial((count,))
-        for h, e in most.items():
-            term = term * rho(h).num ** held[h] * rho(h).den ** (e - held[h])
-        num = num + term
-    for h, e in most.items():
-        den = den * rho(h).den ** e
-    return RationalFunction(num, den)
+    rational function of z that reduces to a polynomial, over one common
+    denominator.  One hook length h at a time, ascending, with e its largest
+    count, each group of multisets with k hooks h takes rho(h).num^k
+    rho(h).den^(e-k), and the groups whose counts of the longer hooks agree
+    merge.  The sum is canonicalised once."""
+    census = hook_census(n)
+    lengths, den = sorted(set(b"".join(census))), Polynomial.one()
+    groups = {tuple(map(key.count, lengths)): Polynomial((c,)) for key, c in census.items()}
+    for h in lengths:
+        held, merged = {counts[0] for counts in groups}, {}
+        e = max(held)
+        factor = {k: rho(h).num ** k * rho(h).den ** (e - k) for k in held}
+        for counts, total in groups.items():
+            term, rest = total * factor[counts[0]], counts[1:]
+            merged[rest] = merged[rest] + term if rest in merged else term
+        groups, den = merged, den * rho(h).den ** e
+    return RationalFunction(groups[()], den)
 
 
 # ---------------------------------------------------------------------------

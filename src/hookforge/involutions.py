@@ -1,4 +1,4 @@
-"""Involutions of S_n: enumeration, the bivariate cycle-counting polynomial
+"""The involutions of S_n: enumeration, the bivariate cycle-counting polynomial
 g_n, its exponential generating function, and the fixed-point weight sum psi_n.
 
 g_n(u1, u2), the sum of u1^(fixed points) u2^(2-cycles), has one recursion,
@@ -23,9 +23,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import factorial
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
-from . import _records
 from .exact import Polynomial, PowerSeries, RationalFunction
 
 # Largest n for which psi_n re-derives its value by brute enumeration as an
@@ -34,46 +33,6 @@ PSI_ENUMERATION_BOUND = 12
 
 # Images are stored one byte each.
 MAX_POINTS = 255
-
-
-class _InvolutionFields(NamedTuple):
-    images: tuple[int, ...]
-
-
-class Involution(_records.Validated, _InvolutionFields):
-    """A permutation equal to its own inverse, in one-line notation.
-
-    An immutable named tuple, validated on construction."""
-
-    __slots__ = ()
-
-    def __new__(cls, images: tuple[int, ...]):
-        n = len(images)
-        if sorted(images) != list(range(1, n + 1)):
-            raise ValueError("images must be a permutation of 1..n")
-        for i, img in enumerate(images, start=1):
-            if images[img - 1] != i:
-                raise ValueError(f"not an involution: {images}")
-        return tuple.__new__(cls, (images,))
-
-    @classmethod
-    def _trusted(cls, images: tuple[int, ...]) -> "Involution":
-        """Wrap images already known to form an involution, skipping validation."""
-        return tuple.__new__(cls, (images,))
-
-    @property
-    def n(self) -> int:
-        return len(self.images)
-
-    def serialize(self) -> str:
-        return " ".join(str(v) for v in self.images)
-
-    @classmethod
-    def parse(cls, text: str) -> "Involution":
-        return cls(tuple(int(v) for v in text.split()))
-
-    def __str__(self):
-        return self.serialize()
 
 
 def _skip_table(k: int) -> bytes:
@@ -152,12 +111,12 @@ def _fixed_point_histogram(n: int) -> list[int]:
     return hist
 
 
-def enumerate_involutions(n: int) -> list[Involution]:
-    """All involutions of S_n, in the order of `_involution_blocks`, each
-    read from its block's columns without revalidation."""
-    out: list[Involution] = []
+def enumerate_involutions(n: int) -> list[tuple[int, ...]]:
+    """All involutions of S_n as image tuples (one-line notation), in the
+    order of `_involution_blocks`, each read from its block's columns."""
+    out: list[tuple[int, ...]] = []
     for rows, cols in _involution_blocks(n):
-        out.extend(map(Involution._trusted, zip(*cols) if cols else [()] * rows))
+        out.extend(zip(*cols) if cols else [()] * rows)
     return out
 
 

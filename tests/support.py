@@ -2,8 +2,9 @@
 
 `cycle_stats` counts an involution's fixed points and 2-cycles directly from
 its images; the tests use it as the oracle for the fixed-point histogram of
-`hookforge.involutions`.  `mp_const` is the constant polynomial of the
-packed-monomial kernel in `hookforge._multipoly`.  `reverse_row_insert_oracle`
+`hookforge.involutions`, whose enumerator lists each involution as a tuple of
+images.  `mp_const` is the constant polynomial of the packed-monomial kernel
+in `hookforge._multipoly`.  `reverse_row_insert_oracle`
 and `forward_row_insert_oracle` run the row insertions on Yamanouchi words
 one word at a time, with one bytes search per bump; the tests use them as the
 oracles of the byte-column kernels in `hookforge.tableaux`.  `phi_terms`
@@ -28,7 +29,6 @@ import pytest
 
 import hookforge
 from hookforge._multipoly import MPoly
-from hookforge.involutions import Involution
 from hookforge.partitions import Cell, hook_census, hook_quotient
 from hookforge.tableaux import MAX_ROWS
 
@@ -41,9 +41,9 @@ class CycleStats:
     alpha2: int
 
 
-def cycle_stats(inv: Involution) -> CycleStats:
-    fixed = sum(1 for i, img in enumerate(inv.images, start=1) if img == i)
-    return CycleStats(alpha1=fixed, alpha2=(inv.n - fixed) // 2)
+def cycle_stats(images: tuple[int, ...]) -> CycleStats:
+    fixed = sum(1 for i, img in enumerate(images, start=1) if img == i)
+    return CycleStats(alpha1=fixed, alpha2=(len(images) - fixed) // 2)
 
 
 def phi_terms(n: int) -> list[tuple[int, Counter]]:

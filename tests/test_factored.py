@@ -20,7 +20,6 @@ from hookforge._factored import (
     _factor_columns,
     _factor_terms,
     _w_exponents,
-    _w_factor_items,
 )
 from hookforge.identity import (
     _lemma1_terms,
@@ -300,11 +299,14 @@ def test_phi_n_at_zero_and_out_of_range():
 
 
 def test_exponent_rule_equals_w_factor_items_for_every_byte():
-    # one key holding the single hook h: c_m is 1 where m divides h
+    # one key holding the single hook h: c_m is 1 where m divides h, and
+    # (1 + q^h)/(1 - q^h) is, sign aside, Phi_d to the power +1 for each
+    # divisor d of 2h that misses h and -1 for each divisor d of h
     for h in range(1, 256):
         counts = [b""] + [bytes([h % m == 0]) for m in range(1, 2 * h + 1)]
         exponents = [(d, _w_exponents(d, counts)[0]) for d in range(1, 2 * h + 1)]
-        assert tuple((d, e) for d, e in exponents if e) == _w_factor_items(h), h
+        expected = [(d, 1 if h % d else -1) for d in range(1, 2 * h + 1) if 2 * h % d == 0]
+        assert [(d, e) for d, e in exponents if e] == expected, h
         assert _factor_columns([bytes([h])], [1])[:2] == _factor_terms([(1, {h: 1})]), h
 
 

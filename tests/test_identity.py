@@ -514,16 +514,6 @@ def test_prop2_substitution_recheck_can_fail():
     assert _prop2_substitution_witness([3, 0, -2], [2, -1]) is None
 
 
-def test_prop2_substitution_recheck_is_independent(monkeypatch):
-    from hookforge import identity
-
-    def recheck():
-        return identity._prop2_substitution_witness([4, 1, -1, -4], [2, 0, -3])
-
-    poison = engine("_materialize", "weight_w")
-    assert assert_routes_stand_alone(monkeypatch, [(recheck, poison)]) == [None]
-
-
 @pytest.mark.fails("substitution")
 def test_substitution_fails_on_a_perturbed_binomial(monkeypatch):
     from hookforge import identity
@@ -643,14 +633,15 @@ def test_phi_n_and_psi_n_read_no_code_of_each_other(monkeypatch):
 @pytest.mark.independence("prop2")
 def test_prop2_recheck_and_factored_zero_test_read_no_code_of_each_other(monkeypatch):
     # prop2 proves each shape twice, by the factored sum minus 1 and by the
-    # substitution recheck; each passes every shape of n <= 8 alone
+    # substitution recheck; each passes every shape of n <= 8, and one more
+    # content set, alone
     from hookforge import identity
 
     contents = [
         (list(prof.outer_contents), list(prof.inner_contents))
         for n in range(9)
         for prof in map(corner_profile, partitions_of(n))
-    ]
+    ] + [([4, 1, -1, -4], [2, 0, -3])]
 
     def recheck():
         return [identity._prop2_substitution_witness(xs, ys) for xs, ys in contents]
@@ -660,9 +651,10 @@ def test_prop2_recheck_and_factored_zero_test_read_no_code_of_each_other(monkeyp
 
     names = ("_prop2_substitution_witness", "_signed_ratio_sum", "_deleted_products")
     substitution = [(identity, name) for name in names]
-    routes = [(recheck, engine("_materialize", "_prop2_terms")), (zero_test, substitution)]
-    _, zeros = assert_routes_stand_alone(monkeypatch, routes)
-    assert len(contents) == 67 and zeros == [True] * 67
+    factored = engine("_materialize", "_prop2_terms", "weight_w")
+    routes = [(recheck, factored), (zero_test, substitution)]
+    witnesses, zeros = assert_routes_stand_alone(monkeypatch, routes)
+    assert len(contents) == 68 and witnesses == [None] * 68 and zeros == [True] * 68
 
 
 @pytest.mark.independence("prop2")

@@ -50,10 +50,6 @@ KEEP = {
     "exact.RationalFunction.format": WITNESS,
     "exact.RationalFunction.one": OWN_TESTS,
     "identity.verify_phi_recursion": OWN_TESTS,
-    "involutions.Involution._trusted": UNDER_PINNED,  # `enumerate_involutions`
-    "involutions.Involution.n": OWN_TESTS,
-    "involutions.Involution.parse": OWN_TESTS,
-    "involutions.Involution.serialize": OWN_TESTS,
     "partitions.Partition.cells": OWN_TESTS,
     "partitions.Partition.conjugate": OWN_TESTS,
     "partitions.Partition.parse": OWN_TESTS,

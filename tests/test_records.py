@@ -1,11 +1,12 @@
-"""The package's seven record types keep their semantics as named tuples.
+"""The package's six record types keep their semantics as named tuples.
 
-`Partition`, `CornerProfile`, `StandardTableau`, `Involution`, and the CLI's
-`RunConfig`, `VerificationReport` and `Unit` are immutable records with
-equality and hashing by field, and they survive `copy`, `deepcopy` and
-`pickle`.  The four validated ones raise the same `ValueError` texts as
-before, also when a record is built through `_make` or `_replace`.  Being tuples, they are also iterable and equal to a plain tuple of
-the same fields; no code under `src/` relies on that.
+`Partition`, `CornerProfile`, `StandardTableau`, and the CLI's `RunConfig`,
+`VerificationReport` and `Unit` are immutable records with equality and
+hashing by field, and they survive `copy`, `deepcopy` and `pickle`.  The
+three validated ones raise the same `ValueError` texts as before, also when
+a record is built through `_make` or `_replace`.  Being tuples, they are
+also iterable and equal to a plain tuple of the same fields; no code under
+`src/` relies on that.
 """
 
 import copy
@@ -14,7 +15,6 @@ import pickle
 import pytest
 
 from hookforge import cli
-from hookforge.involutions import Involution
 from hookforge.partitions import Partition, corner_profile
 from hookforge.tableaux import StandardTableau
 
@@ -39,15 +39,6 @@ RECORDS = {
             (lambda: StandardTableau(((1, 3),)), "entries must be a bijection onto 1..2"),
             (lambda: StandardTableau(((2, 1),)), "rows must strictly increase"),
             (lambda: StandardTableau(rows=((2, 3), (1,))), "columns must strictly increase"),
-        ],
-    ),
-    "Involution": (
-        lambda: Involution((2, 1, 3)),
-        "images",
-        True,
-        [
-            (lambda: Involution((1, 1)), "images must be a permutation of 1..n"),
-            (lambda: Involution(images=(2, 3, 1)), "not an involution: (2, 3, 1)"),
         ],
     ),
     "RunConfig": (
@@ -98,13 +89,6 @@ def test_record_semantics(name):
     assert record == tuple(record)  # the one change: records are tuples
 
 
-def test_trusted_involutions_skip_validation():
-    inv = Involution._trusted((2, 3, 1))  # a 3-cycle, accepted unchecked
-    assert type(inv) is Involution and inv.images == (2, 3, 1)
-    with pytest.raises(ValueError):
-        Involution(inv.images)
-
-
 def test_tableaux_are_validated_once_through_the_class_attribute(monkeypatch):
     # `perfbench/tracer.py` counts validations by wrapping this attribute
     original = StandardTableau.__post_init__
@@ -135,12 +119,6 @@ HELPERS = {
         {"rows": ((1, 2), (3,))},
         {"rows": ((2, 3), (1,))},
         "columns must strictly increase",
-    ),
-    "Involution": (
-        lambda: Involution((2, 1, 3)),
-        {"images": (1, 3, 2)},
-        {"images": (2, 3, 1)},
-        "not an involution: (2, 3, 1)",
     ),
     "RunConfig": (
         lambda: cli.RunConfig("all"),

@@ -2,8 +2,10 @@
 
 Every check is a proof over exact integers and rationals, so `src/hookforge`
 may contain no floating-point or complex arithmetic and may import only the
-standard library.  Timing through `time.perf_counter` (in `cli.py` only, see
-below) and type annotations are allowed: neither feeds a verdict.
+standard library.  A true division `/` stands only at the sites that
+`TRUE_DIVISIONS` lists, each on an exact operand.  Timing through
+`time.perf_counter` (in `cli.py` only, see below) and type annotations are
+allowed: neither feeds a verdict.
 
 A report is built in one place, `cli._report`, and a check is timed in
 `cli.Unit.__call__`: every other module's checks return None or a witness string, and neither constructs a
@@ -22,7 +24,7 @@ The factored cyclotomic engine, `_factored`, imports nothing of the package
 but `exact`, and `identity` reaches it only as `_factored.<name>`, binding
 none of its names: a test then poisons each of its functions in one place.
 `involutions`, the other side of `theorem1prime`, imports nothing of the
-package but `exact` and `_records`, so it cannot reach `identity`.
+package but `exact`, so it cannot reach `identity`.
 The z-route of `theorem1` (`rho`, `hook_weight_sum`, `verify_theorem1`) does
 not name the module at all.
 
@@ -77,6 +79,9 @@ def policy_violations(tree: ast.AST) -> list[str]:
                     found.append(f"{where}: math.{node.attr}")
             elif node.attr in RANDOM_FLOATS:
                 found.append(f"{where}: float-valued .{node.attr}")
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            # int / int is a float: a division is exact only on exact operands
+            found.append(f"{where}: true division {ast.unparse(node)}")
         elif isinstance(node, ast.Import):
             for alias in node.names:
                 top = alias.name.split(".")[0]
@@ -96,6 +101,16 @@ def policy_violations(tree: ast.AST) -> list[str]:
 
 SOURCES = sorted(SRC.glob("*.py"))
 
+# every true division in `src/`, by module and unparsed expression, with the
+# exact type of its dividend there, which makes the quotient exact
+TRUE_DIVISIONS = {
+    ("exact.py", "c / dlead"): "Fraction",  # Polynomial.__divmod__
+    ("exact.py", "o / self"): "RationalFunction",  # RationalFunction.__rtruediv__
+    ("exact.py", "self.num(point) / d"): "Fraction",  # RationalFunction.__call__
+    ("identity.py", "r / v"): "Fraction",  # verify_prop3_residues
+    ("involutions.py", "g_poly(n, u1, u2) / factorial(n)"): "Fraction",  # verify_involution_egf
+}
+
 
 def test_package_sources_found():
     assert {p.name for p in SOURCES} >= {"exact.py", "identity.py", "cli.py"}
@@ -103,7 +118,10 @@ def test_package_sources_found():
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_source_is_float_free_and_stdlib_only(path):
-    assert policy_violations(ast.parse(path.read_text(encoding="utf-8"))) == []
+    found = policy_violations(ast.parse(path.read_text(encoding="utf-8")))
+    listed = {f"true division {expr}" for module, expr in TRUE_DIVISIONS if module == path.name}
+    assert [v for v in found if v.partition(": ")[2] not in listed] == []
+    assert {v.partition(": ")[2] for v in found} == listed  # no listed division is stale
 
 
 @pytest.mark.parametrize(
@@ -122,6 +140,8 @@ def test_source_is_float_free_and_stdlib_only(path):
         "import numpy",
         "from sympy import Rational",
         "def f(x):\n    assert x > 0\n    return x",
+        "x = 1 / 2",
+        "x /= 2",
     ],
 )
 def test_policy_rejects(code):
@@ -137,6 +157,7 @@ def test_policy_rejects(code):
         "def f(x: float) -> float:\n    return x",
         "import random\nrng = random.Random('0:1')\nk = rng.randint(1, 9)",
         "from . import exact",
+        "x = 7 // 2",
     ],
 )
 def test_policy_allows(code):
@@ -252,7 +273,7 @@ def test_importing_the_cli_loads_no_process_pool_module():
 
 # the helpers moved out of `identity` with the engine
 MOVED = {
-    "_divisors", "_cyclotomic", "_w_factor_items", "_factor_terms", "_reduced_sum", "_cyclo_sum",
+    "_divisors", "_cyclotomic", "_factor_terms", "_reduced_sum", "_cyclo_sum",
     "_cyclo_norm", "_multiples", "_factor_columns", "_column_bound", "_w_exponents",
 }
 
@@ -302,9 +323,9 @@ def test_the_factored_engine_imports_only_exact_from_the_package():
     assert_package_imports("_factored.py", {"exact"})
 
 
-def test_involutions_imports_only_exact_and_records_from_the_package():
+def test_involutions_imports_only_exact_from_the_package():
     # theorem1prime's involution side then cannot reach `identity`
-    assert_package_imports("involutions.py", {"exact", "_records"})
+    assert_package_imports("involutions.py", {"exact"})
 
 
 def test_the_package_root_imports_nothing():
